@@ -45,11 +45,9 @@ from .errors import (
     WaitCapExceededError,
 )
 from .estimators import (
-    ApproxMLResult,
     EstimateReport,
     TrialBatch,
     additive_trials,
-    approx_ml_estimate,
     clt_trials,
     estimate_additive_threshold,
     estimate_clt,
@@ -65,7 +63,6 @@ from .estimators import (
     pareto_trials,
     require_crossable_block,
     stopping_matrix_batch,
-    stopping_params_from_body_budget,
     threshold_trials,
     xvec_paired_batch,
     xvec_trials,
@@ -75,7 +72,6 @@ from .estimators import (
 from .harness import (
     COLUMNS,
     ExperimentConfig,
-    StreamingMoments,
     SweepRow,
     emit_csv,
     format_csv,
@@ -103,6 +99,7 @@ from .protocol import (
     select_max_index,
     select_stopping_set_indices,
     select_threshold_index,
+    stopping_params_from_body_budget,
 )
 from .sources import (
     AdditiveNoise,
@@ -117,10 +114,7 @@ from .sources import (
     StdNormal,
     UnitLaplace,
     UnitUniform,
-    crossing_prob,
-    sample_stream,
     substream,
-    true_correlations,
 )
 from .statmath import (
     MaxMoments,
@@ -152,25 +146,23 @@ __all__ = [
     # sources
     "StdNormal", "UnitLaplace", "ParetoTwoSided", "UnitUniform", "Rademacher",
     "GaussianScalar", "GaussianYVec", "GaussianXVec", "AdditiveNoise",
-    "DoublySymmetricBinary", "BlockAveraged", "SampleStream", "sample_stream",
-    "substream", "crossing_prob", "true_correlations",
+    "DoublySymmetricBinary", "BlockAveraged", "SampleStream", "substream",
     # protocol
     "LedgerMode", "LedgerEntry", "BitLedger", "Transcript", "Selection",
     "StoppingSetParams", "golomb_parameter", "golomb_length", "golomb_encode",
     "golomb_decode", "select_max_index", "select_threshold_index",
     "select_stopping_set_indices", "quantize_W_matrix", "quantize_pareto_value",
     "quantize_correlation_entries", "allocate_bits_xvec", "allocate_bits_pareto",
-    "default_wait_cap",
+    "default_wait_cap", "stopping_params_from_body_budget",
     # estimators
-    "TrialBatch", "EstimateReport", "ApproxMLResult", "estimate_max",
+    "TrialBatch", "EstimateReport", "estimate_max",
     "estimate_threshold", "estimate_yvec", "estimate_xvec",
     "estimate_xvec_unquantized", "estimate_clt", "estimate_pareto_quantized",
     "estimate_additive_threshold", "estimate_linear_transform_baseline",
-    "approx_ml_estimate", "max_trials", "threshold_trials", "yvec_trials",
+    "max_trials", "threshold_trials", "yvec_trials",
     "xvec_trials", "xvec_unquantized_trials", "xvec_paired_batch", "clt_trials",
     "pareto_trials", "additive_trials", "linear_baseline_trials",
-    "stopping_matrix_batch", "stopping_params_from_body_budget",
-    "require_crossable_block",
+    "stopping_matrix_batch", "require_crossable_block",
     # analysis
     "TheoryReport", "zhang_berger_variance", "zhang_berger_optimal",
     "fisher_scalar_given_x", "fisher_threshold", "fisher_max",
@@ -182,6 +174,6 @@ __all__ = [
     "pareto_unquantized_floor", "binary_example_theory", "linear_baseline_trace",
     "build_report",
     # harness
-    "ExperimentConfig", "SweepRow", "StreamingMoments", "COLUMNS",
+    "ExperimentConfig", "SweepRow", "COLUMNS",
     "parse_config", "run_sweep", "emit_csv", "format_csv",
 ]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .linalg import CorrelationMatrix, invert
-from .protocol import allocate_bits_pareto, allocate_bits_xvec
+from .protocol import allocate_bits_pareto, allocate_bits_xvec, stopping_params_from_body_budget
 from .sources import GaussianXVec, MarginalLaw, UnitLaplace
 from .statmath import (
     geometric_entropy_inv,
@@ -409,28 +409,31 @@ def _yvec_report(rho: np.ndarray, sigma_y: np.ndarray, k: float) -> TheoryReport
     )
 
 
-def _xvec_report(model: GaussianXVec, k: float, b0: float,
+def _xvec_report(scheme: str, model: GaussianXVec, k: float, b0: float,
                  alpha_empirical: Optional[float] = None) -> TheoryReport:
+    """Quantized scheme (``xvec``, k in total) or exact matrix (``xvec_exact``, k per index)."""
     d = model.dim
-    params = allocate_bits_xvec(k, d, b0)
+    if scheme == "xvec":
+        params = allocate_bits_xvec(k, d, b0)
+        budget_bound = ("summed-error-budget-bound", xvec_mse_bound(model.rho, d, k))
+    else:
+        params = stopping_params_from_body_budget(k, d, b0)
+        budget_bound = ("trace-budget-bound", unquantized_xvec_trace_bound(model.rho, d, k))
     alpha_exact = stopping_second_moment(params.a, params.b, d)
     alpha_used = alpha_exact if alpha_empirical is None else float(alpha_empirical)
     sigma2 = max(model.noise_var, 1e-300)
     fisher = fisher_xvec(model.rho, model.sigma_x.values, alpha_used, sigma2, d)
     crlb = crlb_xvec(model.rho, model.sigma_x.values, alpha_used, sigma2, d)
     lower, upper = stopping_moment_bracket(params.a, params.b, d)
-    bounds = [
-        ("summed-error-budget-bound", xvec_mse_bound(model.rho, d, k)),
-        ("inverse-moment-lower", lower),
-        ("inverse-moment-upper", upper),
-        ("quantization-penalty", quantization_loss_bound(params.a, params.k_q, d)),
-        ("row-second-moment", alpha_exact),
-    ]
+    bounds = [budget_bound, ("inverse-moment-lower", lower), ("inverse-moment-upper", upper)]
+    if scheme == "xvec":
+        bounds.append(("quantization-penalty", quantization_loss_bound(params.a, params.k_q, d)))
+    bounds.append(("row-second-moment", alpha_exact))
     return TheoryReport(
-        scheme="xvec",
+        scheme=scheme,
         k=float(k),
         exact_variance=None,
-        asymptotic_variance=xvec_mse_bound(model.rho, d, k),
+        asymptotic_variance=budget_bound[1],
         fisher=fisher,
         crlb_trace=float(np.trace(crlb)),
         bounds=bounds,
@@ -442,9 +445,9 @@ def build_report(scheme: str, **kwargs) -> TheoryReport:
 
     Accepted keywords depend on the scheme: scalar schemes take ``rho`` and
     ``k``; ``yvec`` takes ``rho`` (vector), ``k`` and optional ``sigma_y``;
-    ``xvec`` takes a model or (``rho``, ``sigma_x``) plus ``k``, ``b0`` and
-    an optional empirical ``alpha``; additive schemes take their law
-    parameters.
+    ``xvec`` and ``xvec_exact`` take a model or (``rho``, ``sigma_x``) plus
+    ``k``, ``b0`` and an optional empirical ``alpha``; additive schemes take
+    their law parameters.
     """
     if scheme in ("max", "threshold"):
         return _scalar_report(scheme, kwargs["rho"], kwargs["k"])
@@ -466,7 +469,7 @@ def build_report(scheme: str, **kwargs) -> TheoryReport:
             elif not isinstance(sigma_x, CorrelationMatrix):
                 sigma_x = CorrelationMatrix(np.asarray(sigma_x, dtype=float))
             model = GaussianXVec(rho=rho, sigma_x=sigma_x)
-        return _xvec_report(model, kwargs["k"], kwargs.get("b0", 0.3),
+        return _xvec_report(scheme, model, kwargs["k"], kwargs.get("b0", 0.3),
                             kwargs.get("alpha"))
     if scheme == "clt":
         rho = kwargs["rho"]

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import analysis
 from .errors import CorrlinkError, DomainError, TrialFailureError
-from .harness import ExperimentConfig, StreamingMoments, format_csv, run_sweep
+from .harness import ExperimentConfig, format_csv, run_sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -37,7 +37,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, help="output CSV path (default: config, else stdout)")
 
     p_theory = sub.add_parser("theory", help="print closed-form values for one scheme")
-    p_theory.add_argument("scheme", help="scheme id (threshold, max, yvec, xvec, clt, pareto, additive)")
+    p_theory.add_argument("scheme", help="scheme id (threshold, max, yvec, xvec, xvec_exact, clt, "
+                          "pareto, additive)")
     p_theory.add_argument("--k", type=float, required=True, help="bit budget")
     p_theory.add_argument("--rho", required=True,
                           help="correlation, comma-separated for vector schemes")
@@ -140,6 +141,8 @@ def _cmd_theory(args) -> int:
 
 
 def _selftest_checks():
+    from .estimators import TrialBatch
+    from .harness import _chunk_partial, _reduce_cell
     from .protocol import golomb_decode, golomb_encode, golomb_length
     from .statmath import geometric_entropy, geometric_entropy_inv, qfunc, qfunc_inv
 
@@ -160,15 +163,23 @@ def _selftest_checks():
                 assert decoded == j and used == len(word), f"roundtrip failed at {j}, {m}"
 
     def check_moments():
+        # The sweep reducer on uneven chunks against two-pass moments.
         rng = np.random.default_rng(7)
         values = rng.standard_normal(100_000) * 3.0 + 1.0
-        sm = StreamingMoments()
-        for start in range(0, values.size, 1024):
-            sm.add(values[start:start + 1024])
+        edges = [0, 1, 1000, 1024, 50_000, 77_777, values.size]
+        partials = [
+            _chunk_partial(TrialBatch(
+                estimates=values[lo:hi, None], truth=np.zeros(1), bits_expected=0.0,
+                bits_realized=None, samples=np.ones(hi - lo), failed=np.zeros(hi - lo, dtype=bool),
+            ))
+            for lo, hi in zip(edges, edges[1:])
+        ]
+        meta = {"d": 1, "k": 0.0, "rho_spec": (0.0,), "alpha": None, "m": None, "b0": None}
+        row = _reduce_cell(partials, meta, (None, None, None), "selftest")
         mean = float(values.mean())
         var = float(np.mean((values - mean) ** 2))
-        assert abs(sm.mean - mean) <= 1e-9 * max(1.0, abs(mean)), "streaming mean drifted"
-        assert abs(sm.variance - var) <= 1e-9 * var, "streaming variance drifted"
+        assert abs(row.bias - mean) <= 1e-9 * max(1.0, abs(mean)), "reduced mean drifted"
+        assert abs(row.variance - var) <= 1e-9 * var, "reduced variance drifted"
 
     def check_determinism():
         text = "scheme = threshold\ngrid.k = 10\ngrid.rho = 0.5\ntrials = 256\nseed = 11"

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, TrialFailureError
-from .linalg import sym_sqrt
+from .errors import ConfigurationError, TrialFailureError
+from .linalg import singular_value_lower_bound, sym_sqrt
 from .protocol import (
     LedgerMode,
     ParetoAllocation,
@@ -28,24 +28,23 @@ from .protocol import (
     golomb_length_array,
     golomb_parameter,
     quantize_correlation_entries,
+    quantize_pareto_value,
+    quantize_W_matrix,
+    stopping_params_from_body_budget,
 )
 from .sources import (
     AdditiveNoise,
     BlockAveraged,
-    DoublySymmetricBinary,
     GaussianScalar,
     GaussianXVec,
     GaussianYVec,
+    JointModel,
     ParetoTwoSided,
-    SampleStream,
     _open_uniform,
-    crossing_prob,
     draw_first_crossing,
     normal_from_uniform,
     scan_first_crossing,
     substream,
-    true_correlations,
-    x_support_upper,
 )
 from .statmath import (
     _qinv_unchecked,
@@ -60,7 +59,6 @@ from .statmath import (
 __all__ = [
     "TrialBatch",
     "EstimateReport",
-    "ApproxMLResult",
     "threshold_trials",
     "max_trials",
     "yvec_trials",
@@ -83,11 +81,8 @@ __all__ = [
     "estimate_pareto_quantized",
     "estimate_additive_threshold",
     "estimate_linear_transform_baseline",
-    "approx_ml_estimate",
-    "stopping_params_from_body_budget",
+    "require_crossable_block",
 ]
-
-_SQRT3 = math.sqrt(3.0)
 
 
 @dataclass(frozen=True)
@@ -129,6 +124,22 @@ def _realized_for_indices(index: np.ndarray, p: float, mode: LedgerMode):
     return golomb_length_array(index, golomb_parameter(p))
 
 
+def _crossing_trials(
+    model: JointModel, t: float, norm: float, p: float,
+    rng: np.random.Generator, size: int, mode: LedgerMode,
+) -> TrialBatch:
+    """First crossing of ``t``, estimate Y_J / ``norm``; the index is booked at entropy H(p)."""
+    batch = draw_first_crossing(model, t, rng, size)
+    return TrialBatch(
+        estimates=(batch.y / norm).reshape(batch.index.shape[0], -1),
+        truth=model.true_correlations(),
+        bits_expected=geometric_entropy(p),
+        bits_realized=_realized_for_indices(batch.index, p, mode),
+        samples=batch.index,
+        failed=np.zeros(batch.index.shape[0], dtype=bool),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Scalar schemes.
 
@@ -141,16 +152,7 @@ def threshold_trials(
     if not isinstance(model, GaussianScalar):
         raise ConfigurationError("threshold trials need the scalar Gaussian model")
     t, s, p = _threshold_from_budget(k)
-    batch = draw_first_crossing(model, t, rng, size)
-    est = (batch.y / s)[:, None]
-    return TrialBatch(
-        estimates=est,
-        truth=true_correlations(model),
-        bits_expected=geometric_entropy(p),
-        bits_realized=_realized_for_indices(batch.index, p, mode),
-        samples=batch.index,
-        failed=np.zeros(batch.index.shape[0], dtype=bool),
-    )
+    return _crossing_trials(model, t, s, p, rng, size, mode)
 
 
 def max_trials(
@@ -173,15 +175,13 @@ def max_trials(
     u = _open_uniform(rng, size)
     # CDF of the block maximum is Phi^n; invert through the upper tail.
     x = _qinv_unchecked(-np.expm1(np.log(u) / n_samples))
-    z = normal_from_uniform(rng, size)
-    y = model.rho * x + math.sqrt(1.0 - model.rho**2) * z
-    est = (y / mean_max)[:, None]
+    est = (model.y_given_x(x, rng) / mean_max)[:, None]
     realized = None
     if mode is LedgerMode.REALIZED:
         realized = np.full(size, k, dtype=np.int64)
     return TrialBatch(
         estimates=est,
-        truth=true_correlations(model),
+        truth=model.true_correlations(),
         bits_expected=float(k),
         bits_realized=realized,
         samples=np.full(size, n_samples),
@@ -198,17 +198,7 @@ def additive_trials(
         raise ConfigurationError("additive trials need an additive-noise model")
     p = geometric_entropy_inv(k)
     t = float(model.x_law.tail_quantile(p))
-    norm = model.x_law.tail_mean(t)
-    batch = draw_first_crossing(model, t, rng, size)
-    est = (batch.y / norm)[:, None]
-    return TrialBatch(
-        estimates=est,
-        truth=true_correlations(model),
-        bits_expected=geometric_entropy(p),
-        bits_realized=_realized_for_indices(batch.index, p, mode),
-        samples=batch.index,
-        failed=np.zeros(batch.index.shape[0], dtype=bool),
-    )
+    return _crossing_trials(model, t, model.x_law.tail_mean(t), p, rng, size, mode)
 
 
 def require_crossable_block(model: BlockAveraged, k: float) -> None:
@@ -216,9 +206,9 @@ def require_crossable_block(model: BlockAveraged, k: float) -> None:
     if not isinstance(model, BlockAveraged):
         raise ConfigurationError("CLT trials need a block-averaged model")
     t, _, _ = _threshold_from_budget(k)
-    xsup = x_support_upper(model)
+    xsup = model.x_support_upper
     if math.isfinite(xsup) and t >= xsup:
-        inner_sup = x_support_upper(model.inner)
+        inner_sup = model.inner.x_support_upper
         m_min = math.floor(t * t / (inner_sup * inner_sup)) + 1
         raise ConfigurationError(
             f"block size {model.m} cannot cross threshold {t:.4f} (block support tops out "
@@ -239,22 +229,13 @@ def clt_trials(
     """
     require_crossable_block(model, k)
     t, s, _ = _threshold_from_budget(k)
-    p = crossing_prob(model, t)
+    p = model.crossing_prob(t)
     if p is not None:
         if p <= 0.0:
             raise ConfigurationError(
                 f"crossing probability is 0 at block size {model.m}; increase the block size"
             )
-        batch = draw_first_crossing(model, t, rng, size)
-        est = (batch.y / s)[:, None]
-        return TrialBatch(
-            estimates=est,
-            truth=true_correlations(model),
-            bits_expected=geometric_entropy(p),
-            bits_realized=_realized_for_indices(batch.index, p, mode),
-            samples=batch.index,
-            failed=np.zeros(batch.index.shape[0], dtype=bool),
-        )
+        return _crossing_trials(model, t, s, p, rng, size, mode)
     # No closed-form crossing probability: fall back to a literal scan.
     if mode is LedgerMode.REALIZED:
         raise ConfigurationError(
@@ -267,7 +248,7 @@ def clt_trials(
     est = np.where(batch.capped[:, None], np.nan, est)
     return TrialBatch(
         estimates=est,
-        truth=true_correlations(model),
+        truth=model.true_correlations(),
         bits_expected=math.nan,
         bits_realized=None,
         samples=batch.index,
@@ -290,20 +271,16 @@ def pareto_trials(
     alloc = allocate_bits_pareto(k, alpha)
     p = geometric_entropy_inv(alloc.k_l)
     batch = draw_first_crossing(model, alloc.t, rng, size)
-    cells = max(1, int(math.floor(2.0**alloc.k_q)))
-    step = (alloc.u - alloc.t) / cells
-    idx = np.clip(np.floor((batch.x - alloc.t) / step), 0, cells - 1)
-    xhat = np.where(batch.x > alloc.u, alloc.u, alloc.t + (idx + 0.5) * step)
-    est = (batch.y / xhat)[:, None]
-    realized = None
-    if mode is LedgerMode.REALIZED:
-        payload = int(math.ceil(math.log2(cells))) if cells > 1 else 0
-        realized = golomb_length_array(batch.index, golomb_parameter(p)) + payload
+    xhat = quantize_pareto_value(batch.x, alloc.t, alloc.u, alloc.k_q)
+    est = (batch.y / xhat.values)[:, None]
+    realized = _realized_for_indices(batch.index, p, mode)
+    if realized is not None:
+        realized = realized + xhat.bits_realized
     return (
         TrialBatch(
             estimates=est,
-            truth=true_correlations(model),
-            bits_expected=geometric_entropy(p) + alloc.k_q,
+            truth=model.true_correlations(),
+            bits_expected=geometric_entropy(p) + xhat.bits_expected,
             bits_realized=realized,
             samples=batch.index,
             failed=np.zeros(batch.index.shape[0], dtype=bool),
@@ -324,26 +301,7 @@ def yvec_trials(
     if not isinstance(model, GaussianYVec):
         raise ConfigurationError("Y-vector trials need the Y-vector Gaussian model")
     t, s, p = _threshold_from_budget(k)
-    batch = draw_first_crossing(model, t, rng, size)
-    est = batch.y / s
-    return TrialBatch(
-        estimates=est,
-        truth=true_correlations(model),
-        bits_expected=geometric_entropy(p),
-        bits_realized=_realized_for_indices(batch.index, p, mode),
-        samples=batch.index,
-        failed=np.zeros(batch.index.shape[0], dtype=bool),
-    )
-
-
-def stopping_params_from_body_budget(k_l: float, d: int, b0: float) -> StoppingSetParams:
-    """Stopping-set geometry from a per-index budget alone (no quantization split)."""
-    p = geometric_entropy_inv(k_l)
-    q_a = p / (2.0 * (1.0 - 2.0 * qfunc(b0)) ** (d - 1))
-    if not 0.0 < q_a < 0.5:
-        raise ConfigurationError(f"per-index budget {k_l!r} gives no valid strong bound")
-    a = qfunc_inv(q_a)
-    return StoppingSetParams(a=a, b=b0, d=d, k_l=k_l, k_q=0.0)
+    return _crossing_trials(model, t, s, p, rng, size, mode)
 
 
 def stopping_matrix_batch(
@@ -380,41 +338,35 @@ def stopping_matrix_batch(
     return w, gaps
 
 
-def _quantize_W_batch(w: np.ndarray, params: StoppingSetParams) -> np.ndarray:
-    """Vectorized midpoint quantization of a stack of selection matrices."""
-    if params.k_q > 52:
-        return w.copy()
-    cells = int(math.floor(2.0**params.k_q))
-    cells -= cells % 2
-    cells = max(cells, 2)
-    half = cells // 2
-    a = params.a
-    c = _SQRT3 * a
-    d = params.d
-    step_diag = (c - a) / half
-    out = np.empty_like(w)
-    eye = np.eye(d, dtype=bool)
-    diag_vals = w[:, eye]
-    mag = np.abs(diag_vals)
-    idx = np.clip(np.floor((mag - a) / step_diag), 0, half - 1)
-    out[:, eye] = np.sign(diag_vals) * (a + (idx + 0.5) * step_diag)
-    if d > 1:
-        if params.b > 0.0:
-            step_off = 2.0 * params.b / cells
-            vals = np.clip(w[:, ~eye], -params.b, params.b)
-            oidx = np.clip(np.floor((vals + params.b) / step_off), 0, cells - 1)
-            out[:, ~eye] = -params.b + (oidx + 0.5) * step_off
-        else:
-            out[:, ~eye] = 0.0
-    return out
-
-
 def _batch_inverse(w: np.ndarray) -> np.ndarray:
     inv = np.linalg.inv(w)
     # One refinement step per matrix; keeps solver bias below Monte Carlo noise.
     eye = np.eye(w.shape[-1])
     resid = eye[None, :, :] - np.einsum("nij,njk->nik", w, inv)
     return inv + np.einsum("nij,njk->nik", inv, resid)
+
+
+def _xvec_selection(model: GaussianXVec, params: StoppingSetParams,
+                    rng: np.random.Generator, size: int):
+    """Selection matrices, index gaps, and Bob's Y values read at the selected indices."""
+    d = model.dim
+    if params.d != d:
+        raise ConfigurationError(f"params dimension {params.d} does not match model {d}")
+    w, gaps = stopping_matrix_batch(d, params.a, params.b, rng, size)
+    sigma = math.sqrt(model.noise_var)
+    z = normal_from_uniform(rng, (size, d))
+    y = np.einsum("j,njl->nl", model.whitened_rho, w) + sigma * z
+    return w, gaps, y
+
+
+def _xvec_reconstruct(w_used: np.ndarray, y: np.ndarray, recon: np.ndarray):
+    """Estimates y W^-1 recon per trial, NaN where the screen rejects W; returns (est, failed)."""
+    # Deterministic screen: diagonal dominance gives a positive lower bound on
+    # the smallest singular value for every valid parameter set.
+    failed = ~(singular_value_lower_bound(w_used) > 0.0)
+    safe_w = np.where(failed[:, None, None], np.eye(w_used.shape[-1])[None, :, :], w_used)
+    est = np.einsum("nl,nlk,km->nm", y, _batch_inverse(safe_w), recon)
+    return np.where(failed[:, None], np.nan, est), failed
 
 
 def xvec_core_batch(
@@ -428,23 +380,7 @@ def xvec_core_batch(
 ) -> TrialBatch:
     """Stopping-set selection, optional matrix quantization, and reconstruction."""
     d = model.dim
-    if params.d != d:
-        raise ConfigurationError(f"params dimension {params.d} does not match model {d}")
-    w, gaps = stopping_matrix_batch(d, params.a, params.b, rng, size)
-    sigma = math.sqrt(model.noise_var)
-    z = normal_from_uniform(rng, (size, d))
-    y = np.einsum("j,njl->nl", model.whitened_rho, w) + sigma * z
-    w_used = _quantize_W_batch(w, params) if quantize else w
-    # Deterministic screen: diagonal dominance gives a positive lower bound on
-    # the smallest singular value for every valid parameter set.
-    absw = np.abs(w_used)
-    diag = np.einsum("nii->ni", absw)
-    row_off = absw.sum(axis=2) - diag
-    col_off = absw.sum(axis=1) - diag
-    bound = (diag - 0.5 * (row_off + col_off)).min(axis=1)
-    failed = ~(bound > 0.0)
-    safe_w = np.where(failed[:, None, None], np.eye(d)[None, :, :], w_used)
-    w_inv = _batch_inverse(safe_w)
+    w, gaps, y = _xvec_selection(model, params, rng, size)
     recon = model.sqrt_sigma_x
     bits_expected = d * geometric_entropy(params.crossing_prob)
     realized = None
@@ -452,10 +388,11 @@ def xvec_core_batch(
         m_code = golomb_parameter(params.crossing_prob)
         realized = golomb_length_array(gaps.reshape(-1), m_code).reshape(size, d).sum(axis=1)
     if quantize:
-        bits_expected += d * d * params.k_q
-        if mode is LedgerMode.REALIZED:
-            cells = max(2, int(math.floor(2.0**params.k_q)) - int(math.floor(2.0**params.k_q)) % 2)
-            realized = realized + int(math.ceil(d * d * math.log2(cells)))
+        q = quantize_W_matrix(w, params)
+        w = q.values
+        bits_expected += q.bits_expected
+        if realized is not None:
+            realized = realized + q.bits_realized
     if charge_sigma:
         total_budget = d * params.k_l + d * d * params.k_q
         q_sigma, sig_bits, sig_realized = quantize_correlation_entries(
@@ -463,13 +400,12 @@ def xvec_core_batch(
         )
         recon = sym_sqrt(q_sigma)
         bits_expected += sig_bits
-        if mode is LedgerMode.REALIZED:
+        if realized is not None:
             realized = realized + sig_realized
-    est = np.einsum("nl,nlk,km->nm", y, w_inv, recon)
-    est = np.where(failed[:, None], np.nan, est)
+    est, failed = _xvec_reconstruct(w, y, recon)
     return TrialBatch(
         estimates=est,
-        truth=true_correlations(model),
+        truth=model.true_correlations(),
         bits_expected=bits_expected,
         bits_realized=realized,
         samples=gaps.sum(axis=1),
@@ -510,25 +446,20 @@ def xvec_paired_batch(
     Sharing the selection randomness turns the quantization-loss comparison
     into a paired design, which is what the additive loss bound speaks about.
     """
-    d = model.dim
-    w, gaps = stopping_matrix_batch(d, params.a, params.b, rng, size)
-    sigma = math.sqrt(model.noise_var)
-    z = normal_from_uniform(rng, (size, d))
-    y = np.einsum("j,njl->nl", model.whitened_rho, w) + sigma * z
-    recon = model.sqrt_sigma_x
-    truth = true_correlations(model)
+    w, gaps, y = _xvec_selection(model, params, rng, size)
+    q = quantize_W_matrix(w, params)
+    index_bits = model.dim * geometric_entropy(params.crossing_prob)
     results = []
-    for w_used, extra_bits in ((_quantize_W_batch(w, params), d * d * params.k_q), (w, 0.0)):
-        w_inv = _batch_inverse(w_used)
-        est = np.einsum("nl,nlk,km->nm", y, w_inv, recon)
+    for w_used, extra_bits in ((q.values, q.bits_expected), (w, 0.0)):
+        est, failed = _xvec_reconstruct(w_used, y, model.sqrt_sigma_x)
         results.append(
             TrialBatch(
                 estimates=est,
-                truth=truth,
-                bits_expected=d * geometric_entropy(params.crossing_prob) + extra_bits,
+                truth=model.true_correlations(),
+                bits_expected=index_bits + extra_bits,
                 bits_realized=None,
                 samples=gaps.sum(axis=1),
-                failed=np.zeros(size, dtype=bool),
+                failed=failed,
             )
         )
     return results[0], results[1]
@@ -577,65 +508,22 @@ def linear_baseline_trials(
     realized = np.zeros(size, dtype=np.int64) if mode is LedgerMode.REALIZED else None
     for alpha, k in zip(alphas, (float(k1), float(k2))):
         t, s, p = _threshold_from_budget(k)
-        channel = GaussianScalar(rho=float(alpha))
-        batch = draw_first_crossing(channel, t, rng, size)
-        cols.append(batch.y / s)
-        samples += batch.index
-        bits_expected += geometric_entropy(p)
+        batch = _crossing_trials(GaussianScalar(rho=float(alpha)), t, s, p, rng, size, mode)
+        cols.append(batch.estimates[:, 0])
+        samples += batch.samples
+        bits_expected += batch.bits_expected
         if realized is not None:
-            realized = realized + golomb_length_array(batch.index, golomb_parameter(p))
+            realized = realized + batch.bits_realized
     alpha_hat = np.stack(cols, axis=1)
     est = alpha_hat @ inv_mt.T
     return TrialBatch(
         estimates=est,
-        truth=true_correlations(model),
+        truth=model.true_correlations(),
         bits_expected=bits_expected,
         bits_realized=realized,
         samples=samples,
         failed=np.zeros(size, dtype=bool),
     )
-
-
-# ---------------------------------------------------------------------------
-# Approximate maximum-likelihood diagnostic.
-
-
-class ApproxMLResult(NamedTuple):
-    estimate: np.ndarray
-    coefficient: float
-    residual: float
-    ambiguous: bool
-
-
-def approx_ml_estimate(x_j: float, y_j: np.ndarray, sigma_y: np.ndarray) -> ApproxMLResult:
-    """Solve the likelihood cubic for the scale applied to the selected Y.
-
-    The admissible coefficient is the real root nearest 1/x_j; when another
-    real root sits within twice that distance the choice is flagged
-    ambiguous. This is a diagnostic estimator: its output is never
-    transmitted, so no bits are charged.
-    """
-    x = float(x_j)
-    if x == 0.0:
-        raise DomainError("the selected X value must be nonzero")
-    y = np.asarray(y_j, dtype=float).reshape(-1)
-    sig = np.asarray(sigma_y, dtype=float)
-    if sig.ndim == 0:
-        v = float(y @ y / sig)
-    else:
-        v = float(y @ np.linalg.solve(sig, y))
-    coeffs = np.array([v, -v * x, x * x - 1.0 + v, -x])
-    roots = np.roots(coeffs)
-    scale = max(abs(x), 1.0)
-    real = roots[np.abs(roots.imag) < 1e-9 * scale].real
-    if real.size == 0:
-        raise DomainError("the likelihood cubic has no real root for these inputs")
-    dist = np.abs(real - 1.0 / x)
-    order = np.argsort(dist)
-    c = float(real[order[0]])
-    ambiguous = real.size > 1 and dist[order[1]] < 2.0 * dist[order[0]] + 1e-12
-    residual = float(abs(((v * c - v * x) * c + x * x - 1.0 + v) * c - x))
-    return ApproxMLResult(estimate=c * y, coefficient=c, residual=residual, ambiguous=ambiguous)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import analysis
-from .errors import ConfigurationError, TrialFailureError
+from .errors import ConfigurationError, CorrlinkError, TrialFailureError
 from .estimators import (
     TrialBatch,
     additive_trials,
@@ -35,7 +35,7 @@ from .estimators import (
     yvec_trials,
 )
 from .linalg import CorrelationMatrix
-from .protocol import LedgerMode, allocate_bits_xvec
+from .protocol import LedgerMode, allocate_bits_xvec, stopping_params_from_body_budget
 from .sources import (
     AdditiveNoise,
     BlockAveraged,
@@ -55,7 +55,6 @@ __all__ = [
     "COLUMNS",
     "ExperimentConfig",
     "SweepRow",
-    "StreamingMoments",
     "parse_config",
     "run_sweep",
     "emit_csv",
@@ -71,41 +70,6 @@ COLUMNS = (
 )
 
 _GRID_KEYS = ("k", "rho", "m", "alpha", "b0")
-
-
-class StreamingMoments:
-    """One-pass accumulator for mean and population variance of a stream.
-
-    Chunks are condensed to partial power sums immediately; the partials are
-    combined by exact float summation, so the result matches a two-pass
-    computation to full precision regardless of chunk sizes or order.
-    """
-
-    def __init__(self):
-        self._n = 0
-        self._s1: list[float] = []
-        self._s2: list[float] = []
-
-    def add(self, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=float)
-        self._n += values.size
-        self._s1.append(float(values.sum()))
-        self._s2.append(float(np.square(values).sum()))
-
-    @property
-    def count(self) -> int:
-        return self._n
-
-    @property
-    def mean(self) -> float:
-        if self._n == 0:
-            raise ConfigurationError("no values accumulated")
-        return math.fsum(self._s1) / self._n
-
-    @property
-    def variance(self) -> float:
-        mean = self.mean
-        return max(math.fsum(self._s2) / self._n - mean * mean, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +90,8 @@ def parse_config(text: str) -> dict[str, str]:
         value = value.strip()
         if not key:
             raise ConfigurationError(f"line {lineno}: empty key")
+        if not value:
+            raise ConfigurationError(f"line {lineno}: empty value for {key!r}")
         if key in out:
             raise ConfigurationError(f"line {lineno}: duplicate key {key!r}")
         out[key] = value
@@ -134,9 +100,12 @@ def parse_config(text: str) -> dict[str, str]:
 
 def _parse_float_list(value: str, key: str) -> tuple[float, ...]:
     try:
-        return tuple(float(part) for part in value.split(",") if part.strip() != "")
+        values = tuple(float(part) for part in value.split(",") if part.strip() != "")
     except ValueError as exc:
         raise ConfigurationError(f"{key}: expected comma-separated numbers, got {value!r}") from exc
+    if not values:
+        raise ConfigurationError(f"{key}: expected at least one number, got {value!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -148,7 +117,6 @@ class ExperimentConfig:
     seed: int
     mode: LedgerMode = LedgerMode.EXPECTED
     out: Optional[str] = None
-    wait_cap: Optional[int] = None
     grid: dict = field(default_factory=dict)
     model: dict = field(default_factory=dict)
 
@@ -168,7 +136,7 @@ class ExperimentConfig:
         for point in self.points():
             try:
                 _SCHEMES[self.scheme](self, point)
-            except Exception as exc:
+            except (CorrlinkError, ValueError) as exc:
                 raise ConfigurationError(f"grid point {point}: {exc}") from exc
 
     @classmethod
@@ -187,7 +155,10 @@ class ExperimentConfig:
                 elif name in ("x_law", "kind", "transform"):
                     model[name] = value
                 else:
-                    model[name] = _parse_float_list(value, key)[0] if "," not in value else _parse_float_list(value, key)
+                    parsed = _parse_float_list(value, key)
+                    if len(parsed) != 1:
+                        raise ConfigurationError(f"{key}: expected a single number, got {value!r}")
+                    model[name] = parsed[0]
             elif key == "scheme":
                 top["scheme"] = value
             elif key == "trials":
@@ -201,8 +172,6 @@ class ExperimentConfig:
                 top["mode"] = LedgerMode.REALIZED if mode == "realized" else LedgerMode.EXPECTED
             elif key == "out":
                 top["out"] = value
-            elif key == "wait_cap":
-                top["wait_cap"] = int(value)
             else:
                 raise ConfigurationError(f"{key}: unknown configuration key")
         top.update(overrides)
@@ -340,8 +309,6 @@ def _build_xvec_exact(config: ExperimentConfig, point: dict):
     b0 = float(point.get("b0", config.model.get("b0", 0.3)))
     model = _xvec_model(config, rho)
     d = model.dim
-    from .estimators import stopping_params_from_body_budget
-
     params = stopping_params_from_body_budget(k_l, d, b0)
     alpha_exact = analysis.stopping_second_moment(params.a, params.b, d)
     sigma2 = max(model.noise_var, 1e-300)

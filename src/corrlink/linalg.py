@@ -121,19 +121,22 @@ def invert(a: np.ndarray) -> np.ndarray:
     return x
 
 
-def singular_value_lower_bound(m: np.ndarray) -> float:
+def singular_value_lower_bound(m: np.ndarray):
     """Deterministic lower bound on the smallest singular value.
 
     For a square matrix returns
     min_i ( |m_ii| - (row_i off-diagonal sum + column_i off-diagonal sum) / 2 ),
     which bounds sigma_min from below whenever it is positive. Used to screen
-    nearly singular selection matrices without an SVD per trial.
+    nearly singular selection matrices without an SVD per trial. A stack of
+    shape (..., d, d) gives an array of bounds of shape (...); a single
+    matrix gives a float.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ConfigurationError(f"bound needs a square matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ConfigurationError(f"bound needs square matrices, got shape {m.shape}")
     absm = np.abs(m)
-    diag = np.diag(absm)
-    row_off = absm.sum(axis=1) - diag
-    col_off = absm.sum(axis=0) - diag
-    return float(np.min(diag - 0.5 * (row_off + col_off)))
+    diag = np.diagonal(absm, axis1=-2, axis2=-1)
+    row_off = absm.sum(axis=-1) - diag
+    col_off = absm.sum(axis=-2) - diag
+    bound = (diag - 0.5 * (row_off + col_off)).min(axis=-1)
+    return float(bound) if bound.ndim == 0 else bound

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, WaitCapExceededError
-from .sources import SampleStream, crossing_prob
+from .sources import SampleStream
 from .statmath import geometric_entropy, geometric_entropy_inv, qfunc, qfunc_inv
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "quantize_correlation_entries",
     "allocate_bits_xvec",
     "allocate_bits_pareto",
+    "stopping_params_from_body_budget",
     "default_wait_cap",
 ]
 
@@ -107,12 +108,6 @@ class Transcript:
                 )
         if self.indices and self.samples_consumed < self.indices[-1]:
             raise ConfigurationError("samples_consumed cannot be below the last index")
-
-    def to_record(self) -> str:
-        idx = ",".join(str(i) for i in self.indices)
-        realized = self.ledger.total_realized()
-        tail = "NA" if realized is None else str(realized)
-        return f"{self.label}\t{idx}\t{self.ledger.total():.10g}\t{tail}"
 
 
 @dataclass(frozen=True)
@@ -312,7 +307,7 @@ def select_threshold_index(
     probability has a closed form (NaN otherwise), or the Golomb codeword
     length in realized mode.
     """
-    p = crossing_prob(stream.model, t)
+    p = stream.model.crossing_prob(t)
     if p is not None and p <= 0.0:
         raise ConfigurationError(f"threshold {t!r} can never be crossed under {stream.model!r}")
     if cap is None:
@@ -433,17 +428,17 @@ def _cell_count(k_q: float) -> int:
 
 
 def quantize_W_matrix(w: np.ndarray, params: StoppingSetParams) -> QuantizedPayload:
-    """Midpoint-quantize a selection matrix for transmission.
+    """Midpoint-quantize a selection matrix, or a stack of shape (..., d, d), for transmission.
 
     Diagonal entries keep their sign; magnitudes are clamped to
     [a, sqrt(3) a] and quantized on that doubled segment. Off-diagonal
-    entries are quantized on [-b, b]. The whole matrix is charged d^2 k_q
-    expected bits; the realized cost is one fixed-length codeword over the
+    entries are quantized on [-b, b]. Each matrix is charged d^2 k_q
+    expected bits; its realized cost is one fixed-length codeword over the
     product alphabet.
     """
     w = np.asarray(w, dtype=float)
     d = params.d
-    if w.shape != (d, d):
+    if w.shape[-2:] != (d, d):
         raise ConfigurationError(f"selection matrix must be {d}x{d}, got {w.shape}")
     expected = d * d * params.k_q
     if params.k_q > 52:
@@ -452,40 +447,38 @@ def quantize_W_matrix(w: np.ndarray, params: StoppingSetParams) -> QuantizedPayl
     cells = _cell_count(params.k_q)
     half = cells // 2
     a = params.a
-    c = _SQRT3 * a
-    step_diag = (c - a) / half
-    step_off = 2.0 * params.b / cells if params.b > 0.0 else 0.0
+    step_diag = (_SQRT3 * a - a) / half
     out = np.empty_like(w)
-    diag = np.diag_indices(d)
-    mag = np.abs(w[diag])
-    idx = np.clip(np.floor((mag - a) / step_diag), 0, half - 1)
-    out[diag] = np.sign(w[diag]) * (a + (idx + 0.5) * step_diag)
-    off_mask = ~np.eye(d, dtype=bool)
-    if step_off > 0.0:
-        vals = np.clip(w[off_mask], -params.b, params.b)
+    eye = np.eye(d, dtype=bool)
+    diag = w[..., eye]
+    idx = np.clip(np.floor((np.abs(diag) - a) / step_diag), 0, half - 1)
+    out[..., eye] = np.sign(diag) * (a + (idx + 0.5) * step_diag)
+    if params.b > 0.0:
+        step_off = 2.0 * params.b / cells
+        vals = np.clip(w[..., ~eye], -params.b, params.b)
         oidx = np.clip(np.floor((vals + params.b) / step_off), 0, cells - 1)
-        out[off_mask] = -params.b + (oidx + 0.5) * step_off
+        out[..., ~eye] = -params.b + (oidx + 0.5) * step_off
     else:
-        out[off_mask] = 0.0
+        out[..., ~eye] = 0.0
     realized = int(math.ceil(d * d * math.log2(cells)))
     return QuantizedPayload(out, expected, max(realized, 1))
 
 
-def quantize_pareto_value(x: float, t: float, u: float, k_q: float) -> QuantizedPayload:
-    """Midpoint-quantize a crossing value on [t, u]; values beyond u saturate to u."""
-    x = float(x)
+def quantize_pareto_value(x, t: float, u: float, k_q: float) -> QuantizedPayload:
+    """Midpoint-quantize crossing values on [t, u]; values beyond u saturate to u.
+
+    ``x`` may be a scalar or an array; the bit charges are per value.
+    """
+    x = np.asarray(x, dtype=float)
     if not u > t:
         raise ConfigurationError(f"need u > t, got t={t!r} u={u!r}")
-    if x <= t:
-        raise DomainError(f"value {x!r} does not exceed the threshold {t!r}")
+    if np.any(x <= t):
+        raise DomainError(f"a value does not exceed the threshold {t!r}")
     cells = max(1, int(math.floor(2.0**k_q)))
-    if x > u:
-        value = u
-    else:
-        step = (u - t) / cells
-        idx = min(int((x - t) / step), cells - 1)
-        value = t + (idx + 0.5) * step
-    return QuantizedPayload(np.array(value), float(k_q), _payload_width(cells))
+    step = (u - t) / cells
+    idx = np.minimum(np.floor((x - t) / step), cells - 1)
+    values = np.where(x > u, u, t + (idx + 0.5) * step)
+    return QuantizedPayload(values, float(k_q), _payload_width(cells))
 
 
 def quantize_correlation_entries(values: np.ndarray, k: float) -> tuple[np.ndarray, float, int]:
@@ -574,6 +567,16 @@ def allocate_bits_xvec(k: float, d: int, b0: float = 0.3) -> StoppingSetParams:
             f"minimal feasible budget is about {hi:.3f} bits"
         )
     return StoppingSetParams(a=a, b=b0, d=d, k_l=k_l, k_q=k_q)
+
+
+def stopping_params_from_body_budget(k_l: float, d: int, b0: float) -> StoppingSetParams:
+    """Stopping-set geometry from a per-index budget alone (no quantization split)."""
+    p = geometric_entropy_inv(k_l)
+    q_a = p / (2.0 * (1.0 - 2.0 * qfunc(b0)) ** (d - 1))
+    if not 0.0 < q_a < 0.5:
+        raise ConfigurationError(f"per-index budget {k_l!r} gives no valid strong bound")
+    a = qfunc_inv(q_a)
+    return StoppingSetParams(a=a, b=b0, d=d, k_l=k_l, k_q=0.0)
 
 
 def allocate_bits_pareto(k: float, alpha: float) -> ParetoAllocation:

@@ -4,11 +4,12 @@ Two layers live here. The marginal laws expose tail probabilities, tail
 quantiles, and conditional tail moments; every variate in the package is
 produced by inverse-CDF transform of open uniforms so that streams are
 reproducible across platforms from the seed alone. The joint models combine
-marginals into (X, Y) pairs with known ground-truth correlation, and the
-crossing helpers at the bottom draw "first sample beyond a threshold" events
-either literally (sequential scan) or by an exact distribution-equivalent
-shortcut (geometric index plus conditional tail draw) that makes tiny
-crossing probabilities affordable.
+marginals into (X, Y) pairs with known ground-truth correlation and own
+their sampling: plain pair draws, the crossing probability, X | X > t, and
+Y given X. The crossing helpers at the bottom draw "first sample beyond a
+threshold" events either literally (sequential scan) or by an exact
+distribution-equivalent shortcut (geometric index plus conditional tail
+draw) that makes tiny crossing probabilities affordable.
 """
 
 from __future__ import annotations
@@ -46,10 +47,6 @@ __all__ = [
     "substream",
     "normal_from_uniform",
     "SampleStream",
-    "sample_stream",
-    "true_correlations",
-    "x_support_upper",
-    "crossing_prob",
     "CrossingBatch",
     "draw_first_crossing",
     "scan_first_crossing",
@@ -87,6 +84,13 @@ def normal_from_uniform(rng: np.random.Generator, size) -> np.ndarray:
 # Marginal laws: zero mean, unit variance.
 
 
+class _TailLaw:
+    """Draws by inverting the upper tail at open uniforms."""
+
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
+        return self.tail_quantile(_open_uniform(rng, size))
+
+
 @dataclass(frozen=True)
 class StdNormal:
     """Standard normal marginal."""
@@ -111,7 +115,7 @@ class StdNormal:
 
 
 @dataclass(frozen=True)
-class UnitLaplace:
+class UnitLaplace(_TailLaw):
     """Symmetric exponential with unit variance: Pr(X > x) = exp(-sqrt(2) x)/2 for x >= 0."""
 
     name = "laplace"
@@ -146,12 +150,9 @@ class UnitLaplace:
         mean = self.tail_mean(t)
         return partial_sq / self.tail_prob(t) - mean * mean
 
-    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        return self.tail_quantile(_open_uniform(rng, size))
-
 
 @dataclass(frozen=True)
-class ParetoTwoSided:
+class ParetoTwoSided(_TailLaw):
     """Symmetric power-law tails Pr(|X| > x) = (x0/x)^alpha, no mass inside (-x0, x0).
 
     Unit variance forces x0 = sqrt((alpha - 2)/alpha); alpha must exceed 2 for
@@ -217,12 +218,9 @@ class ParetoTwoSided:
             second = (1.0 - 0.5 * (x0 / -t) ** (a - 2.0)) / self.tail_prob(t)
         return second - mean * mean
 
-    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        return self.tail_quantile(_open_uniform(rng, size))
-
 
 @dataclass(frozen=True)
-class UnitUniform:
+class UnitUniform(_TailLaw):
     """Uniform on [-sqrt(3), sqrt(3)]."""
 
     name = "uniform"
@@ -250,12 +248,9 @@ class UnitUniform:
             raise DomainError(f"no mass above {t!r} for the bounded uniform law")
         return (_SQRT3 - max(t, -_SQRT3)) ** 2 / 12.0
 
-    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        return self.tail_quantile(_open_uniform(rng, size))
-
 
 @dataclass(frozen=True)
-class Rademacher:
+class Rademacher(_TailLaw):
     """Fair signs: +1 or -1 with equal probability."""
 
     name = "rademacher"
@@ -283,11 +278,68 @@ class Rademacher:
             raise DomainError(f"no mass above {t!r} for the sign law")
         return 0.0 if t >= -1.0 else 1.0
 
-    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        return self.tail_quantile(_open_uniform(rng, size))
-
 
 MarginalLaw = Union[StdNormal, UnitLaplace, ParetoTwoSided, UnitUniform, Rademacher]
+
+
+# ---------------------------------------------------------------------------
+# Joint models.
+
+
+class JointModel:
+    """Behaviour every joint (X, Y) model shares; each model overrides what it knows.
+
+    Every model draws plain pairs with ``draw_pairs(rng, n)``. Models whose
+    X law has a closed-form upper tail also provide ``crossing_prob(t)``
+    (Pr(X > t)), ``tail_x`` (draws of X | X > t) and ``y_given_x``, which
+    together drive the first-crossing shortcut; the rest report a crossing
+    probability of None and can only be scanned literally.
+    """
+
+    x_support_upper = math.inf
+
+    def true_correlations(self) -> np.ndarray:
+        """Ground-truth correlation vector of the model, for error measurement."""
+        return np.array(self.rho, dtype=float, ndmin=1)
+
+    def crossing_prob(self, t: float) -> Optional[float]:
+        """Pr(X > t), or None when no closed form is known."""
+        return None
+
+    def block_law(self, m: int):
+        """Exact crossing law of the block average of ``m`` pairs, or None if unknown."""
+        return None
+
+
+class _ScalarX(JointModel):
+    """Models with scalar X drawn from the marginal law ``x_law``.
+
+    Crossing probabilities, tail draws and plain draws all come from the
+    law; each model supplies only ``y_given_x``.
+    """
+
+    @property
+    def x_support_upper(self) -> float:
+        return self.x_law.support_upper
+
+    def crossing_prob(self, t: float) -> float:
+        return float(self.x_law.tail_prob(float(t)))
+
+    def tail_x(self, t: float, rng: np.random.Generator, n: int) -> np.ndarray:
+        u = _open_uniform(rng, n)
+        return self.x_law.tail_quantile(u * self.x_law.tail_prob(t))
+
+    def draw_pairs(self, rng: np.random.Generator, n: int):
+        x = self.x_law.sample(rng, n)
+        return x, self.y_given_x(x, rng)
+
+
+class _LinearPair(_ScalarX):
+    """Y = rho X + sqrt(1 - rho^2) Z with Z drawn from ``z_law``."""
+
+    def y_given_x(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        z = self.z_law.sample(rng, x.shape[0])
+        return self.rho * x + math.sqrt(1.0 - self.rho**2) * z
 
 
 def _check_rho_scalar(rho: float) -> float:
@@ -297,22 +349,24 @@ def _check_rho_scalar(rho: float) -> float:
     return rho
 
 
-# ---------------------------------------------------------------------------
-# Joint models.
-
-
 @dataclass(frozen=True)
-class GaussianScalar:
+class GaussianScalar(_LinearPair):
     """Bivariate normal pair with unit marginals and correlation ``rho``."""
 
     rho: float
+    x_law = StdNormal()
+    z_law = StdNormal()
 
     def __post_init__(self):
         object.__setattr__(self, "rho", _check_rho_scalar(self.rho))
 
+    def block_law(self, m: int) -> GaussianScalar:
+        # Block averages of a bivariate normal pair are the same bivariate normal.
+        return self
+
 
 @dataclass(frozen=True)
-class GaussianYVec:
+class GaussianYVec(_ScalarX):
     """Scalar X against a d-vector Y with per-coordinate correlations ``rho``.
 
     The Y side has correlation matrix ``sigma_y``; the residual covariance
@@ -321,6 +375,7 @@ class GaussianYVec:
 
     rho: np.ndarray = field(repr=True)
     sigma_y: CorrelationMatrix = field(repr=False)
+    x_law = StdNormal()
 
     def __post_init__(self):
         rho = np.array(self.rho, dtype=float).reshape(-1)
@@ -346,9 +401,13 @@ class GaussianYVec:
     def dim(self) -> int:
         return self.rho.size
 
+    def y_given_x(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        z = normal_from_uniform(rng, (x.shape[0], self.dim))
+        return x[:, None] * self.rho + z @ self._noise_sqrt
+
 
 @dataclass(frozen=True)
-class GaussianXVec:
+class GaussianXVec(JointModel):
     """d-vector X with correlation matrix ``sigma_x`` against a scalar Y.
 
     Coordinate correlations are ``rho``; the conditional noise variance
@@ -388,9 +447,19 @@ class GaussianXVec:
     def dim(self) -> int:
         return self.rho.size
 
+    def draw_whitened(self, rng: np.random.Generator, n: int):
+        """``n`` (whitened X vector, scalar Y) pairs: the selection protocol's view."""
+        w = normal_from_uniform(rng, (n, self.dim))
+        y = w @ self.whitened_rho + math.sqrt(self.noise_var) * normal_from_uniform(rng, n)
+        return w, y
+
+    def draw_pairs(self, rng: np.random.Generator, n: int):
+        w, y = self.draw_whitened(rng, n)
+        return w @ self.sqrt_sigma_x, y
+
 
 @dataclass(frozen=True)
-class AdditiveNoise:
+class AdditiveNoise(_LinearPair):
     """Y = rho X + sqrt(1 - rho^2) Z with X, Z independent unit-variance laws."""
 
     rho: float
@@ -402,13 +471,14 @@ class AdditiveNoise:
 
 
 @dataclass(frozen=True)
-class DoublySymmetricBinary:
+class DoublySymmetricBinary(_ScalarX):
     """Centered fair signs where Y flips the sign of X with probability ``flip_prob``.
 
     The induced correlation is 1 - 2 flip_prob.
     """
 
     flip_prob: float
+    x_law = Rademacher()
 
     def __post_init__(self):
         p = float(self.flip_prob)
@@ -420,16 +490,65 @@ class DoublySymmetricBinary:
     def rho(self) -> float:
         return 1.0 - 2.0 * self.flip_prob
 
+    def y_given_x(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        flips = _open_uniform(rng, x.shape[0]) < self.flip_prob
+        return np.where(flips, -x, x)
+
+    def block_law(self, m: int) -> _BinaryBlock:
+        return _BinaryBlock(self.flip_prob, m)
+
 
 @dataclass(frozen=True)
-class BlockAveraged:
+class _BinaryBlock:
+    """Crossing law of the average of ``m`` doubly symmetric binary pairs.
+
+    The block X is (2 B - m)/sqrt(m) with B ~ Binomial(m, 1/2) the count of
+    +1 signs; given B, Y's count moves by independent binomial sign flips.
+    """
+
+    flip_prob: float
+    m: int
+
+    def _bmin(self, t: float) -> int:
+        # Smallest count B with (2 B - m)/sqrt(m) > t.
+        return math.floor((self.m + t * math.sqrt(self.m)) / 2.0) + 1
+
+    def crossing_prob(self, t: float) -> float:
+        bmin = self._bmin(float(t))
+        if bmin > self.m:
+            return 0.0
+        if bmin <= 0:
+            return 1.0
+        return float(_binom.sf(bmin - 1, self.m, 0.5))
+
+    def tail_x(self, t: float, rng: np.random.Generator, n: int) -> np.ndarray:
+        u = _open_uniform(rng, n)
+        m = self.m
+        counts = np.arange(self._bmin(t), m + 1)
+        cum = np.cumsum(_binom.pmf(counts, m, 0.5))
+        cum /= cum[-1]
+        b = counts[np.searchsorted(cum, u, side="left")]
+        return (2.0 * b - m) / math.sqrt(m)
+
+    def y_given_x(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        m = self.m
+        sq = math.sqrt(m)
+        b = np.rint((x * sq + m) / 2.0).astype(np.int64)
+        lost = rng.binomial(b, self.flip_prob)
+        gained = rng.binomial(m - b, self.flip_prob)
+        return (2.0 * (b - lost + gained) - m) / sq
+
+
+@dataclass(frozen=True)
+class BlockAveraged(JointModel):
     """Each emitted pair is a block of ``m`` inner pairs summed and scaled by 1/sqrt(m).
 
     Preserves the inner correlation exactly while making the marginals
-    approximately normal as ``m`` grows.
+    approximately normal as ``m`` grows. Crossings have a closed form only
+    when the inner model knows its block law (Gaussian and binary pairs).
     """
 
-    inner: "JointModel"
+    inner: JointModel
     m: int
 
     def __post_init__(self):
@@ -441,74 +560,32 @@ class BlockAveraged:
         if isinstance(self.inner, (GaussianYVec, GaussianXVec)):
             raise ConfigurationError("block averaging is defined for scalar pair models only")
         object.__setattr__(self, "m", m)
+        object.__setattr__(self, "_block", self.inner.block_law(m))
 
+    @property
+    def rho(self) -> float:
+        return self.inner.rho
 
-JointModel = Union[
-    GaussianScalar,
-    GaussianYVec,
-    GaussianXVec,
-    AdditiveNoise,
-    DoublySymmetricBinary,
-    BlockAveraged,
-]
+    @property
+    def x_support_upper(self) -> float:
+        inner = self.inner.x_support_upper
+        return inner * math.sqrt(self.m) if math.isfinite(inner) else math.inf
 
+    def crossing_prob(self, t: float) -> Optional[float]:
+        return None if self._block is None else self._block.crossing_prob(t)
 
-def true_correlations(model: JointModel) -> np.ndarray:
-    """Ground-truth correlation vector of the model, for error measurement."""
-    if isinstance(model, GaussianScalar):
-        return np.array([model.rho])
-    if isinstance(model, (GaussianYVec, GaussianXVec)):
-        return np.array(model.rho, dtype=float)
-    if isinstance(model, AdditiveNoise):
-        return np.array([model.rho])
-    if isinstance(model, DoublySymmetricBinary):
-        return np.array([model.rho])
-    if isinstance(model, BlockAveraged):
-        return true_correlations(model.inner)
-    raise ConfigurationError(f"unknown model {model!r}")
+    def tail_x(self, t: float, rng: np.random.Generator, n: int) -> np.ndarray:
+        return self._block.tail_x(t, rng, n)
 
+    def y_given_x(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return self._block.y_given_x(x, rng)
 
-def x_support_upper(model: JointModel) -> float:
-    """Supremum of the emitted X values (inf when unbounded)."""
-    if isinstance(model, (GaussianScalar, GaussianYVec, GaussianXVec)):
-        return math.inf
-    if isinstance(model, AdditiveNoise):
-        return model.x_law.support_upper
-    if isinstance(model, DoublySymmetricBinary):
-        return 1.0
-    if isinstance(model, BlockAveraged):
-        inner = x_support_upper(model.inner)
-        return inner * math.sqrt(model.m) if math.isfinite(inner) else math.inf
-    raise ConfigurationError(f"unknown model {model!r}")
-
-
-def crossing_prob(model: JointModel, t: float) -> Optional[float]:
-    """Pr(X > t) for scalar-X models, or None when no closed form is known."""
-    t = float(t)
-    if isinstance(model, (GaussianScalar, GaussianYVec)):
-        return float(qfunc(t))
-    if isinstance(model, AdditiveNoise):
-        return float(model.x_law.tail_prob(t))
-    if isinstance(model, DoublySymmetricBinary):
-        return float(Rademacher().tail_prob(t))
-    if isinstance(model, BlockAveraged):
-        inner = model.inner
-        if isinstance(inner, GaussianScalar):
-            # Block averages of normals are exactly standard normal.
-            return float(qfunc(t))
-        if isinstance(inner, DoublySymmetricBinary):
-            m = model.m
-            # (2 B - m)/sqrt(m) > t with B the count of +1 signs in the block.
-            bmin = math.floor((m + t * math.sqrt(m)) / 2.0) + 1
-            if bmin > m:
-                return 0.0
-            if bmin <= 0:
-                return 1.0
-            return float(_binom.sf(bmin - 1, m, 0.5))
-        return None
-    if isinstance(model, GaussianXVec):
-        return None
-    raise ConfigurationError(f"unknown model {model!r}")
+    def draw_pairs(self, rng: np.random.Generator, n: int):
+        xi, yi = self.inner.draw_pairs(rng, n * self.m)
+        scale = 1.0 / math.sqrt(self.m)
+        x = xi.reshape(n, self.m).sum(axis=1) * scale
+        y = yi.reshape(n, self.m).sum(axis=1) * scale
+        return x, y
 
 
 # ---------------------------------------------------------------------------
@@ -519,9 +596,9 @@ class SampleStream:
     """Infinite deterministic iterator of (x, y) pairs for one model and seed.
 
     Single consumer. Iteration yields floats for scalar coordinates and 1-D
-    arrays for vector ones; ``take`` returns stacked arrays. For the X-vector
-    model ``take_whitened`` emits the decorrelated X coordinates instead,
-    which is the representation the selection protocol operates on.
+    arrays for vector ones; ``draw_chunk`` returns stacked arrays. For the
+    X-vector model ``take_whitened`` emits the decorrelated X coordinates
+    instead, which is the representation the selection protocol operates on.
     """
 
     def __init__(self, model: JointModel, seed: int, chunk: int = 8192):
@@ -531,16 +608,13 @@ class SampleStream:
 
     def draw_chunk(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Next ``n`` pairs as arrays, shapes (n, ...) per side."""
-        return _draw_pairs(self.model, self._rng, int(n))
-
-    def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.draw_chunk(n)
+        return self.model.draw_pairs(self._rng, int(n))
 
     def take_whitened(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Next ``n`` (whitened X vector, scalar Y) pairs; X-vector model only."""
         if not isinstance(self.model, GaussianXVec):
             raise ConfigurationError("whitened draws are defined for the X-vector model only")
-        return _draw_xvec_whitened(self.model, self._rng, int(n))
+        return self.model.draw_whitened(self._rng, int(n))
 
     def __iter__(self) -> Iterator[tuple]:
         while True:
@@ -549,50 +623,6 @@ class SampleStream:
                 x = xs[i] if xs.ndim > 1 else float(xs[i])
                 y = ys[i] if ys.ndim > 1 else float(ys[i])
                 yield x, y
-
-
-def sample_stream(model: JointModel, seed: int) -> SampleStream:
-    """Stream constructor matching the documented (model, seed) interface."""
-    return SampleStream(model, seed)
-
-
-def _draw_pairs(model: JointModel, rng: np.random.Generator, n: int):
-    if isinstance(model, GaussianScalar):
-        x = normal_from_uniform(rng, n)
-        z = normal_from_uniform(rng, n)
-        y = model.rho * x + math.sqrt(1.0 - model.rho**2) * z
-        return x, y
-    if isinstance(model, GaussianYVec):
-        x = normal_from_uniform(rng, n)
-        z = normal_from_uniform(rng, (n, model.dim))
-        y = x[:, None] * model.rho + z @ model._noise_sqrt
-        return x, y
-    if isinstance(model, GaussianXVec):
-        w, y = _draw_xvec_whitened(model, rng, n)
-        return w @ model.sqrt_sigma_x, y
-    if isinstance(model, AdditiveNoise):
-        x = model.x_law.sample(rng, n)
-        z = model.z_law.sample(rng, n)
-        y = model.rho * x + math.sqrt(1.0 - model.rho**2) * z
-        return x, y
-    if isinstance(model, DoublySymmetricBinary):
-        x = Rademacher().sample(rng, n)
-        flips = _open_uniform(rng, n) < model.flip_prob
-        y = np.where(flips, -x, x)
-        return x, y
-    if isinstance(model, BlockAveraged):
-        xi, yi = _draw_pairs(model.inner, rng, n * model.m)
-        scale = 1.0 / math.sqrt(model.m)
-        x = xi.reshape(n, model.m).sum(axis=1) * scale
-        y = yi.reshape(n, model.m).sum(axis=1) * scale
-        return x, y
-    raise ConfigurationError(f"unknown model {model!r}")
-
-
-def _draw_xvec_whitened(model: GaussianXVec, rng: np.random.Generator, n: int):
-    w = normal_from_uniform(rng, (n, model.dim))
-    y = w @ model.whitened_rho + math.sqrt(model.noise_var) * normal_from_uniform(rng, n)
-    return w, y
 
 
 # ---------------------------------------------------------------------------
@@ -623,63 +653,6 @@ def _geometric_index(p: float, rng: np.random.Generator, n: int) -> np.ndarray:
     return np.maximum(j, 1.0)
 
 
-def _conditional_tail_x(model: JointModel, t: float, rng: np.random.Generator, n: int):
-    """Draw X | X > t for scalar-crossing models with known tail structure."""
-    u = _open_uniform(rng, n)
-    if isinstance(model, (GaussianScalar, GaussianYVec)):
-        return _qinv_unchecked(u * qfunc(t))
-    if isinstance(model, AdditiveNoise):
-        return model.x_law.tail_quantile(u * model.x_law.tail_prob(t))
-    if isinstance(model, DoublySymmetricBinary):
-        law = Rademacher()
-        return law.tail_quantile(u * law.tail_prob(t))
-    if isinstance(model, BlockAveraged):
-        inner = model.inner
-        if isinstance(inner, GaussianScalar):
-            return _qinv_unchecked(u * qfunc(t))
-        if isinstance(inner, DoublySymmetricBinary):
-            m = model.m
-            bmin = math.floor((m + t * math.sqrt(m)) / 2.0) + 1
-            counts = np.arange(bmin, m + 1)
-            weights = _binom.pmf(counts, m, 0.5)
-            cum = np.cumsum(weights)
-            cum /= cum[-1]
-            b = counts[np.searchsorted(cum, u, side="left")]
-            return (2.0 * b - m) / math.sqrt(m)
-    raise ConfigurationError(f"no conditional tail draw for model {model!r}")
-
-
-def _y_given_x(model: JointModel, x: np.ndarray, rng: np.random.Generator):
-    n = x.shape[0]
-    if isinstance(model, GaussianScalar):
-        z = normal_from_uniform(rng, n)
-        return model.rho * x + math.sqrt(1.0 - model.rho**2) * z
-    if isinstance(model, GaussianYVec):
-        z = normal_from_uniform(rng, (n, model.dim))
-        return x[:, None] * model.rho + z @ model._noise_sqrt
-    if isinstance(model, AdditiveNoise):
-        z = model.z_law.sample(rng, n)
-        return model.rho * x + math.sqrt(1.0 - model.rho**2) * z
-    if isinstance(model, DoublySymmetricBinary):
-        flips = _open_uniform(rng, n) < model.flip_prob
-        return np.where(flips, -x, x)
-    if isinstance(model, BlockAveraged):
-        inner = model.inner
-        m = model.m
-        sq = math.sqrt(m)
-        if isinstance(inner, GaussianScalar):
-            # The block-average pair is itself bivariate normal with the same rho.
-            z = normal_from_uniform(rng, n)
-            return inner.rho * x + math.sqrt(1.0 - inner.rho**2) * z
-        if isinstance(inner, DoublySymmetricBinary):
-            b = np.rint((x * sq + m) / 2.0).astype(np.int64)
-            pf = inner.flip_prob
-            lost = rng.binomial(b, pf)
-            gained = rng.binomial(m - b, pf)
-            return (2.0 * (b - lost + gained) - m) / sq
-    raise ConfigurationError(f"no conditional Y draw for model {model!r}")
-
-
 def draw_first_crossing(
     model: JointModel, t: float, rng: np.random.Generator, size: int
 ) -> CrossingBatch:
@@ -692,7 +665,7 @@ def draw_first_crossing(
     function) at any crossing probability, including ones far too small to
     wait out.
     """
-    p = crossing_prob(model, t)
+    p = model.crossing_prob(t)
     if p is None:
         raise ConfigurationError(
             f"model {model!r} has no closed-form crossing probability; use a literal scan"
@@ -703,8 +676,8 @@ def draw_first_crossing(
         )
     n = int(size)
     index = _geometric_index(p, rng, n)
-    x = _conditional_tail_x(model, t, rng, n)
-    y = _y_given_x(model, x, rng)
+    x = model.tail_x(t, rng, n)
+    y = model.y_given_x(x, rng)
     return CrossingBatch(index=index, x=x, y=y, capped=np.zeros(n, dtype=bool))
 
 
@@ -726,7 +699,7 @@ def scan_first_crossing(
     """
     n = int(size)
     cap = int(cap)
-    y_probe = _draw_pairs(model, rng, 1)[1]
+    y_probe = model.draw_pairs(rng, 1)[1]
     ydim = y_probe.shape[1] if y_probe.ndim > 1 else 0
     index = np.empty(n)
     xs = np.empty(n)
@@ -737,7 +710,7 @@ def scan_first_crossing(
         found = False
         while seen < cap:
             take = min(chunk, cap - seen)
-            xc, yc = _draw_pairs(model, rng, take)
+            xc, yc = model.draw_pairs(rng, take)
             hits = np.nonzero(xc > t)[0]
             if hits.size:
                 h = int(hits[0])
@@ -750,9 +723,6 @@ def scan_first_crossing(
         if not found:
             index[i] = cap
             xs[i] = math.nan
-            if ydim:
-                ys[i] = math.nan
-            else:
-                ys[i] = math.nan
+            ys[i] = math.nan
             capped[i] = True
     return CrossingBatch(index=index, x=xs, y=ys, capped=capped)

@@ -5,8 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from corrlink.analysis import (
@@ -20,11 +18,10 @@ from corrlink.analysis import (
     stopping_second_moment,
     threshold_for_budget,
 )
-from corrlink.errors import ConfigurationError, DomainError, TrialFailureError
+from corrlink.errors import ConfigurationError, TrialFailureError
 from corrlink.estimators import (
     EstimateReport,
     additive_trials,
-    approx_ml_estimate,
     clt_trials,
     estimate_additive_threshold,
     estimate_clt,
@@ -37,7 +34,6 @@ from corrlink.estimators import (
     max_trials,
     pareto_trials,
     stopping_matrix_batch,
-    stopping_params_from_body_budget,
     threshold_trials,
     xvec_paired_batch,
     xvec_trials,
@@ -50,6 +46,7 @@ from corrlink.protocol import (
     StoppingSetParams,
     allocate_bits_pareto,
     quantize_W_matrix,
+    stopping_params_from_body_budget,
 )
 from corrlink.sources import (
     AdditiveNoise,
@@ -452,9 +449,7 @@ class TestStoppingMatrixBatch:
     def test_matches_scalar_quantizer(self):
         params = StoppingSetParams(a=self.A, b=self.B, d=self.D, k_l=20.0, k_q=6.0)
         w, _ = self.draw(200, idx=62)
-        from corrlink.estimators import _quantize_W_batch
-
-        q = _quantize_W_batch(w, params)
+        q = quantize_W_matrix(w, params).values
         for i in range(w.shape[0]):
             np.testing.assert_array_equal(q[i], quantize_W_matrix(w[i], params).values)
 
@@ -580,36 +575,6 @@ class TestLinearBaseline:
         with pytest.raises(ConfigurationError, match="two coordinates"):
             linear_baseline_trials(model, (20.0, 20.0), np.eye(3),
                                    substream(SEED, 85), 10)
-
-
-class TestApproxML:
-    @given(x=st.floats(0.3, 5.0), y0=st.floats(-3.0, 3.0), y1=st.floats(-3.0, 3.0))
-    @settings(max_examples=150)
-    def test_returns_a_root_of_the_likelihood_cubic(self, x, y0, y1):
-        assume(abs(y0) + abs(y1) > 1e-6)
-        y = np.array([y0, y1])
-        res = approx_ml_estimate(x, y, np.eye(2))
-        v = float(y @ y)
-        c = res.coefficient
-        value = v * c**3 - v * x * c**2 + (x * x - 1.0 + v) * c - x
-        assert abs(value) < 1e-6
-        assert res.residual == pytest.approx(abs(value), abs=1e-12)
-        np.testing.assert_allclose(res.estimate, c * y)
-
-    def test_vanishing_y_recovers_the_linear_root(self):
-        res = approx_ml_estimate(2.0, np.array([1e-9]), np.array([[1.0]]))
-        assert res.coefficient == pytest.approx(2.0 / 3.0, rel=1e-6)
-        assert not res.ambiguous
-
-    def test_scalar_sigma_path(self):
-        res = approx_ml_estimate(1.5, np.array([0.8]), np.array(2.0))
-        v = 0.8**2 / 2.0
-        c = res.coefficient
-        assert abs(v * c**3 - v * 1.5 * c**2 + (1.5**2 - 1.0 + v) * c - 1.5) < 1e-9
-
-    def test_zero_x_rejected(self):
-        with pytest.raises(DomainError):
-            approx_ml_estimate(0.0, np.array([0.5]), np.eye(1))
 
 
 class TestSingleRunWrappers:

@@ -19,7 +19,6 @@ from corrlink.harness import (
     CHUNK_TRIALS,
     COLUMNS,
     ExperimentConfig,
-    StreamingMoments,
     SweepRow,
     emit_csv,
     format_csv,
@@ -64,30 +63,41 @@ class TestParseConfig:
             parse_config("seed = 1\ntrials = 200\nseed = 2\n")
 
 
+def reduce_chunks(chunks: list) -> SweepRow:
+    """Run scalar values, one array per chunk, through the sweep's chunk reducer."""
+    partials = [
+        harness._chunk_partial(TrialBatch(
+            estimates=np.asarray(c, dtype=float)[:, None], truth=np.zeros(1),
+            bits_expected=0.0, bits_realized=None, samples=np.ones(len(c)),
+            failed=np.zeros(len(c), dtype=bool),
+        ))
+        for c in chunks
+    ]
+    meta = {"d": 1, "k": 1.0, "rho_spec": (0.0,), "alpha": None, "m": None, "b0": None}
+    return harness._reduce_cell(partials, meta, (None, None, None), "threshold")
+
+
 class TestStreamingMoments:
+    """The one-pass chunk reducer that run_sweep uses (_chunk_partial + _reduce_cell)."""
+
     def test_matches_two_pass_results(self, rng):
         values = rng.standard_normal(40_000) * 2.5 - 0.7
-        sm = StreamingMoments()
-        start = 0
-        for width in (1, 7, 100, 4096, 40_000):
-            sm.add(values[start:start + width])
-            start += width
+        edges = np.cumsum([0, 1, 7, 100, 4096])
+        row = reduce_chunks(np.split(values, edges[1:]))
         mean = float(values.mean())
         var = float(np.mean((values - mean) ** 2))
-        assert sm.count == values.size
-        assert sm.mean == pytest.approx(mean, rel=1e-12, abs=1e-15)
-        assert sm.variance == pytest.approx(var, rel=1e-12)
+        assert row.trials == values.size
+        assert row.bias == pytest.approx(mean, rel=1e-12, abs=1e-15)
+        assert row.variance == pytest.approx(var, rel=1e-12)
 
     def test_constant_stream_has_zero_variance(self):
-        sm = StreamingMoments()
-        sm.add(np.full(1000, 3.7))
-        sm.add(np.full(13, 3.7))
-        assert sm.mean == pytest.approx(3.7, rel=1e-15)
-        assert sm.variance == 0.0
+        row = reduce_chunks([np.full(1000, 3.7), np.full(13, 3.7)])
+        assert row.bias == pytest.approx(3.7, rel=1e-15)
+        assert row.variance == 0.0
 
     def test_empty_accumulator_rejected(self):
-        with pytest.raises(ConfigurationError, match="no values"):
-            StreamingMoments().mean
+        with pytest.raises(TrialFailureError, match="no successful trials"):
+            reduce_chunks([])
 
 
 class TestExperimentConfig:
@@ -123,8 +133,28 @@ class TestExperimentConfig:
         assert config.mode is LedgerMode.REALIZED
 
     def test_wait_cap_parse(self):
-        config = ExperimentConfig.from_text(THRESHOLD_TEXT + "wait_cap = 64\n")
-        assert config.wait_cap == 64
+        # No runner ever read the key, so the parser no longer accepts it.
+        with pytest.raises(ConfigurationError, match="wait_cap: unknown configuration key"):
+            ExperimentConfig.from_text(THRESHOLD_TEXT + "wait_cap = 64\n")
+
+    @pytest.mark.parametrize("line", ["model.m =", "model.m = ,", "grid.k ="])
+    def test_empty_values_rejected(self, line):
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig.from_text(THRESHOLD_TEXT + line + "\n")
+
+    def test_multiple_values_for_a_scalar_model_key_rejected(self):
+        text = ("scheme = clt\nmodel.m = 16, 64\ngrid.k = 10\ngrid.rho = 0.5\n"
+                "trials = 200\nseed = 1")
+        with pytest.raises(ConfigurationError, match="model.m: expected a single number"):
+            ExperimentConfig.from_text(text)
+
+    def test_programming_error_in_a_builder_is_not_a_config_error(self, monkeypatch):
+        def broken(config, point):
+            raise TypeError("bug inside the builder")
+
+        monkeypatch.setitem(harness._SCHEMES, "threshold", broken)
+        with pytest.raises(TypeError, match="bug inside the builder"):
+            ExperimentConfig.from_text(THRESHOLD_TEXT)
 
     @pytest.mark.parametrize("text,match", [
         ("scheme = bogus\ngrid.k = 10\ntrials = 200\nseed = 1", "unknown scheme"),
@@ -364,6 +394,11 @@ class TestCli:
         assert main(["run", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_run_empty_value_exits_one(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, THRESHOLD_TEXT + "model.m =\n")
+        assert main(["run", path]) == 1
+        assert "config error" in capsys.readouterr().err
+
     def test_run_missing_file_exits_one(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 1
         capsys.readouterr()
@@ -381,6 +416,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "quantization-penalty" in out
+
+    def test_theory_xvec_exact_matches_the_sweep_row(self, capsys):
+        text = "scheme = xvec_exact\nmodel.rho = 0.3, 0.2\ngrid.k = 40\ntrials = 200\nseed = 1"
+        row = run_sweep(ExperimentConfig.from_text(text), threads=1)[0]
+        code = main(["theory", "xvec_exact", "--k", "40", "--rho", "0.3,0.2"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "scheme: xvec_exact" in out
+        assert f"asymptotic_variance: {row.theory_bound:.10g}" in out
+        assert f"crlb_trace: {row.theory_asymptotic:.10g}" in out
 
     def test_theory_rejects_vector_rho_for_scalar_scheme(self, capsys):
         assert main(["theory", "threshold", "--k", "20", "--rho", "0.5,0.2"]) == 1

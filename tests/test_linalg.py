@@ -146,6 +146,14 @@ class TestSingularValueLowerBound:
         m = np.diag([3.0, 5.0, 2.0])
         assert singular_value_lower_bound(m) == pytest.approx(2.0)
 
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(3)
+        stack = rng.standard_normal((7, 3, 3)) + 4.0 * np.eye(3)
+        bounds = singular_value_lower_bound(stack)
+        assert bounds.shape == (7,)
+        for i in range(7):
+            assert bounds[i] == singular_value_lower_bound(stack[i])
+
     def test_tight_symmetric_case(self):
         m = np.array([[3.0, 1.0], [1.0, 3.0]])
         assert singular_value_lower_bound(m) == pytest.approx(2.0)

@@ -40,7 +40,6 @@ from corrlink.sources import (
     StdNormal,
     UnitLaplace,
     UnitUniform,
-    sample_stream,
     substream,
 )
 from corrlink.statmath import (
@@ -192,19 +191,6 @@ class TestBitLedger:
 
 
 class TestTranscript:
-    def test_record_format(self):
-        ledger = BitLedger(mode=LedgerMode.REALIZED)
-        ledger.charge("a", 2.5, 3)
-        ledger.charge("b", 17.5, 4)
-        rec = Transcript(label="demo", indices=[3, 7], ledger=ledger, samples_consumed=7)
-        assert rec.to_record() == "demo\t3,7\t20\t7"
-
-    def test_record_missing_realized(self):
-        ledger = BitLedger()
-        ledger.charge("a", 4.25)
-        rec = Transcript(label="demo", indices=[2], ledger=ledger, samples_consumed=2)
-        assert rec.to_record() == "demo\t2\t4.25\tNA"
-
     def test_indices_must_increase(self):
         with pytest.raises(ConfigurationError):
             Transcript(label="x", indices=[3, 3], ledger=BitLedger(), samples_consumed=3)
@@ -226,13 +212,13 @@ class TestSelectMaxIndex:
         assert sel.x[0] == 2.0 and sel.y[0] == 2.0
 
     def test_power_of_two_budget(self):
-        stream = sample_stream(GaussianScalar(0.0), 3)
+        stream = SampleStream(GaussianScalar(0.0), 3)
         sel = select_max_index(stream, 2**10)
         assert sel.transcript.ledger.total() == pytest.approx(10.0)
         assert sel.transcript.ledger.total_realized() == 10
 
     def test_rejects_non_power_of_two(self):
-        stream = sample_stream(GaussianScalar(0.0), 3)
+        stream = SampleStream(GaussianScalar(0.0), 3)
         for n in [0, 1, 6, 100]:
             with pytest.raises(ConfigurationError):
                 select_max_index(stream, n)
@@ -241,7 +227,7 @@ class TestSelectMaxIndex:
         # The transmitted X is the block maximum; its mean and spread must
         # match the quadrature moments.
         mom = max_normal_moments(8)
-        stream = sample_stream(GaussianScalar(0.3), 7)
+        stream = SampleStream(GaussianScalar(0.3), 7)
         vals = np.array([select_max_index(stream, 8).x[0] for _ in range(4000)])
         se = math.sqrt(mom.variance / vals.size)
         assert abs(vals.mean() - mom.mean) < 5 * se
@@ -250,20 +236,20 @@ class TestSelectMaxIndex:
 class TestSelectThresholdIndex:
     def test_matches_replayed_stream(self):
         model = GaussianScalar(0.4)
-        sel = select_threshold_index(sample_stream(model, 11), 0.5)
-        xs, ys = sample_stream(model, 11).take(4096)
+        sel = select_threshold_index(SampleStream(model, 11), 0.5)
+        xs, ys = SampleStream(model, 11).draw_chunk(4096)
         j = int(np.argmax(xs > 0.5))
         assert sel.transcript.indices == [j + 1]
         assert sel.transcript.samples_consumed == j + 1
         assert sel.x[0] == xs[j] and sel.y[0] == ys[j]
 
     def test_expected_bits_at_even_odds(self):
-        sel = select_threshold_index(sample_stream(GaussianScalar(0.0), 5), 0.0)
+        sel = select_threshold_index(SampleStream(GaussianScalar(0.0), 5), 0.0)
         assert sel.transcript.ledger.total() == pytest.approx(2.0)
 
     def test_expected_bits_hit_budget(self):
         t = qfunc_inv(geometric_entropy_inv(20.0))
-        sel = select_threshold_index(sample_stream(GaussianScalar(0.0), 5), t)
+        sel = select_threshold_index(SampleStream(GaussianScalar(0.0), 5), t)
         assert sel.transcript.ledger.total() == pytest.approx(20.0, abs=1e-6)
 
     def test_realized_mode_charges_codeword(self):
@@ -274,7 +260,7 @@ class TestSelectThresholdIndex:
         n = 300
         for i in range(n):
             sel = select_threshold_index(
-                sample_stream(model, 1000 + i), t, cap=4096, mode=LedgerMode.REALIZED
+                SampleStream(model, 1000 + i), t, cap=4096, mode=LedgerMode.REALIZED
             )
             realized = sel.transcript.ledger.total_realized()
             assert realized == golomb_length(sel.transcript.indices[0], m)
@@ -295,23 +281,23 @@ class TestSelectThresholdIndex:
     def test_wait_cap(self):
         model = AdditiveNoise(0.3, UnitUniform(), StdNormal())
         with pytest.raises(WaitCapExceededError):
-            select_threshold_index(sample_stream(model, 21), 1.7, cap=2)
+            select_threshold_index(SampleStream(model, 21), 1.7, cap=2)
 
     def test_impossible_threshold(self):
         model = AdditiveNoise(0.3, UnitUniform(), StdNormal())
         with pytest.raises(ConfigurationError):
-            select_threshold_index(sample_stream(model, 21), 2.0)
+            select_threshold_index(SampleStream(model, 21), 2.0)
 
     def test_realized_needs_crossing_prob(self):
         block = BlockAveraged(AdditiveNoise(0.2, UnitLaplace(), StdNormal()), 4)
         with pytest.raises(ConfigurationError):
             select_threshold_index(
-                sample_stream(block, 3), 0.5, cap=4096, mode=LedgerMode.REALIZED
+                SampleStream(block, 3), 0.5, cap=4096, mode=LedgerMode.REALIZED
             )
 
     def test_no_closed_form_charges_nan(self):
         block = BlockAveraged(AdditiveNoise(0.2, UnitLaplace(), StdNormal()), 4)
-        sel = select_threshold_index(sample_stream(block, 3), 0.2, cap=4096)
+        sel = select_threshold_index(SampleStream(block, 3), 0.2, cap=4096)
         assert math.isnan(sel.transcript.ledger.total())
 
     def test_default_wait_cap(self):
@@ -356,7 +342,7 @@ class TestSelectStoppingSets:
 
     def test_selected_geometry(self):
         params = StoppingSetParams(a=2.7, b=0.3, d=2, k_l=10.0, k_q=4.0)
-        sel = select_stopping_set_indices(sample_stream(xvec_model(2), 31), params)
+        sel = select_stopping_set_indices(SampleStream(xvec_model(2), 31), params)
         w = sel.x
         assert w.shape == (2, 2)
         for ell in range(2):
@@ -370,7 +356,7 @@ class TestSelectStoppingSets:
 
     def test_expected_bits(self):
         params = StoppingSetParams(a=2.7, b=0.3, d=2, k_l=10.0, k_q=4.0)
-        sel = select_stopping_set_indices(sample_stream(xvec_model(2), 33), params)
+        sel = select_stopping_set_indices(SampleStream(xvec_model(2), 33), params)
         h = geometric_entropy(params.crossing_prob)
         assert sel.transcript.ledger.total() == pytest.approx(2 * h)
         labels = [e.label for e in sel.transcript.ledger.entries]
@@ -379,7 +365,7 @@ class TestSelectStoppingSets:
     def test_realized_charges_gap_codewords(self):
         params = StoppingSetParams(a=2.7, b=0.3, d=2, k_l=10.0, k_q=4.0)
         sel = select_stopping_set_indices(
-            sample_stream(xvec_model(2), 35), params, mode=LedgerMode.REALIZED
+            SampleStream(xvec_model(2), 35), params, mode=LedgerMode.REALIZED
         )
         m = golomb_parameter(params.crossing_prob)
         idx = sel.transcript.indices
@@ -393,7 +379,7 @@ class TestSelectStoppingSets:
         gaps = []
         for i in range(400):
             sel = select_stopping_set_indices(
-                sample_stream(xvec_model(1), 100 + i), self.PARAMS, cap=4096
+                SampleStream(xvec_model(1), 100 + i), self.PARAMS, cap=4096
             )
             gaps.append(sel.transcript.indices[0])
         gaps = np.array(gaps)
@@ -414,12 +400,12 @@ class TestSelectStoppingSets:
     def test_dimension_mismatch(self):
         params = StoppingSetParams(a=2.7, b=0.3, d=2, k_l=10.0, k_q=4.0)
         with pytest.raises(ConfigurationError):
-            select_stopping_set_indices(sample_stream(xvec_model(3), 1), params)
+            select_stopping_set_indices(SampleStream(xvec_model(3), 1), params)
 
     def test_wait_cap(self):
         params = StoppingSetParams(a=5.0, b=0.3, d=2, k_l=10.0, k_q=4.0)
         with pytest.raises(WaitCapExceededError):
-            select_stopping_set_indices(sample_stream(xvec_model(2), 1), params, cap=64)
+            select_stopping_set_indices(SampleStream(xvec_model(2), 1), params, cap=64)
 
 
 class TestQuantizeWMatrix:
@@ -517,7 +503,16 @@ class TestQuantizePareto:
             payload = quantize_pareto_value(x, 1.0, 3.0, 5.0)
             assert abs(float(payload.values) - x) <= 2.0 / 2**5
 
+    def test_array_matches_each_value(self):
+        xs = np.array([1.01, 1.6, 2.2, 2.9, 3.0, 8.0])
+        payload = quantize_pareto_value(xs, 1.0, 3.0, 3.0)
+        assert payload.values.shape == xs.shape
+        for x, value in zip(xs, payload.values):
+            assert value == quantize_pareto_value(x, 1.0, 3.0, 3.0).values
+
     def test_domain_checks(self):
+        with pytest.raises(DomainError):
+            quantize_pareto_value(np.array([1.5, 0.9]), 1.0, 3.0, 2.0)
         with pytest.raises(DomainError):
             quantize_pareto_value(0.9, 1.0, 3.0, 2.0)
         with pytest.raises(ConfigurationError):

@@ -21,14 +21,10 @@ from corrlink.sources import (
     StdNormal,
     UnitLaplace,
     UnitUniform,
-    crossing_prob,
     draw_first_crossing,
     normal_from_uniform,
-    sample_stream,
     scan_first_crossing,
     substream,
-    true_correlations,
-    x_support_upper,
 )
 from corrlink.linalg import CorrelationMatrix
 
@@ -210,7 +206,7 @@ class TestRandomness:
 class TestJointModels:
     def test_scalar_correlation(self):
         model = GaussianScalar(rho=0.6)
-        x, y = sample_stream(model, 11).take(200000)
+        x, y = SampleStream(model, 11).draw_chunk(200000)
         assert abs(np.mean(x * y) - 0.6) < 0.012
         assert abs(np.var(y) - 1.0) < 0.015
 
@@ -221,7 +217,7 @@ class TestJointModels:
     def test_yvec_covariances(self):
         rho = np.array([0.8, 0.4, -0.2])
         model = GaussianYVec(rho=rho, sigma_y=CorrelationMatrix.equicorrelated(3, 0.3))
-        x, y = sample_stream(model, 5).take(200000)
+        x, y = SampleStream(model, 5).draw_chunk(200000)
         for ell in range(3):
             assert abs(np.mean(x * y[:, ell]) - rho[ell]) < 0.015
         emp = np.cov(y, rowvar=False)
@@ -236,7 +232,7 @@ class TestJointModels:
     def test_xvec_covariances(self):
         rho = np.array([0.7, 0.3, -0.2])
         model = GaussianXVec(rho=rho, sigma_x=CorrelationMatrix.equicorrelated(3, 0.4))
-        x, y = sample_stream(model, 5).take(200000)
+        x, y = SampleStream(model, 5).draw_chunk(200000)
         assert np.allclose(np.cov(x, rowvar=False), model.sigma_x.values, atol=0.02)
         for ell in range(3):
             assert abs(np.mean(x[:, ell] * y) - rho[ell]) < 0.015
@@ -252,7 +248,7 @@ class TestJointModels:
     def test_xvec_whitened_draws(self):
         rho = np.array([0.7, 0.3, -0.2])
         model = GaussianXVec(rho=rho, sigma_x=CorrelationMatrix.equicorrelated(3, 0.4))
-        w, y = sample_stream(model, 5).take_whitened(200000)
+        w, y = SampleStream(model, 5).take_whitened(200000)
         assert np.allclose(np.cov(w, rowvar=False), np.eye(3), atol=0.02)
         for ell in range(3):
             assert abs(np.mean(w[:, ell] * y) - model.whitened_rho[ell]) < 0.015
@@ -263,14 +259,14 @@ class TestJointModels:
 
     def test_additive_correlation(self):
         model = AdditiveNoise(rho=0.5, x_law=UnitLaplace(), z_law=StdNormal())
-        x, y = sample_stream(model, 13).take(200000)
+        x, y = SampleStream(model, 13).draw_chunk(200000)
         assert abs(np.mean(x * y) - 0.5) < 0.015
         assert abs(np.var(y) - 1.0) < 0.02
 
     def test_binary_correlation(self):
         model = DoublySymmetricBinary(flip_prob=0.2)
         assert model.rho == pytest.approx(0.6)
-        x, y = sample_stream(model, 17).take(200000)
+        x, y = SampleStream(model, 17).draw_chunk(200000)
         assert set(np.unique(x)) <= {-1.0, 1.0}
         assert abs(np.mean(x * y) - 0.6) < 0.01
 
@@ -281,7 +277,7 @@ class TestJointModels:
     def test_block_average_keeps_correlation(self):
         inner = DoublySymmetricBinary(flip_prob=0.2)
         for m in [1, 16]:
-            x, y = sample_stream(BlockAveraged(inner, m), 19).take(100000)
+            x, y = SampleStream(BlockAveraged(inner, m), 19).draw_chunk(100000)
             assert abs(np.mean(x * y) - 0.6) < 0.02
             assert abs(np.var(x) - 1.0) < 0.02
 
@@ -290,7 +286,7 @@ class TestJointModels:
         inner = DoublySymmetricBinary(flip_prob=0.2)
         dists = []
         for m in [1, 4, 64]:
-            x, _ = sample_stream(BlockAveraged(inner, m), 23).take(40000)
+            x, _ = SampleStream(BlockAveraged(inner, m), 23).draw_chunk(40000)
             dists.append(stats.kstest(x, "norm").statistic)
         assert dists[0] > dists[1] > dists[2]
         assert dists[2] < 0.08
@@ -308,60 +304,60 @@ class TestJointModels:
 
 class TestModelQueries:
     def test_true_correlations(self):
-        assert true_correlations(GaussianScalar(0.4)) == pytest.approx([0.4])
+        assert GaussianScalar(0.4).true_correlations() == pytest.approx([0.4])
         rho = np.array([0.8, -0.2])
         mat = CorrelationMatrix.identity(2)
-        assert np.array_equal(true_correlations(GaussianYVec(rho, mat)), rho)
-        assert np.array_equal(true_correlations(GaussianXVec(rho, mat)), rho)
-        assert true_correlations(DoublySymmetricBinary(0.25)) == pytest.approx([0.5])
+        assert np.array_equal(GaussianYVec(rho, mat).true_correlations(), rho)
+        assert np.array_equal(GaussianXVec(rho, mat).true_correlations(), rho)
+        assert DoublySymmetricBinary(0.25).true_correlations() == pytest.approx([0.5])
         block = BlockAveraged(GaussianScalar(0.4), 8)
-        assert true_correlations(block) == pytest.approx([0.4])
+        assert block.true_correlations() == pytest.approx([0.4])
 
     def test_x_support_upper(self):
-        assert x_support_upper(GaussianScalar(0.0)) == math.inf
-        assert x_support_upper(DoublySymmetricBinary(0.1)) == 1.0
+        assert GaussianScalar(0.0).x_support_upper == math.inf
+        assert DoublySymmetricBinary(0.1).x_support_upper == 1.0
         uni = AdditiveNoise(0.3, UnitUniform(), StdNormal())
-        assert x_support_upper(uni) == pytest.approx(SQRT3)
+        assert uni.x_support_upper == pytest.approx(SQRT3)
         block = BlockAveraged(DoublySymmetricBinary(0.1), 4)
-        assert x_support_upper(block) == pytest.approx(2.0)
+        assert block.x_support_upper == pytest.approx(2.0)
 
     def test_crossing_prob_closed_forms(self):
-        assert crossing_prob(GaussianScalar(0.2), 1.3) == pytest.approx(
+        assert GaussianScalar(0.2).crossing_prob(1.3) == pytest.approx(
             0.5 * math.erfc(1.3 / math.sqrt(2)), rel=1e-12
         )
         add = AdditiveNoise(0.3, UnitLaplace(), StdNormal())
-        assert crossing_prob(add, 0.9) == pytest.approx(UnitLaplace().tail_prob(0.9))
-        assert crossing_prob(DoublySymmetricBinary(0.1), 0.0) == 0.5
-        assert crossing_prob(DoublySymmetricBinary(0.1), 1.0) == 0.0
+        assert add.crossing_prob(0.9) == pytest.approx(UnitLaplace().tail_prob(0.9))
+        assert DoublySymmetricBinary(0.1).crossing_prob(0.0) == 0.5
+        assert DoublySymmetricBinary(0.1).crossing_prob(1.0) == 0.0
 
     def test_crossing_prob_binary_blocks(self):
         model = BlockAveraged(DoublySymmetricBinary(0.2), 9)
         # (2B - 9)/3 > 0.5 needs B >= 6 successes out of 9 fair signs.
         want = (math.comb(9, 6) + math.comb(9, 7) + math.comb(9, 8) + math.comb(9, 9)) / 2.0**9
-        assert crossing_prob(model, 0.5) == pytest.approx(want, rel=1e-12)
-        assert crossing_prob(model, 3.0) == 0.0
-        assert crossing_prob(model, -4.0) == 1.0
+        assert model.crossing_prob(0.5) == pytest.approx(want, rel=1e-12)
+        assert model.crossing_prob(3.0) == 0.0
+        assert model.crossing_prob(-4.0) == 1.0
 
     def test_crossing_prob_unknown_cases(self):
         block = BlockAveraged(AdditiveNoise(0.2, UnitLaplace(), StdNormal()), 4)
-        assert crossing_prob(block, 0.5) is None
+        assert block.crossing_prob(0.5) is None
         mat = CorrelationMatrix.identity(2)
-        assert crossing_prob(GaussianXVec(np.array([0.5, 0.1]), mat), 0.5) is None
+        assert GaussianXVec(np.array([0.5, 0.1]), mat).crossing_prob(0.5) is None
 
 
 class TestSampleStream:
     def test_deterministic(self):
         model = GaussianScalar(0.3)
-        a = sample_stream(model, 42).take(64)
-        b = sample_stream(model, 42).take(64)
+        a = SampleStream(model, 42).draw_chunk(64)
+        b = SampleStream(model, 42).draw_chunk(64)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-        c = sample_stream(model, 43).take(64)
+        c = SampleStream(model, 43).draw_chunk(64)
         assert not np.array_equal(a[0], c[0])
 
-    def test_iterator_matches_take(self):
+    def test_iterator_matches_draw_chunk(self):
         # Same chunk size means the same draw order, hence identical values.
         model = GaussianScalar(0.3)
-        xs, ys = sample_stream(model, 42).take(16)
+        xs, ys = SampleStream(model, 42).draw_chunk(16)
         it = iter(SampleStream(model, 42, chunk=16))
         for i in range(5):
             x, y = next(it)
@@ -370,25 +366,22 @@ class TestSampleStream:
     def test_vector_shapes(self):
         rho = np.array([0.5, -0.1])
         yv = GaussianYVec(rho, CorrelationMatrix.identity(2))
-        x, y = sample_stream(yv, 1).take(10)
+        x, y = SampleStream(yv, 1).draw_chunk(10)
         assert x.shape == (10,) and y.shape == (10, 2)
         xv = GaussianXVec(rho, CorrelationMatrix.identity(2))
-        x, y = sample_stream(xv, 1).take(10)
+        x, y = SampleStream(xv, 1).draw_chunk(10)
         assert x.shape == (10, 2) and y.shape == (10,)
 
     def test_whitened_requires_xvec(self):
         with pytest.raises(ConfigurationError):
-            sample_stream(GaussianScalar(0.1), 1).take_whitened(4)
-
-    def test_stream_class_alias(self):
-        assert isinstance(sample_stream(GaussianScalar(0.0), 0), SampleStream)
+            SampleStream(GaussianScalar(0.1), 1).take_whitened(4)
 
 
 class TestFirstCrossing:
     def test_index_is_geometric(self):
         model = GaussianScalar(0.5)
         t = 0.8
-        p = crossing_prob(model, t)
+        p = model.crossing_prob(t)
         batch = draw_first_crossing(model, t, substream(31, 0), 100000)
         assert np.all(batch.index >= 1)
         assert not batch.capped.any()
