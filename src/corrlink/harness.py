@@ -119,6 +119,9 @@ class ExperimentConfig:
     out: Optional[str] = None
     grid: dict = field(default_factory=dict)
     model: dict = field(default_factory=dict)
+    # One (batch_fn, meta, theory) triple per grid point, built while
+    # validating and reused by every run_sweep of this config.
+    _cells: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
@@ -128,16 +131,32 @@ class ExperimentConfig:
             raise ConfigurationError(f"trials: must be at least 100, got {self.trials}")
         if not self.grid.get("k"):
             raise ConfigurationError("grid.k: at least one bit budget is required")
+        model_keys, grid_axes = _SCHEME_KEYS[self.scheme]
         for key in self.grid:
             if key not in _GRID_KEYS:
                 raise ConfigurationError(f"grid.{key}: unknown grid axis")
+            if key not in grid_axes:
+                raise ConfigurationError(
+                    f"grid.{key}: the {self.scheme} scheme has no such axis "
+                    f"(its axes: {', '.join(grid_axes)})"
+                )
+            if key in self.model:
+                raise ConfigurationError(f"grid.{key}, model.{key}: give one of the two, not both")
+        for key in self.model:
+            if key not in model_keys:
+                raise ConfigurationError(
+                    f"model.{key}: the {self.scheme} scheme does not read this key "
+                    f"(it reads: {', '.join(model_keys)})"
+                )
         # Every grid point must pass its scheme's preconditions before any
         # trials run; building the runner exercises them.
+        cells = []
         for point in self.points():
             try:
-                _SCHEMES[self.scheme](self, point)
+                cells.append(_SCHEMES[self.scheme](self, point))
             except (CorrlinkError, ValueError) as exc:
                 raise ConfigurationError(f"grid point {point}: {exc}") from exc
+        object.__setattr__(self, "_cells", tuple(cells))
 
     @classmethod
     def from_mapping(cls, raw: dict[str, str], **overrides) -> "ExperimentConfig":
@@ -326,8 +345,14 @@ def _build_xvec_exact(config: ExperimentConfig, point: dict):
 def _clt_inner(config: ExperimentConfig, point: dict):
     kind = str(config.model.get("kind", "gaussian")).lower()
     if kind == "binary":
+        if "rho" in point or "rho" in config.model:
+            raise ConfigurationError("rho: binary blocks take their correlation from model.p")
         p_flip = float(np.asarray(config.model.get("p", 0.25)).reshape(-1)[0])
         return DoublySymmetricBinary(flip_prob=p_flip)
+    if kind != "gaussian":
+        raise ConfigurationError(f"model.kind: unknown block kind {kind!r} (known: binary, gaussian)")
+    if "p" in config.model:
+        raise ConfigurationError("model.p: only binary blocks read the flip probability")
     return GaussianScalar(rho=_scalar_rho(config, point))
 
 
@@ -380,6 +405,8 @@ def _build_additive(config: ExperimentConfig, point: dict):
     if law_name not in _LAW_FACTORIES:
         known = ", ".join(sorted(_LAW_FACTORIES))
         raise ConfigurationError(f"model.x_law: unknown law {law_name!r} (known: {known})")
+    if law_name != "pareto" and "alpha" in config.model:
+        raise ConfigurationError("model.alpha: only the pareto x_law reads a tail index")
     x_law = _LAW_FACTORIES[law_name](config)
     model = AdditiveNoise(rho=rho, x_law=x_law, z_law=StdNormal())
     p = geometric_entropy_inv(k)
@@ -436,6 +463,21 @@ _SCHEMES: dict[str, Callable] = {
     "linear": _build_linear,
 }
 
+# The model.* keys each scheme reads and the grid axes it honours; the config
+# rejects any other, because an ignored key would silently do nothing and an
+# ignored axis would repeat identical cells.
+_SCHEME_KEYS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "threshold": (("rho",), ("k", "rho")),
+    "max": (("rho",), ("k", "rho")),
+    "yvec": (("rho",), ("k", "rho")),
+    "xvec": (("rho", "sigma_offdiag", "b0"), ("k", "rho", "b0")),
+    "xvec_exact": (("rho", "sigma_offdiag", "b0"), ("k", "rho", "b0")),
+    "clt": (("rho", "kind", "p", "m"), ("k", "rho", "m")),
+    "pareto": (("rho", "alpha"), ("k", "rho", "alpha")),
+    "additive": (("rho", "x_law", "alpha"), ("k", "rho")),
+    "linear": (("rho", "sigma_offdiag", "transform"), ("k",)),
+}
+
 
 # ---------------------------------------------------------------------------
 # Sweep execution.
@@ -478,14 +520,15 @@ def _chunk_partial(batch: TrialBatch) -> dict:
     ok = ~batch.failed
     err = batch.estimates[ok] - batch.truth[None, :]
     row_sum = err.sum(axis=1)
-    norm2 = np.square(err).sum(axis=1)
+    e2 = err * err
+    norm2 = e2.sum(axis=1)
     partial = {
         "n": int(batch.failed.shape[0]),
         "fail": int(np.count_nonzero(batch.failed)),
         "s1": err.sum(axis=0),
-        "s2": np.square(err).sum(axis=0),
-        "s3": np.power(err, 3).sum(axis=0),
-        "s4": np.power(err, 4).sum(axis=0),
+        "s2": e2.sum(axis=0),
+        "s3": (e2 * err).sum(axis=0),
+        "s4": (e2 * e2).sum(axis=0),
         "t1": float(row_sum.sum()),
         "t2": float(np.square(row_sum).sum()),
         "q1": float(norm2.sum()),
@@ -574,10 +617,8 @@ def run_sweep(config: ExperimentConfig, threads: Optional[int] = None) -> list[S
     if threads < 1:
         raise ConfigurationError(f"threads: must be at least 1, got {threads}")
     rows: list[SweepRow] = []
-    points = config.points()
-    builders = [_SCHEMES[config.scheme](config, point) for point in points]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for cell_idx, (batch_fn, meta, theory) in enumerate(builders):
+        for cell_idx, (batch_fn, meta, theory) in enumerate(config._cells):
             sizes = [CHUNK_TRIALS] * (config.trials // CHUNK_TRIALS)
             if config.trials % CHUNK_TRIALS:
                 sizes.append(config.trials % CHUNK_TRIALS)

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator, Optional, Union
 
 import numpy as np
-from scipy.stats import binom as _binom
 
 from .errors import ConfigurationError, DomainError
 from .linalg import CorrelationMatrix, sym_inv_sqrt, sym_sqrt
@@ -498,6 +498,32 @@ class DoublySymmetricBinary(_ScalarX):
         return _BinaryBlock(self.flip_prob, m)
 
 
+@lru_cache(maxsize=64)
+def _binomial_upper_tail(m: int, bmin: int) -> tuple[float, np.ndarray]:
+    """Pr(B >= bmin) and Pr(B <= b | B >= bmin) for b = bmin..m, B ~ Binomial(m, 1/2).
+
+    At p = 1/2 every pmf is exactly C(m, b) / 2^m, so both come from exact
+    integer sums of binomial coefficients, stepped with the ratio
+    C(m, b+1) = C(m, b) (m - b) / (b + 1). Python's int/int division rounds
+    correctly even past the float range, so each value is the correctly
+    rounded one. Once the terms fall (2b >= m), the sum stops where everything
+    left is below 2^-1100 of it: no float can move by that much, and the
+    table then ends at 1.0. That keeps large m cheap. The table is read-only
+    because the cache shares it.
+    """
+    term = math.comb(m, bmin)
+    partial = [term]
+    for b in range(bmin, m):
+        term = term * (m - b) // (b + 1)
+        if 2 * b >= m and term * (m - b) < partial[-1] >> 1100:
+            break
+        partial.append(partial[-1] + term)
+    total = partial[-1]
+    cum = np.array([s / total for s in partial])
+    cum.flags.writeable = False
+    return total / (1 << m), cum
+
+
 @dataclass(frozen=True)
 class _BinaryBlock:
     """Crossing law of the average of ``m`` doubly symmetric binary pairs.
@@ -519,15 +545,14 @@ class _BinaryBlock:
             return 0.0
         if bmin <= 0:
             return 1.0
-        return float(_binom.sf(bmin - 1, self.m, 0.5))
+        return _binomial_upper_tail(self.m, bmin)[0]
 
     def tail_x(self, t: float, rng: np.random.Generator, n: int) -> np.ndarray:
         u = _open_uniform(rng, n)
         m = self.m
-        counts = np.arange(self._bmin(t), m + 1)
-        cum = np.cumsum(_binom.pmf(counts, m, 0.5))
-        cum /= cum[-1]
-        b = counts[np.searchsorted(cum, u, side="left")]
+        bmin = max(self._bmin(t), 0)
+        cum = _binomial_upper_tail(m, bmin)[1]
+        b = bmin + np.searchsorted(cum, u, side="left")
         return (2.0 * b - m) / math.sqrt(m)
 
     def y_given_x(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import special
 
 from .errors import ConfigurationError, DomainError
 
@@ -184,6 +184,67 @@ def geometric_entropy(p: float) -> float:
     return -math.log2(p) - (1.0 - p) * math.log1p(-p) / (p * _LN2)
 
 
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_MAXITER = 100
+
+
+def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+    """Brent's (1973) bracketing root finder, a port of scipy's ``brentq.c``.
+
+    Same defaults (rtol = 4 eps, 100 iterations) and the same floating-point
+    operations in the same order, so the returned root equals
+    ``scipy.optimize.brentq(f, xa, xb, xtol=xtol)`` bit for bit; the budget
+    inversion's output bytes depend on it. Porting it keeps ``scipy.optimize``
+    out of the import path.
+    """
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = f(xpre)
+    fcur = f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise DomainError("root finder: f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # Secant step.
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # Inverse quadratic interpolation.
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre = scur
+                scur = stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre = xcur
+        fpre = fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise DomainError(f"root finder did not converge in {_BRENT_MAXITER} iterations")
+
+
 def geometric_entropy_inv(k: float) -> float:
     """Invert :func:`geometric_entropy` on its decreasing branch.
 
@@ -210,9 +271,9 @@ def geometric_entropy_inv(k: float) -> float:
     lo = math.log(1e-300)
     hi = math.log1p(-1e-12)
     if k <= geometric_entropy(math.exp(hi)):
-        # Budget below ~2.9e-11 bits; the root sits against the p = 1 endpoint.
+        # Budget below ~4.1e-11 bits; the root sits against the p = 1 endpoint.
         return math.exp(hi)
-    u = optimize.brentq(lambda v: geometric_entropy(math.exp(v)) - k, lo, hi, xtol=1e-12)
+    u = _brentq(lambda v: geometric_entropy(math.exp(v)) - k, lo, hi, xtol=1e-12)
     for _ in range(2):
         # Newton in u = ln p; the slope log1p(-p)/(ln2 * p) stays order-one
         # for tiny p where the p-space derivative would underflow.
@@ -232,6 +293,10 @@ class MaxMoments(NamedTuple):
 
 @lru_cache(maxsize=256)
 def _max_normal_moments_cached(n: float) -> MaxMoments:
+    # Imported here: only the max scheme's theory needs quadrature, and
+    # scipy.integrate pulls scipy.optimize in with it.
+    from scipy import integrate
+
     ln_n = math.log(n)
 
     def log_density(x: float) -> float:

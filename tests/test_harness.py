@@ -1,6 +1,8 @@
 """Config parsing, sweep determinism, aggregation, CSV output, and the CLI."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,7 +203,54 @@ class TestExperimentConfig:
             ExperimentConfig.from_text(text)
 
 
+    @pytest.mark.parametrize("text,match", [
+        (THRESHOLD_TEXT + "model.bogus = 3\n", "model.bogus: the threshold scheme does not read"),
+        (THRESHOLD_TEXT + "grid.m = 4, 16\n", "grid.m: the threshold scheme has no such axis"),
+        ("scheme = additive\ngrid.k = 10\ngrid.rho = 0.5\ngrid.alpha = 3, 4\n"
+         "trials = 200\nseed = 1", "grid.alpha: the additive scheme has no such axis"),
+        ("scheme = linear\nmodel.rho = 0.5, 0.3\ngrid.k = 20\ngrid.rho = 0.1, 0.2\n"
+         "trials = 200\nseed = 1", "grid.rho: the linear scheme has no such axis"),
+        ("scheme = yvec\nmodel.rho = 0.5, 0.2\ngrid.k = 10\ngrid.rho = 0.1, 0.2\n"
+         "trials = 200\nseed = 1", "grid.rho, model.rho: give one"),
+        ("scheme = xvec\nmodel.rho = 0.3, 0.2\nmodel.b0 = 0.3\ngrid.b0 = 0.2, 0.4\n"
+         "grid.k = 40\ntrials = 200\nseed = 1", "grid.b0, model.b0: give one"),
+        ("scheme = clt\nmodel.kind = laplace\ngrid.k = 10\ngrid.m = 4\ngrid.rho = 0.5\n"
+         "trials = 200\nseed = 1", "unknown block kind"),
+        ("scheme = clt\nmodel.kind = binary\ngrid.k = 10\ngrid.m = 64\ngrid.rho = 0.1, 0.5\n"
+         "trials = 200\nseed = 1", "binary blocks take their correlation from model.p"),
+        ("scheme = clt\nmodel.p = 0.1\ngrid.k = 10\ngrid.m = 4\ngrid.rho = 0.5\n"
+         "trials = 200\nseed = 1", "model.p: only binary blocks"),
+        ("scheme = additive\nmodel.x_law = laplace\nmodel.alpha = 3\ngrid.k = 10\n"
+         "grid.rho = 0.5\ntrials = 200\nseed = 1", "model.alpha: only the pareto x_law"),
+    ])
+    def test_keys_a_scheme_ignores_are_rejected(self, text, match):
+        with pytest.raises(ConfigurationError, match=match):
+            ExperimentConfig.from_text(text)
+
+    def test_readme_example_configs_parse(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        assert blocks
+        for block in blocks:
+            assert ExperimentConfig.from_text(block).points()
+
+
 class TestRunSweep:
+    def test_each_cell_is_built_once(self, monkeypatch):
+        original = harness._SCHEMES["threshold"]
+        calls = []
+
+        def counting(config, point):
+            calls.append(point)
+            return original(config, point)
+
+        monkeypatch.setitem(harness._SCHEMES, "threshold", counting)
+        config = ExperimentConfig.from_text(THRESHOLD_TEXT, trials=300)
+        assert calls == config.points()
+        first = format_csv(run_sweep(config, threads=1))
+        assert format_csv(run_sweep(config, threads=2)) == first
+        assert calls == config.points()
+
     def test_threshold_sweep_matches_theory(self):
         config = ExperimentConfig.from_text(THRESHOLD_TEXT)
         rows = run_sweep(config, threads=2)

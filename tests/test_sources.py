@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from corrlink.sources import (
     draw_first_crossing,
     normal_from_uniform,
     scan_first_crossing,
+    _binomial_upper_tail,
     substream,
 )
 from corrlink.linalg import CorrelationMatrix
@@ -337,6 +339,36 @@ class TestModelQueries:
         assert model.crossing_prob(0.5) == pytest.approx(want, rel=1e-12)
         assert model.crossing_prob(3.0) == 0.0
         assert model.crossing_prob(-4.0) == 1.0
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 16, 33, 60])
+    def test_binary_block_tail_is_exact(self, m):
+        for bmin in range(0, m + 1):
+            terms = [math.comb(m, b) for b in range(bmin, m + 1)]
+            p, cum = _binomial_upper_tail(m, bmin)
+            assert p == float(Fraction(sum(terms), 2**m))
+            want = [float(Fraction(sum(terms[: j + 1]), sum(terms))) for j in range(len(terms))]
+            assert cum.tolist() == want
+
+    @pytest.mark.parametrize("m", [64, 255, 1000, 1024, 1025, 4096])
+    def test_binary_block_tail_matches_scipy(self, m):
+        for bmin in np.unique(np.linspace(1, m, 25).astype(int)):
+            ref = stats.binom.sf(bmin - 1, m, 0.5)
+            if ref < 1e-250:
+                continue  # scipy's pmf underflows long before the exact sums do
+            p, cum = _binomial_upper_tail(m, int(bmin))
+            assert p == pytest.approx(ref, rel=1e-12, abs=0.0)
+            ref_cum = np.cumsum(stats.binom.pmf(np.arange(bmin, m + 1), m, 0.5))
+            ref_cum /= ref_cum[-1]
+            # The table may stop early at 1.0, where the remaining mass is
+            # negligible. Subnormal entries carry no relative precision, so
+            # the absolute floor is the smallest normal float.
+            assert cum[-1] == 1.0
+            np.testing.assert_allclose(cum, ref_cum[: cum.size], rtol=1e-12,
+                                       atol=np.finfo(float).tiny)
+            np.testing.assert_allclose(ref_cum[cum.size:], 1.0, rtol=1e-12)
+            model = BlockAveraged(DoublySymmetricBinary(0.2), m)
+            t = (2.0 * bmin - m - 1.0) / math.sqrt(m)  # bmin is the smallest count above t
+            assert model.crossing_prob(t) == p
 
     def test_crossing_prob_unknown_cases(self):
         block = BlockAveraged(AdditiveNoise(0.2, UnitLaplace(), StdNormal()), 4)

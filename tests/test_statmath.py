@@ -8,6 +8,7 @@ from scipy import special
 
 from corrlink.errors import ConfigurationError, DomainError
 from corrlink.statmath import (
+    _brentq,
     geometric_entropy,
     geometric_entropy_inv,
     inverse_mills,
@@ -201,6 +202,43 @@ class TestGeometricEntropy:
             geometric_entropy_inv(0.0)
         with pytest.raises(DomainError):
             geometric_entropy_inv(1001.0)
+
+
+class TestBrentPort:
+    """``_brentq`` must return scipy's ``brentq`` root bit for bit."""
+
+    def test_matches_scipy_on_the_budget_inversion(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        lo = math.log(1e-300)
+        hi = math.log1p(-1e-12)
+        k_min = geometric_entropy(math.exp(hi))  # below this the inverse returns exp(hi)
+        k_max = geometric_entropy(1e-300)  # above this it raises
+        rng = np.random.default_rng(1973)
+        budgets = np.concatenate([
+            np.exp(rng.uniform(math.log(k_min), math.log(k_max), 8000)),
+            np.linspace(0.05, 997.5, 2000),
+            [k_min * (1.0 + 1e-9), k_min * 1.001, 997.9, 998.0, k_max * (1.0 - 1e-12)],
+        ])
+        mismatched = []
+        for k in budgets:
+            k = float(k)
+            assert k_min < k <= k_max
+
+            def f(v, k=k):
+                return geometric_entropy(math.exp(v)) - k
+
+            ours = _brentq(f, lo, hi, 1e-12)
+            theirs = optimize.brentq(f, lo, hi, xtol=1e-12)
+            if ours != theirs:
+                mismatched.append((k, ours, theirs))
+        assert budgets.size >= 10_000
+        assert mismatched == []
+
+    def test_exact_roots_and_sign_errors(self):
+        assert _brentq(lambda x: x - 0.25, 0.25, 3.0, 1e-12) == 0.25
+        assert _brentq(lambda x: x * x - 2.0, 0.0, 2.0, 1e-15) == pytest.approx(math.sqrt(2.0))
+        with pytest.raises(DomainError, match="different signs"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
 
 
 class TestMaxMoments:
