@@ -40,7 +40,7 @@ from corrlink.estimators import (
     xvec_unquantized_trials,
     yvec_trials,
 )
-from corrlink.linalg import CorrelationMatrix
+from corrlink.linalg import CorrelationMatrix, sym_sqrt
 from corrlink.protocol import (
     LedgerMode,
     StoppingSetParams,
@@ -518,6 +518,25 @@ class TestXVecTrials:
         loss = float(np.mean(np.sum(diff * diff, axis=1)))
         assert 0.0 < loss <= quantization_loss_bound(params.a, params.k_q, params.d)
         np.testing.assert_array_equal(quant.samples, exact.samples)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_reconstruction_matches_refined_inverse(self, d, quantized):
+        from corrlink.estimators import _xvec_reconstruct
+
+        params = StoppingSetParams(a=d * 1.3 + 1.0, b=0.3, d=d, k_l=20.0, k_q=3.0)
+        w, _ = stopping_matrix_batch(d, params.a, params.b, substream(SEED, 90 + d), 4_000)
+        if quantized:
+            w = quantize_W_matrix(w, params).values
+        rng = substream(SEED, 95 + d)
+        y = rng.standard_normal((w.shape[0], d))
+        recon = sym_sqrt(CorrelationMatrix.equicorrelated(d, 0.4).values)
+        est, failed = _xvec_reconstruct(w, y, recon)
+        assert not failed.any()
+        inv = np.linalg.inv(w)
+        inv = inv + inv @ (np.eye(d) - w @ inv)
+        expected = np.einsum("nl,nlk,km->nm", y, inv, recon)
+        np.testing.assert_allclose(est, expected, rtol=0.0, atol=1e-12)
 
     def test_tiny_body_budget_is_rejected(self):
         with pytest.raises(ConfigurationError, match="no valid strong bound"):
