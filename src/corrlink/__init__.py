@@ -12,7 +12,6 @@ from .analysis import (
     TheoryReport,
     additive_exact_variance,
     binary_example_theory,
-    build_report,
     crlb_xvec,
     crlb_yvec,
     exact_max_variance,
@@ -45,19 +44,9 @@ from .errors import (
     WaitCapExceededError,
 )
 from .estimators import (
-    EstimateReport,
     TrialBatch,
     additive_trials,
     clt_trials,
-    estimate_additive_threshold,
-    estimate_clt,
-    estimate_linear_transform_baseline,
-    estimate_max,
-    estimate_pareto_quantized,
-    estimate_threshold,
-    estimate_xvec,
-    estimate_xvec_unquantized,
-    estimate_yvec,
     linear_baseline_trials,
     max_trials,
     pareto_trials,
@@ -155,11 +144,7 @@ __all__ = [
     "quantize_correlation_entries", "allocate_bits_xvec", "allocate_bits_pareto",
     "default_wait_cap", "stopping_params_from_body_budget",
     # estimators
-    "TrialBatch", "EstimateReport", "estimate_max",
-    "estimate_threshold", "estimate_yvec", "estimate_xvec",
-    "estimate_xvec_unquantized", "estimate_clt", "estimate_pareto_quantized",
-    "estimate_additive_threshold", "estimate_linear_transform_baseline",
-    "max_trials", "threshold_trials", "yvec_trials",
+    "TrialBatch", "max_trials", "threshold_trials", "yvec_trials",
     "xvec_trials", "xvec_unquantized_trials", "xvec_paired_batch", "clt_trials",
     "pareto_trials", "additive_trials", "linear_baseline_trials",
     "stopping_matrix_batch", "require_crossable_block",
@@ -172,7 +157,6 @@ __all__ = [
     "quantization_loss_bound", "xvec_mse_bound", "unquantized_xvec_trace_bound",
     "additive_exact_variance", "laplace_theory", "pareto_theory",
     "pareto_unquantized_floor", "binary_example_theory", "linear_baseline_trace",
-    "build_report",
     # harness
     "ExperimentConfig", "SweepRow", "COLUMNS",
     "parse_config", "run_sweep", "emit_csv", "format_csv",

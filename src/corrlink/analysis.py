@@ -10,24 +10,15 @@ other way around.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .linalg import CorrelationMatrix, invert
-from .protocol import allocate_bits_pareto, allocate_bits_xvec, stopping_params_from_body_budget
-from .sources import GaussianXVec, MarginalLaw, UnitLaplace
-from .statmath import (
-    geometric_entropy_inv,
-    inverse_mills,
-    max_normal_moments,
-    phi,
-    qfunc,
-    qfunc_inv,
-    truncated_normal_moments,
-)
+from .linalg import invert
+from .sources import GaussianXVec, MarginalLaw
+from .statmath import geometric_entropy_inv, inverse_mills, max_normal_moments, phi, qfunc, qfunc_inv
 
 __all__ = [
     "TheoryReport",
@@ -55,7 +46,6 @@ __all__ = [
     "pareto_unquantized_floor",
     "binary_example_theory",
     "linear_baseline_trace",
-    "build_report",
 ]
 
 _LN2 = math.log(2.0)
@@ -63,25 +53,32 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class TheoryReport:
-    """Closed-form summary for one scheme at one parameter point."""
+    """Closed-form values for one scheme at one parameter point.
+
+    ``theory_exact``, ``theory_asymptotic`` and ``theory_bound`` are the sweep
+    row's theory columns; ``crlb_trace`` and ``fisher`` are set where the
+    scheme has an information computation; ``bounds`` holds further labelled
+    values. Absent values are None.
+    """
 
     scheme: str
     k: float
-    exact_variance: Optional[float]
-    asymptotic_variance: float
-    fisher: np.ndarray
-    crlb_trace: float
-    bounds: list = field(default_factory=list)
+    theory_exact: Optional[float] = None
+    theory_asymptotic: Optional[float] = None
+    theory_bound: Optional[float] = None
+    crlb_trace: Optional[float] = None
+    fisher: Optional[np.ndarray] = None
+    bounds: tuple = ()
 
     def __post_init__(self):
-        if self.exact_variance is not None and self.crlb_trace > 0.0:
+        if self.theory_exact is not None and self.crlb_trace is not None:
             # Allow a hair of quadrature slack in the unbiased-estimator ordering.
-            if self.exact_variance < self.crlb_trace * (1.0 - 1e-9):
+            if self.theory_exact < self.crlb_trace * (1.0 - 1e-9):
                 raise ConfigurationError(
-                    f"exact variance {self.exact_variance} fell below the lower "
+                    f"exact variance {self.theory_exact} fell below the lower "
                     f"bound trace {self.crlb_trace}; the formulas disagree"
                 )
-        if not self.asymptotic_variance >= 0.0:
+        if self.theory_asymptotic is not None and not self.theory_asymptotic >= 0.0:
             raise ConfigurationError("asymptotic variance must be nonnegative")
 
 
@@ -248,7 +245,10 @@ def fisher_xvec(rho: np.ndarray, sigma_x: np.ndarray, alpha: float, sigma2: floa
         raise DomainError(f"conditional noise variance must be positive, got {sigma2!r}")
     sx_inv = invert(sigma_x)
     sr = sx_inv @ rho
-    return (alpha / sigma2) * sx_inv + (2.0 * d / sigma2**2) * np.outer(sr, sr)
+    # Divide by sigma2 once at the end: at a degenerate pair (sigma2 near 0)
+    # the information is then infinite instead of sigma2**2 underflowing to 0.
+    with np.errstate(over="ignore"):
+        return (alpha * sx_inv + np.outer(sr, sr) * (2.0 * d) / sigma2) / sigma2
 
 
 def crlb_xvec(rho: np.ndarray, sigma_x: np.ndarray, alpha: float, sigma2: float,
@@ -364,159 +364,3 @@ def linear_baseline_trace(model: GaussianXVec, budgets: tuple[float, float],
         var_i = exact_threshold_variance(float(alphas[i]), t)
         trace += var_i * float(inv_mt[:, i] @ inv_mt[:, i])
     return trace
-
-
-# ---------------------------------------------------------------------------
-# Report assembly.
-
-
-def _scalar_report(scheme: str, rho: float, k: float) -> TheoryReport:
-    if scheme == "max":
-        k_int = int(round(k))
-        fisher = fisher_max(rho, k_int)
-        exact = exact_max_variance(rho, k_int)
-    else:
-        t = threshold_for_budget(k)
-        fisher = fisher_threshold(rho, t)
-        exact = exact_threshold_variance(rho, t)
-    return TheoryReport(
-        scheme=scheme,
-        k=float(k),
-        exact_variance=exact,
-        asymptotic_variance=zhang_berger_optimal(rho, k),
-        fisher=np.array([[fisher]]),
-        crlb_trace=1.0 / fisher,
-        bounds=[("benchmark-zero-rate", zhang_berger_optimal(rho, k))],
-    )
-
-
-def _yvec_report(rho: np.ndarray, sigma_y: np.ndarray, k: float) -> TheoryReport:
-    rho = np.asarray(rho, dtype=float).reshape(-1)
-    t = threshold_for_budget(k)
-    s = inverse_mills(t)
-    exj2 = 1.0 + t * s
-    fisher = fisher_yvec(rho, sigma_y, exj2)
-    crlb = crlb_yvec(rho, sigma_y, exj2)
-    asym = float(np.sum(1.0 - rho * rho)) / (2.0 * k * _LN2)
-    return TheoryReport(
-        scheme="yvec",
-        k=float(k),
-        exact_variance=yvec_sum_mse(rho, t),
-        asymptotic_variance=asym,
-        fisher=fisher,
-        crlb_trace=float(np.trace(crlb)),
-        bounds=[("per-coordinate-benchmark-sum", asym)],
-    )
-
-
-def _xvec_report(scheme: str, model: GaussianXVec, k: float, b0: float,
-                 alpha_empirical: Optional[float] = None) -> TheoryReport:
-    """Quantized scheme (``xvec``, k in total) or exact matrix (``xvec_exact``, k per index)."""
-    d = model.dim
-    if scheme == "xvec":
-        params = allocate_bits_xvec(k, d, b0)
-        budget_bound = ("summed-error-budget-bound", xvec_mse_bound(model.rho, d, k))
-    else:
-        params = stopping_params_from_body_budget(k, d, b0)
-        budget_bound = ("trace-budget-bound", unquantized_xvec_trace_bound(model.rho, d, k))
-    alpha_exact = stopping_second_moment(params.a, params.b, d)
-    alpha_used = alpha_exact if alpha_empirical is None else float(alpha_empirical)
-    sigma2 = max(model.noise_var, 1e-300)
-    fisher = fisher_xvec(model.rho, model.sigma_x.values, alpha_used, sigma2, d)
-    crlb = crlb_xvec(model.rho, model.sigma_x.values, alpha_used, sigma2, d)
-    lower, upper = stopping_moment_bracket(params.a, params.b, d)
-    bounds = [budget_bound, ("inverse-moment-lower", lower), ("inverse-moment-upper", upper)]
-    if scheme == "xvec":
-        bounds.append(("quantization-penalty", quantization_loss_bound(params.a, params.k_q, d)))
-    bounds.append(("row-second-moment", alpha_exact))
-    return TheoryReport(
-        scheme=scheme,
-        k=float(k),
-        exact_variance=None,
-        asymptotic_variance=budget_bound[1],
-        fisher=fisher,
-        crlb_trace=float(np.trace(crlb)),
-        bounds=bounds,
-    )
-
-
-def build_report(scheme: str, **kwargs) -> TheoryReport:
-    """Assemble the theory report for one scheme at one parameter point.
-
-    Accepted keywords depend on the scheme: scalar schemes take ``rho`` and
-    ``k``; ``yvec`` takes ``rho`` (vector), ``k`` and optional ``sigma_y``;
-    ``xvec`` and ``xvec_exact`` take a model or (``rho``, ``sigma_x``) plus
-    ``k``, ``b0`` and an optional empirical ``alpha``; additive schemes take
-    their law parameters.
-    """
-    if scheme in ("max", "threshold"):
-        return _scalar_report(scheme, kwargs["rho"], kwargs["k"])
-    if scheme == "yvec":
-        rho = np.asarray(kwargs["rho"], dtype=float).reshape(-1)
-        sigma_y = kwargs.get("sigma_y")
-        if sigma_y is None:
-            sigma_y = np.outer(rho, rho) + np.diag(1.0 - rho * rho)
-        else:
-            sigma_y = np.asarray(sigma_y, dtype=float)
-        return _yvec_report(rho, sigma_y, kwargs["k"])
-    if scheme in ("xvec", "xvec_exact"):
-        model = kwargs.get("model")
-        if model is None:
-            sigma_x = kwargs.get("sigma_x")
-            rho = np.asarray(kwargs["rho"], dtype=float).reshape(-1)
-            if sigma_x is None:
-                sigma_x = CorrelationMatrix.identity(rho.shape[0])
-            elif not isinstance(sigma_x, CorrelationMatrix):
-                sigma_x = CorrelationMatrix(np.asarray(sigma_x, dtype=float))
-            model = GaussianXVec(rho=rho, sigma_x=sigma_x)
-        return _xvec_report(scheme, model, kwargs["k"], kwargs.get("b0", 0.3),
-                            kwargs.get("alpha"))
-    if scheme == "clt":
-        rho = kwargs["rho"]
-        k = kwargs["k"]
-        t = threshold_for_budget(k)
-        rep = _scalar_report("threshold", rho, k)
-        return TheoryReport(
-            scheme="clt",
-            k=float(k),
-            exact_variance=rep.exact_variance,
-            asymptotic_variance=rep.asymptotic_variance,
-            fisher=rep.fisher,
-            crlb_trace=rep.crlb_trace,
-            bounds=[("gaussian-limit-variance", exact_threshold_variance(rho, t))],
-        )
-    if scheme == "pareto":
-        alpha = kwargs["alpha"]
-        rho = kwargs["rho"]
-        k = kwargs["k"]
-        bound, exponent = pareto_theory(alpha, rho, k)
-        return TheoryReport(
-            scheme="pareto",
-            k=float(k),
-            exact_variance=None,
-            asymptotic_variance=bound,
-            fisher=np.array([[math.nan]]),
-            crlb_trace=0.0,
-            bounds=[("budget-exponent", exponent),
-                    ("unquantized-floor", pareto_unquantized_floor(alpha, rho))],
-        )
-    if scheme == "additive":
-        x_law = kwargs.get("x_law", UnitLaplace())
-        rho = kwargs["rho"]
-        k = kwargs["k"]
-        p = geometric_entropy_inv(k)
-        t = float(x_law.tail_quantile(p))
-        exact = additive_exact_variance(x_law, rho, t)
-        bounds = []
-        if isinstance(x_law, UnitLaplace):
-            bounds.append(("double-exponential-asymptote", laplace_theory(rho, k)))
-        return TheoryReport(
-            scheme="additive",
-            k=float(k),
-            exact_variance=exact,
-            asymptotic_variance=bounds[0][1] if bounds else exact,
-            fisher=np.array([[math.nan]]),
-            crlb_trace=0.0,
-            bounds=bounds,
-        )
-    raise ConfigurationError(f"unknown scheme {scheme!r}")

@@ -12,9 +12,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import analysis
-from .errors import CorrlinkError, DomainError, TrialFailureError
-from .harness import ExperimentConfig, format_csv, run_sweep
+from .errors import CorrlinkError, TrialFailureError
+from .harness import _SCHEMES, ExperimentConfig, emit_csv, format_csv, run_sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -37,16 +36,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, help="output CSV path (default: config, else stdout)")
 
     p_theory = sub.add_parser("theory", help="print closed-form values for one scheme")
-    p_theory.add_argument("scheme", help="scheme id (threshold, max, yvec, xvec, xvec_exact, clt, "
-                          "pareto, additive)")
+    p_theory.add_argument("scheme", help=f"scheme id ({', '.join(_SCHEMES)})")
     p_theory.add_argument("--k", type=float, required=True, help="bit budget")
     p_theory.add_argument("--rho", required=True,
                           help="correlation, comma-separated for vector schemes")
     p_theory.add_argument("--alpha", type=float, default=None, help="power-law tail exponent")
-    p_theory.add_argument("--b0", type=float, default=0.3, help="weak-coordinate band half-width")
-    p_theory.add_argument("--sigma-offdiag", type=float, default=0.0,
-                          help="equicorrelated off-diagonal of the X covariance")
-    p_theory.add_argument("--x-law", default="laplace", dest="x_law",
+    p_theory.add_argument("--b0", type=float, default=None,
+                          help="weak-coordinate band half-width (default 0.3)")
+    p_theory.add_argument("--sigma-offdiag", type=float, default=None,
+                          help="equicorrelated off-diagonal of the X covariance (default 0)")
+    p_theory.add_argument("--x-law", default=None, dest="x_law",
                           help="X marginal for the additive scheme (laplace, gaussian, pareto)")
 
     sub.add_parser("selftest", help="run the built-in invariant checks")
@@ -70,69 +69,45 @@ def _cmd_run(args) -> int:
     except CorrlinkError as exc:
         print(f"corrlink: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    text = format_csv(rows)
     out_path = args.out if args.out is not None else config.out
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(format_csv(rows))
         return EXIT_OK
     try:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        emit_csv(rows, out_path)
     except OSError as exc:
-        print(f"corrlink: cannot write {out_path!r}: {exc}", file=sys.stderr)
+        print(f"corrlink: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
 
 
+# Each `theory` flag and the config key it sets; a flag left out sets nothing,
+# so the scheme's config default applies.
+_THEORY_KEYS = {
+    "k": "grid.k", "rho": "model.rho", "alpha": "model.alpha", "b0": "model.b0",
+    "sigma_offdiag": "model.sigma_offdiag", "x_law": "model.x_law",
+}
+
+
 def _cmd_theory(args) -> int:
+    raw = {key: str(getattr(args, flag)) for flag, key in _THEORY_KEYS.items()
+           if getattr(args, flag) is not None}
     try:
-        rho_parts = [float(part) for part in args.rho.split(",") if part.strip() != ""]
-        kwargs = {"k": args.k}
-        if args.scheme in ("yvec", "xvec", "xvec_exact"):
-            kwargs["rho"] = np.array(rho_parts)
-        else:
-            if len(rho_parts) != 1:
-                raise DomainError("scalar schemes take a single correlation value")
-            kwargs["rho"] = rho_parts[0]
-        if args.scheme in ("xvec", "xvec_exact"):
-            kwargs["b0"] = args.b0
-            if args.sigma_offdiag != 0.0:
-                from .linalg import CorrelationMatrix
-
-                d = len(rho_parts)
-                kwargs["sigma_x"] = CorrelationMatrix.equicorrelated(d, args.sigma_offdiag)
-        if args.scheme == "pareto":
-            if args.alpha is None:
-                raise DomainError("the pareto scheme needs --alpha")
-            kwargs["alpha"] = args.alpha
-        if args.scheme == "additive":
-            from .sources import ParetoTwoSided, StdNormal, UnitLaplace
-
-            laws = {"laplace": UnitLaplace, "gaussian": StdNormal}
-            name = args.x_law.lower()
-            if name == "pareto":
-                if args.alpha is None:
-                    raise DomainError("the pareto X marginal needs --alpha")
-                kwargs["x_law"] = ParetoTwoSided(alpha=args.alpha)
-            elif name in laws:
-                kwargs["x_law"] = laws[name]()
-            else:
-                raise DomainError(f"unknown X marginal {args.x_law!r}")
-        report = analysis.build_report(args.scheme, **kwargs)
-    except (CorrlinkError, ValueError) as exc:
+        # Nothing is simulated; trials and seed only complete the config.
+        config = ExperimentConfig.from_mapping(raw, scheme=args.scheme, trials=100, seed=0)
+    except CorrlinkError as exc:
         print(f"corrlink: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    report = config.reports()[0]
     print(f"scheme: {report.scheme}")
     print(f"k: {report.k:.10g}")
-    if report.exact_variance is not None:
-        print(f"exact_variance: {report.exact_variance:.10g}")
-    else:
-        print("exact_variance: n/a")
-    print(f"asymptotic_variance: {report.asymptotic_variance:.10g}")
-    print(f"crlb_trace: {report.crlb_trace:.10g}")
-    print("fisher:")
-    for row in np.atleast_2d(report.fisher):
-        print("  " + "  ".join(f"{value:.10g}" for value in row))
+    for name in ("theory_exact", "theory_asymptotic", "theory_bound", "crlb_trace"):
+        value = getattr(report, name)
+        print(f"{name}: " + ("n/a" if value is None else "%.10g" % value))
+    if report.fisher is not None:
+        print("fisher:")
+        for row in report.fisher:
+            print("  " + "  ".join(f"{value:.10g}" for value in row))
     if report.bounds:
         print("bounds:")
         for label, value in report.bounds:

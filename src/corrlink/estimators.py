@@ -1,4 +1,4 @@
-"""Every correlation estimator, in batch form for sweeps and single-run form.
+"""Every correlation estimator, in batch form.
 
 Batch functions sample many independent trials at once. They draw the
 selected samples from the exact conditional laws of the selection events
@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, TrialFailureError
+from .errors import ConfigurationError
 from .linalg import singular_value_lower_bound, sym_sqrt
 from .protocol import (
     LedgerMode,
@@ -44,7 +44,6 @@ from .sources import (
     draw_first_crossing,
     normal_from_uniform,
     scan_first_crossing,
-    substream,
 )
 from .statmath import (
     _qinv_unchecked,
@@ -58,7 +57,6 @@ from .statmath import (
 
 __all__ = [
     "TrialBatch",
-    "EstimateReport",
     "threshold_trials",
     "max_trials",
     "yvec_trials",
@@ -72,15 +70,6 @@ __all__ = [
     "additive_trials",
     "linear_baseline_trials",
     "normalize_transform_rows",
-    "estimate_max",
-    "estimate_threshold",
-    "estimate_yvec",
-    "estimate_xvec",
-    "estimate_xvec_unquantized",
-    "estimate_clt",
-    "estimate_pareto_quantized",
-    "estimate_additive_threshold",
-    "estimate_linear_transform_baseline",
     "require_crossable_block",
 ]
 
@@ -99,17 +88,6 @@ class TrialBatch:
     @property
     def n(self) -> int:
         return self.estimates.shape[0]
-
-
-@dataclass(frozen=True)
-class EstimateReport:
-    """One protocol run: the estimate and everything it cost."""
-
-    estimate: np.ndarray
-    bits_expected: float
-    bits_realized: Optional[int]
-    samples_consumed: int
-    seed: int
 
 
 def _threshold_from_budget(k: float) -> tuple[float, float, float]:
@@ -338,14 +316,6 @@ def stopping_matrix_batch(
     return w, gaps
 
 
-def _batch_inverse(w: np.ndarray) -> np.ndarray:
-    inv = np.linalg.inv(w)
-    # One refinement step per matrix; keeps solver bias below Monte Carlo noise.
-    eye = np.eye(w.shape[-1])
-    resid = eye[None, :, :] - np.einsum("nij,njk->nik", w, inv)
-    return inv + np.einsum("nij,njk->nik", inv, resid)
-
-
 def _xvec_selection(model: GaussianXVec, params: StoppingSetParams,
                     rng: np.random.Generator, size: int):
     """Selection matrices, index gaps, and Bob's Y values read at the selected indices."""
@@ -365,7 +335,8 @@ def _xvec_reconstruct(w_used: np.ndarray, y: np.ndarray, recon: np.ndarray):
     # the smallest singular value for every valid parameter set.
     failed = ~(singular_value_lower_bound(w_used) > 0.0)
     safe_w = np.where(failed[:, None, None], np.eye(w_used.shape[-1])[None, :, :], w_used)
-    est = np.einsum("nl,nlk,km->nm", y, _batch_inverse(safe_w), recon)
+    # y W^-1 is the solution x of W^T x = y.
+    est = np.linalg.solve(np.swapaxes(safe_w, -1, -2), y[..., None])[..., 0] @ recon
     return np.where(failed[:, None], np.nan, est), failed
 
 
@@ -524,75 +495,3 @@ def linear_baseline_trials(
         samples=samples,
         failed=np.zeros(size, dtype=bool),
     )
-
-
-# ---------------------------------------------------------------------------
-# Single-run wrappers.
-
-
-def _single(batch_fn, seed: int, *args, **kwargs) -> EstimateReport:
-    rng = substream(seed, 0)
-    batch = batch_fn(*args, rng=rng, size=1, **kwargs)
-    if isinstance(batch, tuple):
-        batch = batch[0]
-    if bool(batch.failed[0]):
-        raise TrialFailureError("the single requested trial failed (degenerate selection)")
-    realized = None if batch.bits_realized is None else int(batch.bits_realized[0])
-    return EstimateReport(
-        estimate=batch.estimates[0],
-        bits_expected=float(batch.bits_expected),
-        bits_realized=realized,
-        samples_consumed=int(batch.samples[0]),
-        seed=seed,
-    )
-
-
-def estimate_max(model: GaussianScalar, k: int, seed: int,
-                 mode: LedgerMode = LedgerMode.EXPECTED) -> EstimateReport:
-    return _single(max_trials, seed, model, k, mode=mode)
-
-
-def estimate_threshold(model: GaussianScalar, k: float, seed: int,
-                       mode: LedgerMode = LedgerMode.EXPECTED) -> EstimateReport:
-    return _single(threshold_trials, seed, model, k, mode=mode)
-
-
-def estimate_yvec(model: GaussianYVec, k: float, seed: int,
-                  mode: LedgerMode = LedgerMode.EXPECTED) -> EstimateReport:
-    return _single(yvec_trials, seed, model, k, mode=mode)
-
-
-def estimate_xvec(model: GaussianXVec, k: float, seed: int, b0: float = 0.3,
-                  mode: LedgerMode = LedgerMode.EXPECTED,
-                  charge_sigma: bool = False) -> EstimateReport:
-    return _single(xvec_trials, seed, model, k, b0=b0, mode=mode, charge_sigma=charge_sigma)
-
-
-def estimate_xvec_unquantized(model: GaussianXVec, k_l: float, seed: int,
-                              b0: float = 0.3,
-                              mode: LedgerMode = LedgerMode.EXPECTED) -> EstimateReport:
-    return _single(xvec_unquantized_trials, seed, model, k_l, b0=b0, mode=mode)
-
-
-def estimate_clt(model, k: float, m: int, seed: int,
-                 mode: LedgerMode = LedgerMode.EXPECTED) -> EstimateReport:
-    blocked = model if isinstance(model, BlockAveraged) else BlockAveraged(inner=model, m=m)
-    if blocked.m != int(m):
-        raise ConfigurationError(f"block size argument {m!r} conflicts with the model's {blocked.m}")
-    return _single(clt_trials, seed, blocked, k, mode=mode)
-
-
-def estimate_pareto_quantized(model: AdditiveNoise, k: float, seed: int,
-                              mode: LedgerMode = LedgerMode.EXPECTED) -> EstimateReport:
-    return _single(pareto_trials, seed, model, k, mode=mode)
-
-
-def estimate_additive_threshold(model: AdditiveNoise, k: float, seed: int,
-                                mode: LedgerMode = LedgerMode.EXPECTED) -> EstimateReport:
-    return _single(additive_trials, seed, model, k, mode=mode)
-
-
-def estimate_linear_transform_baseline(model: GaussianXVec, budgets: tuple[float, float],
-                                       m_transform: np.ndarray, seed: int,
-                                       mode: LedgerMode = LedgerMode.EXPECTED) -> EstimateReport:
-    return _single(linear_baseline_trials, seed, model, budgets, m_transform, mode=mode)

@@ -14,8 +14,9 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -30,8 +31,7 @@ from .estimators import (
     pareto_trials,
     require_crossable_block,
     threshold_trials,
-    xvec_trials,
-    xvec_unquantized_trials,
+    xvec_core_batch,
     yvec_trials,
 )
 from .linalg import CorrelationMatrix
@@ -48,7 +48,7 @@ from .sources import (
     UnitLaplace,
     substream,
 )
-from .statmath import geometric_entropy_inv
+from .statmath import geometric_entropy_inv, inverse_mills
 
 __all__ = [
     "CHUNK_TRIALS",
@@ -131,29 +131,29 @@ class ExperimentConfig:
             raise ConfigurationError(f"trials: must be at least 100, got {self.trials}")
         if not self.grid.get("k"):
             raise ConfigurationError("grid.k: at least one bit budget is required")
-        model_keys, grid_axes = _SCHEME_KEYS[self.scheme]
+        spec = _SCHEMES[self.scheme]
         for key in self.grid:
             if key not in _GRID_KEYS:
                 raise ConfigurationError(f"grid.{key}: unknown grid axis")
-            if key not in grid_axes:
+            if key not in spec.grid_axes:
                 raise ConfigurationError(
                     f"grid.{key}: the {self.scheme} scheme has no such axis "
-                    f"(its axes: {', '.join(grid_axes)})"
+                    f"(its axes: {', '.join(spec.grid_axes)})"
                 )
             if key in self.model:
                 raise ConfigurationError(f"grid.{key}, model.{key}: give one of the two, not both")
         for key in self.model:
-            if key not in model_keys:
+            if key not in spec.model_keys:
                 raise ConfigurationError(
                     f"model.{key}: the {self.scheme} scheme does not read this key "
-                    f"(it reads: {', '.join(model_keys)})"
+                    f"(it reads: {', '.join(spec.model_keys)})"
                 )
         # Every grid point must pass its scheme's preconditions before any
         # trials run; building the runner exercises them.
         cells = []
         for point in self.points():
             try:
-                cells.append(_SCHEMES[self.scheme](self, point))
+                cells.append(spec.build(self, point))
             except (CorrlinkError, ValueError) as exc:
                 raise ConfigurationError(f"grid point {point}: {exc}") from exc
         object.__setattr__(self, "_cells", tuple(cells))
@@ -219,20 +219,37 @@ class ExperimentConfig:
                 axes.append([(key, value) for value in self.grid[key]])
         return [dict(combo) for combo in product(*axes)]
 
+    def reports(self) -> list:
+        """The closed-form analysis.TheoryReport of every grid point, in grid order."""
+        return [theory for _, _, theory in self._cells]
+
 
 # ---------------------------------------------------------------------------
-# Scheme registry. Each builder returns (batch_fn(rng, size) -> TrialBatch,
-# metadata dict with d/k/rho_spec/alpha/m/b0, theory triple).
+# Scheme registry. One record per scheme: the model.* keys it reads, the grid
+# axes it honours, and a builder returning (batch_fn(rng, size) -> TrialBatch,
+# metadata dict with d/k/rho_spec/alpha/m/b0, analysis.TheoryReport). The
+# config rejects any other key or axis, because an ignored key would silently
+# do nothing and an ignored axis would repeat identical cells. Batch functions
+# look their trial function up by name when called.
 
 
-def _model_rho_vector(config: ExperimentConfig, point: dict, d_default: int) -> np.ndarray:
+class _Scheme(NamedTuple):
+    model_keys: tuple
+    grid_axes: tuple
+    build: Callable
+
+
+def _meta(d: int, k: float, rho_spec, alpha=None, m=None, b0=None) -> dict:
+    return {"d": d, "k": k, "rho_spec": tuple(rho_spec), "alpha": alpha, "m": m, "b0": b0}
+
+
+def _model_rho_vector(config: ExperimentConfig, point: dict) -> np.ndarray:
     rho = config.model.get("rho")
     if rho is None:
         if "rho" in point:
             return np.array([point["rho"]])
         raise ConfigurationError("model.rho: required for vector schemes")
-    arr = np.asarray(rho, dtype=float).reshape(-1)
-    return arr
+    return np.asarray(rho, dtype=float).reshape(-1)
 
 
 def _scalar_rho(config: ExperimentConfig, point: dict) -> float:
@@ -247,6 +264,14 @@ def _scalar_rho(config: ExperimentConfig, point: dict) -> float:
     return float(arr[0])
 
 
+def _scalar_report(config: ExperimentConfig, k: float, exact: float, fisher: float,
+                   asymptotic: float, bounds: tuple) -> analysis.TheoryReport:
+    return analysis.TheoryReport(
+        config.scheme, k, theory_exact=exact, theory_asymptotic=asymptotic,
+        crlb_trace=1.0 / fisher, fisher=np.array([[fisher]]), bounds=bounds,
+    )
+
+
 def _build_threshold(config: ExperimentConfig, point: dict):
     rho = _scalar_rho(config, point)
     k = float(point["k"])
@@ -256,10 +281,11 @@ def _build_threshold(config: ExperimentConfig, point: dict):
     def batch_fn(rng, size):
         return threshold_trials(model, k, rng, size, mode=config.mode)
 
-    meta = {"d": 1, "k": k, "rho_spec": (rho,), "alpha": None, "m": None, "b0": None}
-    theory = (analysis.exact_threshold_variance(rho, t),
-              analysis.zhang_berger_optimal(rho, k), None)
-    return batch_fn, meta, theory
+    benchmark = analysis.zhang_berger_optimal(rho, k)
+    theory = _scalar_report(config, k, analysis.exact_threshold_variance(rho, t),
+                            analysis.fisher_threshold(rho, t), benchmark,
+                            (("benchmark-zero-rate", benchmark),))
+    return batch_fn, _meta(1, k, (rho,)), theory
 
 
 def _build_max(config: ExperimentConfig, point: dict):
@@ -273,14 +299,15 @@ def _build_max(config: ExperimentConfig, point: dict):
     def batch_fn(rng, size):
         return max_trials(model, k_int, rng, size, mode=config.mode)
 
-    meta = {"d": 1, "k": float(k_int), "rho_spec": (rho,), "alpha": None, "m": None, "b0": None}
-    theory = (analysis.exact_max_variance(rho, k_int),
-              analysis.zhang_berger_optimal(rho, k_int), None)
-    return batch_fn, meta, theory
+    benchmark = analysis.zhang_berger_optimal(rho, k_int)
+    theory = _scalar_report(config, float(k_int), analysis.exact_max_variance(rho, k_int),
+                            analysis.fisher_max(rho, k_int), benchmark,
+                            (("benchmark-zero-rate", benchmark),))
+    return batch_fn, _meta(1, float(k_int), (rho,)), theory
 
 
 def _build_yvec(config: ExperimentConfig, point: dict):
-    rho = _model_rho_vector(config, point, d_default=2)
+    rho = _model_rho_vector(config, point)
     k = float(point["k"])
     sigma_y = CorrelationMatrix(np.outer(rho, rho) + np.diag(1.0 - rho * rho))
     model = GaussianYVec(rho=rho, sigma_y=sigma_y)
@@ -289,10 +316,15 @@ def _build_yvec(config: ExperimentConfig, point: dict):
     def batch_fn(rng, size):
         return yvec_trials(model, k, rng, size, mode=config.mode)
 
-    meta = {"d": rho.size, "k": k, "rho_spec": tuple(rho), "alpha": None, "m": None, "b0": None}
     asym = float(np.sum(1.0 - rho * rho)) / (2.0 * k * math.log(2.0))
-    theory = (analysis.yvec_sum_mse(rho, t), asym, None)
-    return batch_fn, meta, theory
+    exj2 = 1.0 + t * inverse_mills(t)
+    theory = analysis.TheoryReport(
+        config.scheme, k, theory_exact=analysis.yvec_sum_mse(rho, t), theory_asymptotic=asym,
+        crlb_trace=float(np.trace(analysis.crlb_yvec(rho, sigma_y.values, exj2))),
+        fisher=analysis.fisher_yvec(rho, sigma_y.values, exj2),
+        bounds=(("per-coordinate-benchmark-sum", asym),),
+    )
+    return batch_fn, _meta(rho.size, k, rho), theory
 
 
 def _xvec_model(config: ExperimentConfig, rho: np.ndarray) -> GaussianXVec:
@@ -303,43 +335,41 @@ def _xvec_model(config: ExperimentConfig, rho: np.ndarray) -> GaussianXVec:
     return GaussianXVec(rho=rho, sigma_x=sigma_x)
 
 
-def _build_xvec(config: ExperimentConfig, point: dict):
-    rho = _model_rho_vector(config, point, d_default=2)
+def _build_xvec(config: ExperimentConfig, point: dict, quantize: bool):
+    """``xvec`` splits k between indices and the quantized matrix; ``xvec_exact``
+    spends k on each index and sends the matrix exactly."""
+    rho = _model_rho_vector(config, point)
     k = float(point["k"])
     b0 = float(point.get("b0", config.model.get("b0", 0.3)))
     model = _xvec_model(config, rho)
     d = model.dim
-    params = allocate_bits_xvec(k, d, b0)
-    alpha_exact = analysis.stopping_second_moment(params.a, params.b, d)
-    sigma2 = max(model.noise_var, 1e-300)
+    if quantize:
+        params = allocate_bits_xvec(k, d, b0)
+        bound = ("summed-error-budget-bound", analysis.xvec_mse_bound(rho, d, k))
+    else:
+        params = stopping_params_from_body_budget(k, d, b0)
+        bound = ("trace-budget-bound", analysis.unquantized_xvec_trace_bound(rho, d, k))
 
     def batch_fn(rng, size):
-        return xvec_trials(model, k, rng, size, b0=b0, mode=config.mode)
+        return xvec_core_batch(model, params, rng, size, quantize=quantize, mode=config.mode)
 
-    meta = {"d": d, "k": k, "rho_spec": tuple(rho), "alpha": None, "m": None, "b0": b0}
-    crlb = analysis.crlb_xvec(rho, model.sigma_x.values, alpha_exact, sigma2, d)
-    theory = (None, float(np.trace(crlb)), analysis.xvec_mse_bound(rho, d, k))
-    return batch_fn, meta, theory
-
-
-def _build_xvec_exact(config: ExperimentConfig, point: dict):
-    rho = _model_rho_vector(config, point, d_default=2)
-    k_l = float(point["k"])
-    b0 = float(point.get("b0", config.model.get("b0", 0.3)))
-    model = _xvec_model(config, rho)
-    d = model.dim
-    params = stopping_params_from_body_budget(k_l, d, b0)
-    alpha_exact = analysis.stopping_second_moment(params.a, params.b, d)
+    alpha = analysis.stopping_second_moment(params.a, params.b, d)
     sigma2 = max(model.noise_var, 1e-300)
-
-    def batch_fn(rng, size):
-        return xvec_unquantized_trials(model, k_l, rng, size, b0=b0, mode=config.mode)
-
-    meta = {"d": d, "k": k_l, "rho_spec": tuple(rho), "alpha": None, "m": None, "b0": b0}
-    crlb = analysis.crlb_xvec(rho, model.sigma_x.values, alpha_exact, sigma2, d)
-    theory = (None, float(np.trace(crlb)),
-              analysis.unquantized_xvec_trace_bound(rho, d, k_l))
-    return batch_fn, meta, theory
+    sigma_x = model.sigma_x.values
+    # StoppingSetParams guarantees a > d(b + 1), so the bracket always holds.
+    lower, upper = analysis.stopping_moment_bracket(params.a, params.b, d)
+    bounds = [bound, ("inverse-moment-lower", lower), ("inverse-moment-upper", upper)]
+    if quantize:
+        bounds.append(("quantization-penalty",
+                       analysis.quantization_loss_bound(params.a, params.k_q, d)))
+    bounds.append(("row-second-moment", alpha))
+    crlb_trace = float(np.trace(analysis.crlb_xvec(rho, sigma_x, alpha, sigma2, d)))
+    theory = analysis.TheoryReport(
+        config.scheme, k, theory_asymptotic=crlb_trace, theory_bound=bound[1],
+        crlb_trace=crlb_trace, fisher=analysis.fisher_xvec(rho, sigma_x, alpha, sigma2, d),
+        bounds=tuple(bounds),
+    )
+    return batch_fn, _meta(d, k, rho, b0=b0), theory
 
 
 def _clt_inner(config: ExperimentConfig, point: dict):
@@ -368,10 +398,11 @@ def _build_clt(config: ExperimentConfig, point: dict):
     def batch_fn(rng, size):
         return clt_trials(model, k, rng, size, mode=config.mode)
 
-    meta = {"d": 1, "k": k, "rho_spec": (rho,), "alpha": None, "m": m, "b0": None}
-    theory = (analysis.exact_threshold_variance(rho, t),
-              analysis.zhang_berger_optimal(rho, k), None)
-    return batch_fn, meta, theory
+    exact = analysis.exact_threshold_variance(rho, t)
+    theory = _scalar_report(config, k, exact, analysis.fisher_threshold(rho, t),
+                            analysis.zhang_berger_optimal(rho, k),
+                            (("gaussian-limit-variance", exact),))
+    return batch_fn, _meta(1, k, (rho,), m=m), theory
 
 
 def _build_pareto(config: ExperimentConfig, point: dict):
@@ -383,10 +414,13 @@ def _build_pareto(config: ExperimentConfig, point: dict):
     def batch_fn(rng, size):
         return pareto_trials(model, k, rng, size, mode=config.mode)[0]
 
-    bound, _ = analysis.pareto_theory(alpha, rho, k)
-    meta = {"d": 1, "k": k, "rho_spec": (rho,), "alpha": alpha, "m": None, "b0": None}
-    theory = (None, bound, bound)
-    return batch_fn, meta, theory
+    bound, exponent = analysis.pareto_theory(alpha, rho, k)
+    theory = analysis.TheoryReport(
+        config.scheme, k, theory_asymptotic=bound, theory_bound=bound,
+        bounds=(("budget-exponent", exponent),
+                ("unquantized-floor", analysis.pareto_unquantized_floor(alpha, rho))),
+    )
+    return batch_fn, _meta(1, k, (rho,), alpha=alpha), theory
 
 
 _LAW_FACTORIES = {
@@ -415,21 +449,23 @@ def _build_additive(config: ExperimentConfig, point: dict):
     def batch_fn(rng, size):
         return additive_trials(model, k, rng, size, mode=config.mode)
 
-    alpha_meta = getattr(x_law, "alpha", None)
-    meta = {"d": 1, "k": k, "rho_spec": (rho,), "alpha": alpha_meta, "m": None, "b0": None}
-    exact = analysis.additive_exact_variance(x_law, rho, t)
-    if isinstance(x_law, UnitLaplace):
+    bounds = ()
+    if law_name == "laplace":
         asym = analysis.laplace_theory(rho, k)
-    elif isinstance(x_law, ParetoTwoSided):
+        bounds = (("double-exponential-asymptote", asym),)
+    elif law_name == "pareto":
         asym = analysis.pareto_unquantized_floor(x_law.alpha, rho)
     else:
         asym = analysis.zhang_berger_optimal(rho, k)
-    theory = (exact, asym, None)
-    return batch_fn, meta, theory
+    theory = analysis.TheoryReport(
+        config.scheme, k, theory_exact=analysis.additive_exact_variance(x_law, rho, t),
+        theory_asymptotic=asym, bounds=bounds,
+    )
+    return batch_fn, _meta(1, k, (rho,), alpha=getattr(x_law, "alpha", None)), theory
 
 
 def _build_linear(config: ExperimentConfig, point: dict):
-    rho = _model_rho_vector(config, point, d_default=2)
+    rho = _model_rho_vector(config, point)
     if rho.size != 2:
         raise ConfigurationError("model.rho: the transform baseline needs exactly two correlations")
     k = float(point["k"])
@@ -446,36 +482,25 @@ def _build_linear(config: ExperimentConfig, point: dict):
     def batch_fn(rng, size):
         return linear_baseline_trials(model, budgets, m_transform, rng, size, mode=config.mode)
 
-    meta = {"d": 2, "k": k, "rho_spec": tuple(rho), "alpha": None, "m": None, "b0": None}
-    theory = (analysis.linear_baseline_trace(model, budgets, m_transform), None, None)
-    return batch_fn, meta, theory
+    theory = analysis.TheoryReport(
+        config.scheme, k,
+        theory_exact=analysis.linear_baseline_trace(model, budgets, m_transform),
+    )
+    return batch_fn, _meta(2, k, rho), theory
 
 
-_SCHEMES: dict[str, Callable] = {
-    "threshold": _build_threshold,
-    "max": _build_max,
-    "yvec": _build_yvec,
-    "xvec": _build_xvec,
-    "xvec_exact": _build_xvec_exact,
-    "clt": _build_clt,
-    "pareto": _build_pareto,
-    "additive": _build_additive,
-    "linear": _build_linear,
-}
-
-# The model.* keys each scheme reads and the grid axes it honours; the config
-# rejects any other, because an ignored key would silently do nothing and an
-# ignored axis would repeat identical cells.
-_SCHEME_KEYS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "threshold": (("rho",), ("k", "rho")),
-    "max": (("rho",), ("k", "rho")),
-    "yvec": (("rho",), ("k", "rho")),
-    "xvec": (("rho", "sigma_offdiag", "b0"), ("k", "rho", "b0")),
-    "xvec_exact": (("rho", "sigma_offdiag", "b0"), ("k", "rho", "b0")),
-    "clt": (("rho", "kind", "p", "m"), ("k", "rho", "m")),
-    "pareto": (("rho", "alpha"), ("k", "rho", "alpha")),
-    "additive": (("rho", "x_law", "alpha"), ("k", "rho")),
-    "linear": (("rho", "sigma_offdiag", "transform"), ("k",)),
+_SCHEMES: dict[str, _Scheme] = {
+    "threshold": _Scheme(("rho",), ("k", "rho"), _build_threshold),
+    "max": _Scheme(("rho",), ("k", "rho"), _build_max),
+    "yvec": _Scheme(("rho",), ("k", "rho"), _build_yvec),
+    "xvec": _Scheme(("rho", "sigma_offdiag", "b0"), ("k", "rho", "b0"),
+                    partial(_build_xvec, quantize=True)),
+    "xvec_exact": _Scheme(("rho", "sigma_offdiag", "b0"), ("k", "rho", "b0"),
+                          partial(_build_xvec, quantize=False)),
+    "clt": _Scheme(("rho", "kind", "p", "m"), ("k", "rho", "m"), _build_clt),
+    "pareto": _Scheme(("rho", "alpha"), ("k", "rho", "alpha"), _build_pareto),
+    "additive": _Scheme(("rho", "x_law", "alpha"), ("k", "rho"), _build_additive),
+    "linear": _Scheme(("rho", "sigma_offdiag", "transform"), ("k",), _build_linear),
 }
 
 
@@ -629,7 +654,8 @@ def run_sweep(config: ExperimentConfig, threads: Optional[int] = None) -> list[S
 
             futures = [pool.submit(run_chunk, i, size) for i, size in enumerate(sizes)]
             partials = [f.result() for f in futures]
-            row = _reduce_cell(partials, meta, theory, config.scheme)
+            columns = (theory.theory_exact, theory.theory_asymptotic, theory.theory_bound)
+            row = _reduce_cell(partials, meta, columns, config.scheme)
             if row.failures > 0.10 * row.trials:
                 raise TrialFailureError(
                     f"grid point {meta}: {row.failures} of {row.trials} trials failed "

@@ -13,7 +13,6 @@ from corrlink.analysis import (
     TheoryReport,
     additive_exact_variance,
     binary_example_theory,
-    build_report,
     crlb_xvec,
     crlb_yvec,
     exact_max_variance,
@@ -38,6 +37,7 @@ from corrlink.analysis import (
     zhang_berger_variance,
 )
 from corrlink.errors import ConfigurationError, DomainError
+from corrlink.harness import ExperimentConfig
 from corrlink.linalg import CorrelationMatrix
 from corrlink.sources import GaussianXVec, ParetoTwoSided, StdNormal, UnitLaplace
 from corrlink.statmath import (
@@ -383,68 +383,78 @@ class TestLinearBaselineTrace:
             linear_baseline_trace(model, (20.0, 20.0), np.eye(3))
 
 
+def report(scheme, k, **model):
+    """The theory report of one grid point, assembled by the scheme registry."""
+    raw = {"grid.k": str(k), **{f"model.{key}": str(value) for key, value in model.items()}}
+    return ExperimentConfig.from_mapping(raw, scheme=scheme, trials=100, seed=0).reports()[0]
+
+
 class TestReports:
     def test_threshold_report(self):
-        rep = build_report("threshold", rho=0.5, k=20.0)
+        rep = report("threshold", 20.0, rho=0.5)
         t = threshold_for_budget(20.0)
-        assert rep.exact_variance == pytest.approx(exact_threshold_variance(0.5, t))
+        assert rep.theory_exact == pytest.approx(exact_threshold_variance(0.5, t))
         assert rep.crlb_trace == pytest.approx(1.0 / fisher_threshold(0.5, t))
-        assert rep.exact_variance >= rep.crlb_trace
+        assert rep.theory_exact >= rep.crlb_trace
         assert dict(rep.bounds)["benchmark-zero-rate"] == pytest.approx(
             zhang_berger_optimal(0.5, 20.0)
         )
 
     def test_max_report(self):
-        rep = build_report("max", rho=0.5, k=10)
-        assert rep.exact_variance == pytest.approx(exact_max_variance(0.5, 10))
+        rep = report("max", 10, rho=0.5)
+        assert rep.theory_exact == pytest.approx(exact_max_variance(0.5, 10))
         assert rep.fisher.shape == (1, 1)
 
     def test_yvec_report_with_default_coupling(self):
         rho = np.array([0.7, -0.2])
-        rep = build_report("yvec", rho=rho, k=20.0)
+        rep = report("yvec", 20.0, rho="0.7, -0.2")
         t = threshold_for_budget(20.0)
-        assert rep.exact_variance == pytest.approx(yvec_sum_mse(rho, t))
+        assert rep.theory_exact == pytest.approx(yvec_sum_mse(rho, t))
         assert rep.fisher.shape == (2, 2)
-        assert rep.exact_variance >= rep.crlb_trace
+        assert rep.theory_exact >= rep.crlb_trace
 
     def test_xvec_report(self):
-        rep = build_report("xvec", rho=np.array([0.95, 0.1]), k=400.0)
-        assert rep.exact_variance is None
+        rho = np.array([0.95, 0.1])
+        rep = report("xvec", 400.0, rho="0.95, 0.1")
+        assert rep.theory_exact is None
         assert rep.fisher.shape == (2, 2)
         names = dict(rep.bounds)
         for key in ("summed-error-budget-bound", "inverse-moment-lower",
                     "inverse-moment-upper", "quantization-penalty",
                     "row-second-moment"):
             assert key in names
-        assert names["inverse-moment-lower"] < 1.0 / names["row-second-moment"] \
-            < names["inverse-moment-upper"]
-        smaller = build_report("xvec", rho=np.array([0.95, 0.1]), k=400.0,
-                               alpha=2.0 * names["row-second-moment"])
-        assert smaller.crlb_trace < rep.crlb_trace
+        alpha = names["row-second-moment"]
+        assert names["inverse-moment-lower"] < 1.0 / alpha < names["inverse-moment-upper"]
+        # A larger row second moment can only shrink the bound.
+        sigma2 = 1.0 - float(rho @ rho)
+        traces = [float(np.trace(crlb_xvec(rho, np.eye(2), a, sigma2, 2)))
+                  for a in alpha * np.array([0.5, 1.0, 2.0, 4.0])]
+        assert np.all(np.diff(traces) < 0.0)
+        assert rep.crlb_trace == pytest.approx(traces[1])
 
     def test_clt_report_carries_the_gaussian_limit(self):
-        rep = build_report("clt", rho=0.5, k=20.0)
+        rep = report("clt", 20.0, rho=0.5)
         t = threshold_for_budget(20.0)
         assert dict(rep.bounds)["gaussian-limit-variance"] == pytest.approx(
             exact_threshold_variance(0.5, t)
         )
 
     def test_pareto_report(self):
-        rep = build_report("pareto", alpha=4.0, rho=0.6, k=30.0)
+        rep = report("pareto", 30.0, alpha=4.0, rho=0.6)
         names = dict(rep.bounds)
         assert names["budget-exponent"] == pytest.approx(1.0 / 3.0)
         assert names["unquantized-floor"] == pytest.approx(0.045)
 
     def test_additive_report_defaults_to_laplace(self):
-        rep = build_report("additive", rho=0.5, k=40.0)
-        assert rep.asymptotic_variance == pytest.approx(laplace_theory(0.5, 40.0))
+        rep = report("additive", 40.0, rho=0.5)
+        assert rep.theory_asymptotic == pytest.approx(laplace_theory(0.5, 40.0))
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown scheme"):
-            build_report("bogus", rho=0.5, k=20.0)
+            report("bogus", 20.0, rho=0.5)
 
     def test_report_invariant_rejects_contradictory_values(self):
         with pytest.raises(ConfigurationError, match="fell below"):
-            TheoryReport(scheme="threshold", k=20.0, exact_variance=0.001,
-                         asymptotic_variance=0.01, fisher=np.array([[10.0]]),
+            TheoryReport(scheme="threshold", k=20.0, theory_exact=0.001,
+                         theory_asymptotic=0.01, fisher=np.array([[10.0]]),
                          crlb_trace=0.1)

@@ -1,4 +1,4 @@
-"""Monte Carlo and structural tests for the trial batches and single-run wrappers."""
+"""Monte Carlo and structural tests for the trial batches."""
 
 import math
 import warnings
@@ -20,16 +20,8 @@ from corrlink.analysis import (
 )
 from corrlink.errors import ConfigurationError, TrialFailureError
 from corrlink.estimators import (
-    EstimateReport,
     additive_trials,
     clt_trials,
-    estimate_additive_threshold,
-    estimate_clt,
-    estimate_max,
-    estimate_threshold,
-    estimate_xvec,
-    estimate_xvec_unquantized,
-    estimate_yvec,
     linear_baseline_trials,
     max_trials,
     pareto_trials,
@@ -594,59 +586,3 @@ class TestLinearBaseline:
         with pytest.raises(ConfigurationError, match="two coordinates"):
             linear_baseline_trials(model, (20.0, 20.0), np.eye(3),
                                    substream(SEED, 85), 10)
-
-
-class TestSingleRunWrappers:
-    def test_threshold_report_fields_and_determinism(self):
-        model = GaussianScalar(0.5)
-        a = estimate_threshold(model, 20.0, seed=7)
-        b = estimate_threshold(model, 20.0, seed=7)
-        c = estimate_threshold(model, 20.0, seed=8)
-        assert isinstance(a, EstimateReport)
-        assert a.estimate == pytest.approx(b.estimate)
-        assert a.samples_consumed == b.samples_consumed
-        assert a.estimate[0] != c.estimate[0]
-        assert a.bits_expected == pytest.approx(20.0, abs=1e-6)
-        assert a.bits_realized is None
-        assert a.seed == 7
-
-    def test_realized_mode_reports_integer_bits(self):
-        rep = estimate_threshold(GaussianScalar(0.5), 20.0, seed=3,
-                                 mode=LedgerMode.REALIZED)
-        assert isinstance(rep.bits_realized, int)
-        assert rep.bits_realized >= 1
-
-    def test_max_wrapper(self):
-        rep = estimate_max(GaussianScalar(0.2), 9, seed=11)
-        assert rep.samples_consumed == 512
-        assert rep.bits_expected == 9.0
-
-    def test_yvec_wrapper_shape(self):
-        model = GaussianYVec(rho=np.array([0.6, -0.1]),
-                             sigma_y=CorrelationMatrix.identity(2))
-        rep = estimate_yvec(model, 18.0, seed=4)
-        assert rep.estimate.shape == (2,)
-
-    def test_xvec_wrappers(self):
-        model = GaussianXVec(rho=np.array([0.7, 0.2]),
-                             sigma_x=CorrelationMatrix.identity(2))
-        rep = estimate_xvec(model, 200.0, seed=5)
-        assert rep.estimate.shape == (2,)
-        assert rep.bits_expected == pytest.approx(200.0, abs=1e-6)
-        rep2 = estimate_xvec_unquantized(model, 40.0, seed=5)
-        assert rep2.estimate.shape == (2,)
-        assert rep2.bits_expected == pytest.approx(80.0, abs=1e-6)
-
-    def test_clt_wrapper_wraps_plain_models(self):
-        rep = estimate_clt(DoublySymmetricBinary(0.25), 20.0, m=64, seed=9)
-        assert rep.estimate.shape == (1,)
-
-    def test_clt_wrapper_rejects_conflicting_block_size(self):
-        model = BlockAveraged(DoublySymmetricBinary(0.25), 64)
-        with pytest.raises(ConfigurationError):
-            estimate_clt(model, 20.0, m=32, seed=9)
-
-    def test_additive_wrapper(self):
-        model = AdditiveNoise(rho=0.4, x_law=UnitLaplace(), z_law=StdNormal())
-        rep = estimate_additive_threshold(model, 16.0, seed=2)
-        assert rep.bits_expected == pytest.approx(16.0, abs=1e-6)

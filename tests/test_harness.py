@@ -154,7 +154,8 @@ class TestExperimentConfig:
         def broken(config, point):
             raise TypeError("bug inside the builder")
 
-        monkeypatch.setitem(harness._SCHEMES, "threshold", broken)
+        spec = harness._SCHEMES["threshold"]
+        monkeypatch.setitem(harness._SCHEMES, "threshold", spec._replace(build=broken))
         with pytest.raises(TypeError, match="bug inside the builder"):
             ExperimentConfig.from_text(THRESHOLD_TEXT)
 
@@ -237,14 +238,14 @@ class TestExperimentConfig:
 
 class TestRunSweep:
     def test_each_cell_is_built_once(self, monkeypatch):
-        original = harness._SCHEMES["threshold"]
+        spec = harness._SCHEMES["threshold"]
         calls = []
 
         def counting(config, point):
             calls.append(point)
-            return original(config, point)
+            return spec.build(config, point)
 
-        monkeypatch.setitem(harness._SCHEMES, "threshold", counting)
+        monkeypatch.setitem(harness._SCHEMES, "threshold", spec._replace(build=counting))
         config = ExperimentConfig.from_text(THRESHOLD_TEXT, trials=300)
         assert calls == config.points()
         first = format_csv(run_sweep(config, threads=1))
@@ -310,10 +311,10 @@ class TestRunSweep:
         assert abs(row.mse - row.theory_exact) <= 4.0 * row.mse_se
 
     def test_failure_rate_above_ten_percent_aborts(self, monkeypatch):
-        original = harness._SCHEMES["threshold"]
+        spec = harness._SCHEMES["threshold"]
 
         def flaky(config, point):
-            batch_fn, meta, theory = original(config, point)
+            batch_fn, meta, theory = spec.build(config, point)
 
             def wrapped(rng, size):
                 batch = batch_fn(rng, size)
@@ -327,16 +328,16 @@ class TestRunSweep:
                 )
             return wrapped, meta, theory
 
-        monkeypatch.setitem(harness._SCHEMES, "threshold", flaky)
+        monkeypatch.setitem(harness._SCHEMES, "threshold", spec._replace(build=flaky))
         config = ExperimentConfig.from_text(THRESHOLD_TEXT, trials=1000)
         with pytest.raises(TrialFailureError, match="more than 10%"):
             run_sweep(config, threads=1)
 
     def test_small_failure_rate_is_excluded_from_aggregates(self, monkeypatch):
-        original = harness._SCHEMES["threshold"]
+        spec = harness._SCHEMES["threshold"]
 
         def flaky(config, point):
-            batch_fn, meta, theory = original(config, point)
+            batch_fn, meta, theory = spec.build(config, point)
 
             def wrapped(rng, size):
                 batch = batch_fn(rng, size)
@@ -352,7 +353,7 @@ class TestRunSweep:
                 )
             return wrapped, meta, theory
 
-        monkeypatch.setitem(harness._SCHEMES, "threshold", flaky)
+        monkeypatch.setitem(harness._SCHEMES, "threshold", spec._replace(build=flaky))
         config = ExperimentConfig.from_text(THRESHOLD_TEXT, trials=10_000)
         rows = run_sweep(config, threads=2)
         for row in rows:
@@ -473,16 +474,77 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "scheme: xvec_exact" in out
-        assert f"asymptotic_variance: {row.theory_bound:.10g}" in out
+        assert "theory_exact: n/a" in out
+        assert f"theory_asymptotic: {row.theory_asymptotic:.10g}" in out
+        assert f"theory_bound: {row.theory_bound:.10g}" in out
         assert f"crlb_trace: {row.theory_asymptotic:.10g}" in out
+        assert f"trace-budget-bound: {row.theory_bound:.10g}" in out
+
+    @pytest.mark.parametrize("flags,keys", [
+        (["threshold", "--k", "20", "--rho", "0.5"], "grid.k = 20\ngrid.rho = 0.5"),
+        (["max", "--k", "10", "--rho", "-0.3"], "grid.k = 10\ngrid.rho = -0.3"),
+        (["yvec", "--k", "20", "--rho", "0.7,-0.2"], "grid.k = 20\nmodel.rho = 0.7, -0.2"),
+        (["xvec", "--k", "400", "--rho", "0.95,0.1", "--sigma-offdiag", "0.3"],
+         "grid.k = 400\nmodel.rho = 0.95, 0.1\nmodel.sigma_offdiag = 0.3"),
+        # A degenerate pair: the conditional noise variance is 0.
+        (["xvec", "--k", "60", "--rho", "1.0,0.0"], "grid.k = 60\nmodel.rho = 1.0, 0.0"),
+        (["xvec_exact", "--k", "40", "--rho", "0.3,0.2", "--b0", "0.25"],
+         "grid.k = 40\nmodel.rho = 0.3, 0.2\nmodel.b0 = 0.25"),
+        (["clt", "--k", "20", "--rho", "0.5"], "grid.k = 20\ngrid.rho = 0.5"),
+        (["pareto", "--k", "30", "--rho", "0.6", "--alpha", "4.5"],
+         "grid.k = 30\ngrid.rho = 0.6\ngrid.alpha = 4.5"),
+        (["pareto", "--k", "30", "--rho", "0.6"], "grid.k = 30\ngrid.rho = 0.6"),
+        (["additive", "--k", "20", "--rho", "0.5"], "grid.k = 20\ngrid.rho = 0.5"),
+        (["additive", "--k", "20", "--rho", "0.5", "--x-law", "gaussian"],
+         "grid.k = 20\ngrid.rho = 0.5\nmodel.x_law = gaussian"),
+        (["additive", "--k", "20", "--rho", "0.5", "--x-law", "pareto", "--alpha", "5"],
+         "grid.k = 20\ngrid.rho = 0.5\nmodel.x_law = pareto\nmodel.alpha = 5"),
+        (["linear", "--k", "20", "--rho", "0.5,0.3"], "grid.k = 20\nmodel.rho = 0.5, 0.3"),
+    ])
+    def test_theory_prints_the_sweep_row_columns(self, flags, keys, capsys):
+        text = f"scheme = {flags[0]}\n{keys}\ntrials = 200\nseed = 3"
+        header, line = format_csv(run_sweep(ExperimentConfig.from_text(text), threads=1)) \
+            .splitlines()
+        cells = dict(zip(header.split(","), line.split(",")))
+        assert main(["theory", *flags]) == 0
+        out = capsys.readouterr().out.splitlines()
+        for column in ("theory_exact", "theory_asymptotic", "theory_bound"):
+            assert f"{column}: {cells[column] or 'n/a'}" in out
+
+    @pytest.mark.parametrize("flags,match", [
+        (["threshold", "--alpha", "3"], "model.alpha: the threshold scheme does not read"),
+        (["threshold", "--x-law", "bogus"], "model.x_law: the threshold scheme does not read"),
+        (["threshold", "--b0", "9"], "model.b0: the threshold scheme does not read"),
+        (["yvec", "--sigma-offdiag", "0.2"], "model.sigma_offdiag: the yvec scheme"),
+        (["clt", "--alpha", "3"], "model.alpha: the clt scheme does not read"),
+        (["pareto", "--x-law", "gaussian"], "model.x_law: the pareto scheme does not read"),
+        (["additive", "--alpha", "3"], "model.alpha: only the pareto x_law"),
+        (["xvec", "--x-law", "laplace"], "model.x_law: the xvec scheme does not read"),
+        (["linear", "--b0", "0.3"], "model.b0: the linear scheme does not read"),
+    ])
+    def test_theory_rejects_flags_the_scheme_does_not_read(self, flags, match, capsys):
+        rho = "0.5,0.3" if flags[0] in ("yvec", "xvec", "linear") else "0.5"
+        assert main(["theory", *flags, "--k", "40", "--rho", rho]) == 1
+        assert match in capsys.readouterr().err
 
     def test_theory_rejects_vector_rho_for_scalar_scheme(self, capsys):
         assert main(["theory", "threshold", "--k", "20", "--rho", "0.5,0.2"]) == 1
         assert "single correlation" in capsys.readouterr().err
 
-    def test_theory_pareto_requires_alpha(self, capsys):
-        assert main(["theory", "pareto", "--k", "30", "--rho", "0.6"]) == 1
-        capsys.readouterr()
+    def test_theory_max_rejects_fractional_budget(self, capsys):
+        assert main(["theory", "max", "--k", "10.5", "--rho", "0.5"]) == 1
+        assert "integer budget" in capsys.readouterr().err
+
+    def test_theory_pareto_defaults_alpha_like_run(self, capsys):
+        assert main(["theory", "pareto", "--k", "30", "--rho", "0.6"]) == 0
+        default = capsys.readouterr().out
+        assert main(["theory", "pareto", "--k", "30", "--rho", "0.6", "--alpha", "4"]) == 0
+        assert capsys.readouterr().out == default
+
+    def test_run_unwritable_out_exits_three(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "rows.csv"
+        assert main(["run", self.write_config(tmp_path), "--out", str(out_path)]) == 3
+        assert "cannot write results" in capsys.readouterr().err
 
     def test_selftest_passes(self, capsys):
         code = main(["selftest"])
