@@ -503,8 +503,8 @@ class TestCli:
     ])
     def test_theory_prints_the_sweep_row_columns(self, flags, keys, capsys):
         text = f"scheme = {flags[0]}\n{keys}\ntrials = 200\nseed = 3"
-        header, line = format_csv(run_sweep(ExperimentConfig.from_text(text), threads=1)) \
-            .splitlines()
+        rows = run_sweep(ExperimentConfig.from_text(text), threads=1)
+        header, line = format_csv(rows).splitlines()
         cells = dict(zip(header.split(","), line.split(",")))
         assert main(["theory", *flags]) == 0
         out = capsys.readouterr().out.splitlines()
