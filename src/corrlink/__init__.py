@@ -49,6 +49,7 @@ from .estimators import (
     clt_trials,
     linear_baseline_trials,
     max_trials,
+    pareto_allocation,
     pareto_trials,
     require_crossable_block,
     stopping_matrix_batch,
@@ -147,7 +148,7 @@ __all__ = [
     "TrialBatch", "max_trials", "threshold_trials", "yvec_trials",
     "xvec_trials", "xvec_unquantized_trials", "xvec_paired_batch", "clt_trials",
     "pareto_trials", "additive_trials", "linear_baseline_trials",
-    "stopping_matrix_batch", "require_crossable_block",
+    "stopping_matrix_batch", "require_crossable_block", "pareto_allocation",
     # analysis
     "TheoryReport", "zhang_berger_variance", "zhang_berger_optimal",
     "fisher_scalar_given_x", "fisher_threshold", "fisher_max",

@@ -66,6 +66,7 @@ __all__ = [
     "xvec_unquantized_trials",
     "xvec_paired_batch",
     "clt_trials",
+    "pareto_allocation",
     "pareto_trials",
     "additive_trials",
     "linear_baseline_trials",
@@ -234,11 +235,8 @@ def clt_trials(
     )
 
 
-def pareto_trials(
-    model: AdditiveNoise, k: float, rng: np.random.Generator, size: int,
-    mode: LedgerMode = LedgerMode.EXPECTED,
-) -> tuple[TrialBatch, ParetoAllocation]:
-    """Quantized-value threshold scheme for power-law X: estimate = Y_J / quantized X_J."""
+def pareto_allocation(model: AdditiveNoise, k: float) -> ParetoAllocation:
+    """The quantized heavy-tail scheme's bit split; rejects models and budgets it cannot run."""
     if not isinstance(model, AdditiveNoise) or not isinstance(model.x_law, ParetoTwoSided):
         raise ConfigurationError("the quantized heavy-tail scheme needs a power-law X marginal")
     alpha = model.x_law.alpha
@@ -246,7 +244,15 @@ def pareto_trials(
         raise ConfigurationError(
             f"the quantized scheme's error analysis needs tail exponent > 3, got {alpha!r}"
         )
-    alloc = allocate_bits_pareto(k, alpha)
+    return allocate_bits_pareto(k, alpha)
+
+
+def pareto_trials(
+    model: AdditiveNoise, k: float, rng: np.random.Generator, size: int,
+    mode: LedgerMode = LedgerMode.EXPECTED,
+) -> tuple[TrialBatch, ParetoAllocation]:
+    """Quantized-value threshold scheme for power-law X: estimate = Y_J / quantized X_J."""
+    alloc = pareto_allocation(model, k)
     p = geometric_entropy_inv(alloc.k_l)
     batch = draw_first_crossing(model, alloc.t, rng, size)
     xhat = quantize_pareto_value(batch.x, alloc.t, alloc.u, alloc.k_q)

@@ -12,10 +12,11 @@ from __future__ import annotations
 import io
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import product
+from itertools import islice, product
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -28,6 +29,7 @@ from .estimators import (
     clt_trials,
     linear_baseline_trials,
     max_trials,
+    pareto_allocation,
     pareto_trials,
     require_crossable_block,
     threshold_trials,
@@ -410,6 +412,7 @@ def _build_pareto(config: ExperimentConfig, point: dict):
     k = float(point["k"])
     alpha = float(point.get("alpha", config.model.get("alpha", 4.0)))
     model = AdditiveNoise(rho=rho, x_law=ParetoTwoSided(alpha=alpha), z_law=StdNormal())
+    pareto_allocation(model, k)
 
     def batch_fn(rng, size):
         return pareto_trials(model, k, rng, size, mode=config.mode)[0]
@@ -632,36 +635,59 @@ def _default_threads() -> int:
             return max(1, int(env))
         except ValueError as exc:
             raise ConfigurationError(f"CORRLINK_THREADS: expected an integer, got {env!r}") from exc
-    return max(1, min(os.cpu_count() or 1, 8))
+    try:
+        available = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        available = os.cpu_count() or 1
+    return max(1, min(available, 8))
 
 
 def run_sweep(config: ExperimentConfig, threads: Optional[int] = None) -> list[SweepRow]:
-    """Run every grid point of the sweep; deterministic given the config and seed."""
+    """Run every grid point of the sweep; deterministic given the config and seed.
+
+    Chunks go to the pool in (cell, chunk) order from one flat stream, at
+    most 2 * threads + 1 ahead of the chunk being collected: later cells run
+    while earlier ones are reduced, and the chunks in flight do not grow with
+    the grid. Partials are collected and reduced in the same order. The first
+    failing cell in grid order raises once the chunks still queued are
+    cancelled; what later chunks already computed is dropped.
+    """
     if threads is None:
         threads = _default_threads()
     if threads < 1:
         raise ConfigurationError(f"threads: must be at least 1, got {threads}")
+    sizes = [CHUNK_TRIALS] * (config.trials // CHUNK_TRIALS)
+    if config.trials % CHUNK_TRIALS:
+        sizes.append(config.trials % CHUNK_TRIALS)
+
+    def run_chunk(batch_fn, key: int, size: int) -> dict:
+        return _chunk_partial(batch_fn(substream(config.seed, key), size))
+
+    jobs = ((batch_fn, (cell << 40) | chunk, size)
+            for cell, (batch_fn, _, _) in enumerate(config._cells)
+            for chunk, size in enumerate(sizes))
+    lookahead = 2 * threads + 1
+    pending: deque = deque()
     rows: list[SweepRow] = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for cell_idx, (batch_fn, meta, theory) in enumerate(config._cells):
-            sizes = [CHUNK_TRIALS] * (config.trials // CHUNK_TRIALS)
-            if config.trials % CHUNK_TRIALS:
-                sizes.append(config.trials % CHUNK_TRIALS)
-
-            def run_chunk(chunk_idx: int, size: int, fn=batch_fn, cell=cell_idx) -> dict:
-                rng = substream(config.seed, (cell << 40) | chunk_idx)
-                return _chunk_partial(fn(rng, size))
-
-            futures = [pool.submit(run_chunk, i, size) for i, size in enumerate(sizes)]
-            partials = [f.result() for f in futures]
-            columns = (theory.theory_exact, theory.theory_asymptotic, theory.theory_bound)
-            row = _reduce_cell(partials, meta, columns, config.scheme)
-            if row.failures > 0.10 * row.trials:
-                raise TrialFailureError(
-                    f"grid point {meta}: {row.failures} of {row.trials} trials failed "
-                    "(more than 10%)"
-                )
-            rows.append(row)
+        try:
+            for _, meta, theory in config._cells:
+                partials = []
+                for _ in sizes:
+                    for job in islice(jobs, lookahead - len(pending)):
+                        pending.append(pool.submit(run_chunk, *job))
+                    partials.append(pending.popleft().result())
+                columns = (theory.theory_exact, theory.theory_asymptotic, theory.theory_bound)
+                row = _reduce_cell(partials, meta, columns, config.scheme)
+                if row.failures > 0.10 * row.trials:
+                    raise TrialFailureError(
+                        f"grid point {meta}: {row.failures} of {row.trials} trials failed "
+                        "(more than 10%)"
+                    )
+                rows.append(row)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     return rows
 
 

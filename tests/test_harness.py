@@ -1,7 +1,12 @@
 """Config parsing, sweep determinism, aggregation, CSV output, and the CLI."""
 
+import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +33,7 @@ from corrlink.harness import (
     run_sweep,
 )
 from corrlink.protocol import LedgerMode
+from corrlink.sources import substream
 from corrlink.statmath import geometric_entropy_inv
 
 THRESHOLD_TEXT = """
@@ -228,6 +234,18 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError, match=match):
             ExperimentConfig.from_text(text)
 
+    @pytest.mark.parametrize("text,match", [
+        ("scheme = pareto\ngrid.k = 40\ngrid.rho = 0.5\ngrid.alpha = 4, 2.5\n"
+         "trials = 200\nseed = 1",
+         r"grid point \{'k': 40.0, 'rho': 0.5, 'alpha': 2.5\}: .*tail exponent > 3"),
+        ("scheme = pareto\ngrid.k = 3, 40\ngrid.rho = 0.5\nmodel.alpha = 4\n"
+         "trials = 200\nseed = 1",
+         r"grid point \{'k': 3.0, 'rho': 0.5\}: index budget 2.000 bits is too small"),
+    ])
+    def test_pareto_points_the_trials_cannot_run_are_rejected(self, text, match):
+        with pytest.raises(ConfigurationError, match=match):
+            ExperimentConfig.from_text(text)
+
     def test_readme_example_configs_parse(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
         blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
@@ -365,6 +383,121 @@ class TestRunSweep:
         config = ExperimentConfig.from_text(THRESHOLD_TEXT, trials=200)
         with pytest.raises(ConfigurationError, match="threads"):
             run_sweep(config, threads=0)
+
+
+class TestDefaultThreads:
+    @pytest.fixture(autouse=True)
+    def no_override(self, monkeypatch):
+        monkeypatch.delenv("CORRLINK_THREADS", raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+
+    def test_counts_the_cpus_in_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                            raising=False)
+        assert harness._default_threads() == 3
+
+    def test_caps_at_eight(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(32)),
+                            raising=False)
+        assert harness._default_threads() == 8
+
+    @pytest.mark.parametrize("cpus,expected", [(5, 5), (None, 1)])
+    def test_falls_back_to_cpu_count_without_affinity(self, monkeypatch, cpus, expected):
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        assert harness._default_threads() == expected
+
+    def test_environment_overrides_the_mask_and_the_cap(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setenv("CORRLINK_THREADS", "12")
+        assert harness._default_threads() == 12
+        monkeypatch.setenv("CORRLINK_THREADS", "many")
+        with pytest.raises(ConfigurationError, match="CORRLINK_THREADS"):
+            harness._default_threads()
+
+
+# Six cells of four chunks each (1000, 1000, 1000, 500) once CHUNK_TRIALS is 1000.
+PIPELINE_TEXT = ("scheme = threshold\ngrid.k = 6, 10\ngrid.rho = 0, 0.3, 0.6\n"
+                 "trials = 3500\nseed = 11\n")
+PIPELINE_CHUNKS = 4
+
+
+class TestChunkPipeline:
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(harness, "CHUNK_TRIALS", 1000)
+
+    def flaky(self, monkeypatch, calls, raising_cell=None, hold=None):
+        """Cell 0 fails 20% of its trials; ``raising_cell``'s chunks raise.
+
+        Every chunk call is appended to ``calls`` when it starts. With a
+        ``hold`` event, cell 1's chunks then wait for it (at most 1 s).
+        """
+        spec = harness._SCHEMES["threshold"]
+
+        def build(config, point):
+            batch_fn, meta, theory = spec.build(config, point)
+            cell = config.points().index(point)
+
+            def wrapped(rng, size):
+                calls.append(cell)
+                if hold is not None and cell == 1:
+                    hold.wait(timeout=1.0)
+                if cell == raising_cell:
+                    raise RuntimeError(f"chunk of cell {cell} broke")
+                batch = batch_fn(rng, size)
+                if cell != 0:
+                    return batch
+                failed = batch.failed.copy()
+                failed[: size // 5] = True
+                return dataclasses.replace(batch, failed=failed)
+            return wrapped, meta, theory
+
+        monkeypatch.setitem(harness._SCHEMES, "threshold", spec._replace(build=build))
+        return ExperimentConfig.from_text(PIPELINE_TEXT)
+
+    def test_bytes_match_a_serial_reduction_at_every_thread_count(self):
+        config = ExperimentConfig.from_text(PIPELINE_TEXT)
+        assert len(config.points()) >= 6
+        sizes = [1000, 1000, 1000, 500]
+        serial = []
+        for cell, (batch_fn, meta, theory) in enumerate(config._cells):
+            partials = [
+                harness._chunk_partial(batch_fn(substream(config.seed, (cell << 40) | c), n))
+                for c, n in enumerate(sizes)
+            ]
+            columns = (theory.theory_exact, theory.theory_asymptotic, theory.theory_bound)
+            serial.append(harness._reduce_cell(partials, meta, columns, config.scheme))
+        expected = format_csv(serial)
+        for threads in (1, 2, 3, 8):
+            assert format_csv(run_sweep(config, threads=threads)) == expected
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_first_failing_cell_in_grid_order_raises(self, monkeypatch, threads):
+        config = self.flaky(monkeypatch, [], raising_cell=1)
+        with pytest.raises(TrialFailureError,
+                           match=r"'k': 6.0, 'rho_spec': \(0.0,\).*more than 10%"):
+            run_sweep(config, threads=threads)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_abort_starts_at_most_the_lookahead_beyond_the_failing_cell(self, monkeypatch,
+                                                                        threads):
+        calls = []
+        config = self.flaky(monkeypatch, calls)
+        with pytest.raises(TrialFailureError, match="more than 10%"):
+            run_sweep(config, threads=threads)
+        assert calls.count(0) == PIPELINE_CHUNKS
+        assert len(calls) <= PIPELINE_CHUNKS + 2 * threads + 1
+
+    def test_abort_cancels_the_queued_chunks(self, monkeypatch):
+        # One worker. If it reaches cell 1's first chunk before the abort,
+        # the never-set event holds it there for 1 s, long past the abort:
+        # the two chunks queued behind it must never start.
+        calls = []
+        config = self.flaky(monkeypatch, calls, hold=threading.Event())
+        with pytest.raises(TrialFailureError, match="more than 10%"):
+            run_sweep(config, threads=1)
+        assert calls in ([0] * PIPELINE_CHUNKS, [0] * PIPELINE_CHUNKS + [1])
 
 
 class TestCsvOutput:
@@ -534,6 +667,24 @@ class TestCli:
     def test_theory_max_rejects_fractional_budget(self, capsys):
         assert main(["theory", "max", "--k", "10.5", "--rho", "0.5"]) == 1
         assert "integer budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,match", [
+        (["--alpha", "2.5", "--k", "40"], "tail exponent > 3"),
+        (["--k", "3"], "index budget 2.000 bits is too small"),
+    ])
+    def test_theory_pareto_rejects_points_the_trials_cannot_run(self, flags, match, capsys):
+        assert main(["theory", "pareto", "--rho", "0.5", *flags]) == 1
+        assert match in capsys.readouterr().err
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "corrlink", "theory", "threshold", "--k", "10", "--rho", "0.5"],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "theory_exact" in proc.stdout
 
     def test_theory_pareto_defaults_alpha_like_run(self, capsys):
         assert main(["theory", "pareto", "--k", "30", "--rho", "0.6"]) == 0
