@@ -23,6 +23,10 @@ CONFIGS = {
     "yvec": "scheme = yvec\nmodel.rho = 0.5, 0.2\ngrid.k = 10, 20\n",
     "xvec": "scheme = xvec\nmodel.rho = 0.3, 0.2\nmodel.sigma_offdiag = 0.2\ngrid.k = 40, 60\n",
     "xvec_exact": "scheme = xvec_exact\nmodel.rho = 0.3, 0.2\ngrid.k = 20, 40\n",
+    "xvec_d4": "scheme = xvec\nmodel.rho = 0.3, 0.2, 0.1, 0.4\nmodel.sigma_offdiag = 0.1\n"
+               "grid.k = 160, 240\n",
+    "xvec_exact_d3": "scheme = xvec_exact\nmodel.rho = 0.3, 0.2, 0.4\nmodel.sigma_offdiag = 0.2\n"
+                     "grid.k = 20, 40\n",
     "clt": "scheme = clt\ngrid.k = 10\ngrid.m = 4, 16\ngrid.rho = 0.5\n",
     "clt_binary": "scheme = clt\nmodel.kind = binary\nmodel.p = 0.25\ngrid.k = 10\n"
                   "grid.m = 16, 64\n",
