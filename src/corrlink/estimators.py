@@ -304,21 +304,28 @@ def stopping_matrix_batch(
         raise ConfigurationError(f"stopping-set crossing probability {p!r} outside (0, 1)")
     q_a = float(qfunc(a))
     q_b = float(qfunc(b))
-    w = np.empty((size, d, d))
     # Strong diagonal: random sign, magnitude conditioned beyond a.
-    signs = np.where(_open_uniform(rng, (size, d)) < 0.5, -1.0, 1.0)
-    mags = _qinv_unchecked(_open_uniform(rng, (size, d)) * q_a)
-    # Weak off-diagonals: normal truncated to (-b, b) via its probability band.
+    signs = _open_uniform(rng, (size, d))
+    mags = _open_uniform(rng, (size, d))
+    mags *= q_a
+    _qinv_unchecked(mags, out=mags)
+    # Weak off-diagonals: normal truncated to (-b, b) via its probability
+    # band, drawn straight into the stack and transformed in place.
+    w = np.empty((size, d, d))
     if d > 1:
-        u_off = _open_uniform(rng, (size, d, d))
-        band = q_b + u_off * (1.0 - 2.0 * q_b)
-        off = _qinv_unchecked(band)
-    for ell in range(d):
-        if d > 1:
-            w[:, :, ell] = off[:, :, ell]
-        w[:, ell, ell] = signs[:, ell] * mags[:, ell]
+        _open_uniform(rng, out=w)
+        w *= 1.0 - 2.0 * q_b
+        w += q_b
+        _qinv_unchecked(w, out=w)
+    # Sign from u < 0.5, as u - 0.5 is negative exactly when u < 0.5.
+    signs -= 0.5
+    np.copysign(mags, signs, out=np.einsum("nii->ni", w))
+    del signs, mags
     u_gap = _open_uniform(rng, (size, d))
-    gaps = np.maximum(np.ceil(np.log(u_gap) / math.log1p(-p)), 1.0)
+    np.log(u_gap, out=u_gap)
+    u_gap /= math.log1p(-p)
+    np.ceil(u_gap, out=u_gap)
+    gaps = np.maximum(u_gap, 1.0, out=u_gap)
     return w, gaps
 
 
@@ -329,9 +336,10 @@ def _xvec_selection(model: GaussianXVec, params: StoppingSetParams,
     if params.d != d:
         raise ConfigurationError(f"params dimension {params.d} does not match model {d}")
     w, gaps = stopping_matrix_batch(d, params.a, params.b, rng, size)
-    sigma = math.sqrt(model.noise_var)
     z = normal_from_uniform(rng, (size, d))
-    y = np.einsum("j,njl->nl", model.whitened_rho, w) + sigma * z
+    z *= math.sqrt(model.noise_var)
+    y = np.einsum("j,njl->nl", model.whitened_rho, w)
+    y += z
     return w, gaps, y
 
 
@@ -340,10 +348,14 @@ def _xvec_reconstruct(w_used: np.ndarray, y: np.ndarray, recon: np.ndarray):
     # Deterministic screen: diagonal dominance gives a positive lower bound on
     # the smallest singular value for every valid parameter set.
     failed = ~(singular_value_lower_bound(w_used) > 0.0)
-    safe_w = np.where(failed[:, None, None], np.eye(w_used.shape[-1])[None, :, :], w_used)
+    any_failed = bool(failed.any())
+    if any_failed:
+        w_used = np.where(failed[:, None, None], np.eye(w_used.shape[-1])[None, :, :], w_used)
     # y W^-1 is the solution x of W^T x = y.
-    est = np.linalg.solve(np.swapaxes(safe_w, -1, -2), y[..., None])[..., 0] @ recon
-    return np.where(failed[:, None], np.nan, est), failed
+    est = np.linalg.solve(np.swapaxes(w_used, -1, -2), y[..., None])[..., 0] @ recon
+    if any_failed:
+        est[failed] = np.nan
+    return est, failed
 
 
 def xvec_core_batch(
@@ -364,9 +376,11 @@ def xvec_core_batch(
     if mode is LedgerMode.REALIZED:
         m_code = golomb_parameter(params.crossing_prob)
         realized = golomb_length_array(gaps.reshape(-1), m_code).reshape(size, d).sum(axis=1)
+    samples = gaps.sum(axis=1)
+    del gaps
     if quantize:
-        q = quantize_W_matrix(w, params)
-        w = q.values
+        # y is formed, so the exact selection matrices are no longer needed.
+        q = quantize_W_matrix(w, params, out=w)
         bits_expected += q.bits_expected
         if realized is not None:
             realized = realized + q.bits_realized
@@ -385,7 +399,7 @@ def xvec_core_batch(
         truth=model.true_correlations(),
         bits_expected=bits_expected,
         bits_realized=realized,
-        samples=gaps.sum(axis=1),
+        samples=samples,
         failed=failed,
     )
 

@@ -131,6 +131,9 @@ class ExperimentConfig:
             raise ConfigurationError(f"scheme: unknown scheme {self.scheme!r} (known: {known})")
         if self.trials < 100:
             raise ConfigurationError(f"trials: must be at least 100, got {self.trials}")
+        # Philox keys are 64-bit: any other seed would alias one of these.
+        if not 0 <= self.seed < 2**64:
+            raise ConfigurationError(f"seed: must lie in [0, 2^64), got {self.seed}")
         if not self.grid.get("k"):
             raise ConfigurationError("grid.k: at least one bit budget is required")
         spec = _SCHEMES[self.scheme]
@@ -144,6 +147,11 @@ class ExperimentConfig:
                 )
             if key in self.model:
                 raise ConfigurationError(f"grid.{key}, model.{key}: give one of the two, not both")
+            if len(set(self.grid[key])) != len(self.grid[key]):
+                raise ConfigurationError(
+                    f"grid.{key}: repeated value in {list(self.grid[key])}; each cell "
+                    f"would run again on another substream"
+                )
         for key in self.model:
             if key not in spec.model_keys:
                 raise ConfigurationError(
@@ -545,14 +553,15 @@ class SweepRow:
 
 
 def _chunk_partial(batch: TrialBatch) -> dict:
-    ok = ~batch.failed
-    err = batch.estimates[ok] - batch.truth[None, :]
+    fail = int(np.count_nonzero(batch.failed))
+    estimates = batch.estimates[~batch.failed] if fail else batch.estimates
+    err = estimates - batch.truth[None, :]
     row_sum = err.sum(axis=1)
     e2 = err * err
     norm2 = e2.sum(axis=1)
     partial = {
         "n": int(batch.failed.shape[0]),
-        "fail": int(np.count_nonzero(batch.failed)),
+        "fail": fail,
         "s1": err.sum(axis=0),
         "s2": e2.sum(axis=0),
         "s3": (e2 * err).sum(axis=0),

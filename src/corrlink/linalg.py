@@ -134,9 +134,24 @@ def singular_value_lower_bound(m: np.ndarray):
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ConfigurationError(f"bound needs square matrices, got shape {m.shape}")
-    absm = np.abs(m)
-    diag = np.diagonal(absm, axis1=-2, axis2=-1)
-    row_off = absm.sum(axis=-1) - diag
-    col_off = absm.sum(axis=-2) - diag
-    bound = (diag - 0.5 * (row_off + col_off)).min(axis=-1)
+    # |m| is taken one row slab (..., d) at a time rather than for the whole
+    # stack. Summing rows in order as whole slabs, and each slab over its last
+    # axis, repeats np.abs(m).sum(axis=-2) and .sum(axis=-1) bit for bit.
+    d = m.shape[-1]
+    slab = np.empty(m.shape[:-1])
+    col_off = np.abs(m[..., 0, :])
+    for i in range(1, d):
+        col_off += np.abs(m[..., i, :], out=slab)
+    # Column i of col_off becomes row i's bound term once its sum is used.
+    for i in range(d):
+        np.abs(m[..., i, :], out=slab)
+        diag = slab[..., i]
+        row_off = slab.sum(axis=-1)
+        row_off -= diag
+        col_i = col_off[..., i]
+        col_i -= diag
+        row_off += col_i
+        row_off *= 0.5
+        np.subtract(diag, row_off, out=col_i)
+    bound = col_off.min(axis=-1)
     return float(bound) if bound.ndim == 0 else bound

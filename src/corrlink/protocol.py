@@ -427,39 +427,59 @@ def _cell_count(k_q: float) -> int:
     return max(cells, 2)
 
 
-def quantize_W_matrix(w: np.ndarray, params: StoppingSetParams) -> QuantizedPayload:
+def quantize_W_matrix(
+    w: np.ndarray, params: StoppingSetParams, out: Optional[np.ndarray] = None
+) -> QuantizedPayload:
     """Midpoint-quantize a selection matrix, or a stack of shape (..., d, d), for transmission.
 
     Diagonal entries keep their sign; magnitudes are clamped to
     [a, sqrt(3) a] and quantized on that doubled segment. Off-diagonal
     entries are quantized on [-b, b]. Each matrix is charged d^2 k_q
     expected bits; its realized cost is one fixed-length codeword over the
-    product alphabet.
+    product alphabet. The values are written to ``out`` (which may be ``w``
+    itself) or to a new array.
     """
     w = np.asarray(w, dtype=float)
     d = params.d
     if w.shape[-2:] != (d, d):
         raise ConfigurationError(f"selection matrix must be {d}x{d}, got {w.shape}")
+    if out is None:
+        out = np.empty_like(w)
     expected = d * d * params.k_q
     if params.k_q > 52:
         # Alphabet finer than float64 spacing; quantization is the identity.
-        return QuantizedPayload(w.copy(), expected, int(math.ceil(expected)))
+        out[...] = w
+        return QuantizedPayload(out, expected, int(math.ceil(expected)))
     cells = _cell_count(params.k_q)
     half = cells // 2
     a = params.a
     step_diag = (_SQRT3 * a - a) / half
-    out = np.empty_like(w)
-    eye = np.eye(d, dtype=bool)
-    diag = w[..., eye]
-    idx = np.clip(np.floor((np.abs(diag) - a) / step_diag), 0, half - 1)
-    out[..., eye] = np.sign(diag) * (a + (idx + 0.5) * step_diag)
+    # The diagonal is read into (..., d) arrays before ``out`` overwrites it.
+    diag = np.diagonal(w, axis1=-2, axis2=-1)
+    mag = np.abs(diag)
+    mag -= a
+    mag /= step_diag
+    np.floor(mag, out=mag)
+    np.clip(mag, 0, half - 1, out=mag)
+    mag += 0.5
+    mag *= step_diag
+    mag += a
+    mag *= np.sign(diag)
+    # Every entry goes through the off-diagonal map; the diagonal is then
+    # overwritten with its own values.
     if params.b > 0.0:
         step_off = 2.0 * params.b / cells
-        vals = np.clip(w[..., ~eye], -params.b, params.b)
-        oidx = np.clip(np.floor((vals + params.b) / step_off), 0, cells - 1)
-        out[..., ~eye] = -params.b + (oidx + 0.5) * step_off
+        np.clip(w, -params.b, params.b, out=out)
+        out += params.b
+        out /= step_off
+        np.floor(out, out=out)
+        np.clip(out, 0, cells - 1, out=out)
+        out += 0.5
+        out *= step_off
+        out -= params.b
     else:
-        out[..., ~eye] = 0.0
+        out.fill(0.0)
+    np.einsum("...ii->...i", out)[...] = mag
     realized = int(math.ceil(d * d * math.log2(cells)))
     return QuantizedPayload(out, expected, max(realized, 1))
 

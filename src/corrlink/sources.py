@@ -69,10 +69,11 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _open_uniform(rng: np.random.Generator, size) -> np.ndarray:
-    u = rng.random(size)
+def _open_uniform(rng: np.random.Generator, size=None, out=None) -> np.ndarray:
+    u = rng.random(size, out=out)
     # rng.random can return exactly 0; the quantile transforms need (0, 1).
-    return np.where(u == 0.0, _MIN_UNIFORM, u)
+    # Its draws are multiples of 2^-53, so the clamp moves only exact zeros.
+    return np.maximum(u, _MIN_UNIFORM, out=u)
 
 
 def normal_from_uniform(rng: np.random.Generator, size) -> np.ndarray:

@@ -67,9 +67,14 @@ def qfunc(x):
     return float(out) if out.ndim == 0 else out
 
 
-def _qinv_unchecked(p):
-    # Hot path used by the samplers; caller guarantees p in (0, 1).
-    return _SQRT2 * special.erfcinv(2.0 * np.asarray(p, dtype=float))
+def _qinv_unchecked(p, out=None):
+    # Hot path used by the samplers; caller guarantees p in (0, 1). Works in
+    # one array (``out``, which may be ``p``) rather than three temporaries.
+    out = np.multiply(p, 2.0, out=out, dtype=float)
+    if out.ndim == 0:
+        return _SQRT2 * special.erfcinv(out)
+    special.erfcinv(out, out=out)
+    return np.multiply(out, _SQRT2, out=out)
 
 
 def qfunc_inv(p):

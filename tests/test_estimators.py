@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from corrlink.analysis import (
     additive_exact_variance,
@@ -438,6 +438,39 @@ class TestStoppingMatrixBatch:
         alpha = stopping_second_moment(self.A, self.B, self.D)
         assert lo < 1.0 / alpha < hi
 
+    @staticmethod
+    def reference(d, a, b, rng, size):
+        """Whole-array form of the sampler: same draws, same arithmetic, new arrays."""
+        from corrlink.statmath import qfunc
+
+        p = 2.0 * float(qfunc(a)) * (1.0 - 2.0 * float(qfunc(b))) ** (d - 1)
+        q_a, q_b = float(qfunc(a)), float(qfunc(b))
+
+        def open_uniform(shape):
+            u = rng.random(shape)
+            return np.where(u == 0.0, 2.0**-53, u)
+
+        def qinv(x):
+            return math.sqrt(2.0) * special.erfcinv(2.0 * x)
+
+        w = np.empty((size, d, d))
+        signs = np.where(open_uniform((size, d)) < 0.5, -1.0, 1.0)
+        mags = qinv(open_uniform((size, d)) * q_a)
+        if d > 1:
+            w[...] = qinv(q_b + open_uniform((size, d, d)) * (1.0 - 2.0 * q_b))
+        for ell in range(d):
+            w[:, ell, ell] = signs[:, ell] * mags[:, ell]
+        gaps = np.maximum(np.ceil(np.log(open_uniform((size, d))) / math.log1p(-p)), 1.0)
+        return w, gaps
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_whole_array_reference(self, d):
+        a, b = d * 1.3 + 1.0, 0.3
+        w, gaps = stopping_matrix_batch(d, a, b, substream(SEED, 63), 5_000)
+        w_ref, gaps_ref = self.reference(d, a, b, substream(SEED, 63), 5_000)
+        np.testing.assert_array_equal(w.view(np.uint64), w_ref.view(np.uint64))
+        np.testing.assert_array_equal(gaps, gaps_ref)
+
     def test_matches_scalar_quantizer(self):
         params = StoppingSetParams(a=self.A, b=self.B, d=self.D, k_l=20.0, k_q=6.0)
         w, _ = self.draw(200, idx=62)
@@ -529,6 +562,40 @@ class TestXVecTrials:
         inv = inv + inv @ (np.eye(d) - w @ inv)
         expected = np.einsum("nl,nlk,km->nm", y, inv, recon)
         np.testing.assert_allclose(est, expected, rtol=0.0, atol=1e-12)
+
+    def test_reconstruction_marks_screen_failures(self):
+        from corrlink.estimators import _xvec_reconstruct
+
+        d = 3
+        params = StoppingSetParams(a=d * 1.3 + 1.0, b=0.3, d=d, k_l=20.0, k_q=3.0)
+        w, _ = stopping_matrix_batch(d, params.a, params.b, substream(SEED, 97), 500)
+        w[[3, 40, 41]] = 0.5  # all-equal entries: no diagonal dominance
+        before = w.copy()
+        y = substream(SEED, 98).standard_normal((w.shape[0], d))
+        recon = sym_sqrt(CorrelationMatrix.equicorrelated(d, 0.4).values)
+        est, failed = _xvec_reconstruct(w, y, recon)
+        np.testing.assert_array_equal(w, before)
+        np.testing.assert_array_equal(np.flatnonzero(failed), [3, 40, 41])
+        assert np.isnan(est[failed]).all()
+        ok_est, ok_failed = _xvec_reconstruct(w[~failed], y[~failed], recon)
+        assert not ok_failed.any()
+        np.testing.assert_array_equal(est[~failed], ok_est)
+
+    def test_paired_branches_match_core_batches(self):
+        # The core batch quantizes its own stack in place; the paired batch
+        # quantizes a copy and keeps the exact stack for its second branch.
+        from corrlink.estimators import xvec_core_batch
+
+        model = GaussianXVec(rho=np.array([0.3, 0.2, 0.4]),
+                             sigma_x=CorrelationMatrix.equicorrelated(3, 0.2))
+        params = StoppingSetParams(a=6.0, b=0.5, d=3, k_l=30.0, k_q=3.0)
+        paired = xvec_paired_batch(model, params, substream(SEED, 79), 3_000)
+        for pair, quantize in zip(paired, (True, False)):
+            core = xvec_core_batch(model, params, substream(SEED, 79), 3_000, quantize=quantize)
+            np.testing.assert_array_equal(pair.estimates, core.estimates)
+            np.testing.assert_array_equal(pair.samples, core.samples)
+            np.testing.assert_array_equal(pair.failed, core.failed)
+            assert pair.bits_expected == core.bits_expected
 
     def test_tiny_body_budget_is_rejected(self):
         with pytest.raises(ConfigurationError, match="no valid strong bound"):

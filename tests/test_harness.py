@@ -246,6 +246,30 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError, match=match):
             ExperimentConfig.from_text(text)
 
+    @pytest.mark.parametrize("text,match", [
+        (THRESHOLD_TEXT.replace("grid.k = 10, 20", "grid.k = 10, 10"), r"grid\.k: repeated value"),
+        (THRESHOLD_TEXT.replace("grid.rho = 0.5", "grid.rho = 0.5, 0.2, 0.50"),
+         r"grid\.rho: repeated value"),
+        ("scheme = xvec\nmodel.rho = 0.3, 0.2\ngrid.k = 40\ngrid.b0 = 0.3, 0.2, 0.3\n"
+         "trials = 200\nseed = 1", r"grid\.b0: repeated value"),
+    ])
+    def test_repeated_grid_values_are_rejected(self, text, match):
+        with pytest.raises(ConfigurationError, match=match):
+            ExperimentConfig.from_text(text)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, -(2**63)])
+    def test_seeds_outside_the_key_range_are_rejected(self, seed):
+        text = THRESHOLD_TEXT.replace("seed = 42", f"seed = {seed}")
+        with pytest.raises(ConfigurationError, match=r"seed: must lie in \[0, 2\^64\)"):
+            ExperimentConfig.from_text(text)
+        with pytest.raises(ConfigurationError, match="seed: must lie"):
+            ExperimentConfig.from_text(THRESHOLD_TEXT, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_ends_are_accepted(self, seed):
+        text = THRESHOLD_TEXT.replace("seed = 42", f"seed = {seed}")
+        assert ExperimentConfig.from_text(text).seed == seed
+
     def test_readme_example_configs_parse(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
         blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
@@ -255,6 +279,25 @@ class TestExperimentConfig:
 
 
 class TestRunSweep:
+    def test_xvec_d4_chunk_working_set(self):
+        # One full d = 4 chunk holds a single 16,384 x 4 x 4 stack (2 MiB);
+        # everything else it allocates is (trials, d) or smaller.
+        import tracemalloc
+
+        config = ExperimentConfig.from_text(
+            "scheme = xvec\ngrid.k = 160\nmodel.rho = 0.3, 0.2, 0.1, 0.4\n"
+            f"trials = {CHUNK_TRIALS}\nseed = 1\n"
+        )
+        batch_fn = config._cells[0][0]
+        harness._chunk_partial(batch_fn(substream(1, 0), CHUNK_TRIALS))  # warm caches
+        tracemalloc.start()
+        try:
+            harness._chunk_partial(batch_fn(substream(1, 0), CHUNK_TRIALS))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
     def test_each_cell_is_built_once(self, monkeypatch):
         spec = harness._SCHEMES["threshold"]
         calls = []
@@ -581,6 +624,13 @@ class TestCli:
         path = self.write_config(tmp_path, THRESHOLD_TEXT + "model.m =\n")
         assert main(["run", path]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_run_seed_override_out_of_range_exits_one(self, tmp_path, capsys, seed):
+        assert main(["run", self.write_config(tmp_path), "--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert "seed: must lie in [0, 2^64)" in captured.err
+        assert captured.out == ""
 
     def test_run_missing_file_exits_one(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 1

@@ -154,6 +154,27 @@ class TestSingularValueLowerBound:
         for i in range(7):
             assert bounds[i] == singular_value_lower_bound(stack[i])
 
+    @pytest.mark.parametrize("shape", [(9,), (1,), (), (2, 3)])
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_matches_whole_stack_formula(self, d, shape):
+        # Magnitudes spread over 2^±30 so any change of summation order shows.
+        rng = np.random.default_rng(d)
+        m = rng.standard_normal(shape + (d, d)) * np.exp2(rng.integers(-30, 30, shape + (d, d)))
+        m += 1e9 * np.eye(d)
+        absm = np.abs(m)
+        diag = np.diagonal(absm, axis1=-2, axis2=-1)
+        row_off = absm.sum(axis=-1) - diag
+        col_off = absm.sum(axis=-2) - diag
+        want = (diag - 0.5 * (row_off + col_off)).min(axis=-1)
+        before = m.copy()
+        got = singular_value_lower_bound(m)
+        np.testing.assert_array_equal(m, before)
+        if shape:
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        else:
+            assert isinstance(got, float)
+            assert np.float64(got).view(np.uint64) == want.view(np.uint64)
+
     def test_tight_symmetric_case(self):
         m = np.array([[3.0, 1.0], [1.0, 3.0]])
         assert singular_value_lower_bound(m) == pytest.approx(2.0)

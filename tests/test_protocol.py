@@ -408,6 +408,11 @@ class TestSelectStoppingSets:
             select_stopping_set_indices(SampleStream(xvec_model(2), 1), params, cap=64)
 
 
+def bits(x: np.ndarray) -> np.ndarray:
+    """The float64 bit patterns, which tell -0.0 from 0.0."""
+    return x.view(np.uint64)
+
+
 class TestQuantizeWMatrix:
     PARAMS = StoppingSetParams(a=3.2, b=0.4, d=2, k_l=20.0, k_q=8.0)
 
@@ -477,6 +482,55 @@ class TestQuantizeWMatrix:
     def test_shape_check(self):
         with pytest.raises(ConfigurationError):
             quantize_W_matrix(np.eye(3), self.PARAMS)
+
+    @staticmethod
+    def reference(w, params):
+        """Boolean-mask form of the quantizer: gather the diagonal and the rest."""
+        if params.k_q > 52:
+            return w.copy()
+        d = params.d
+        cells = max(int(math.floor(2.0**params.k_q)) // 2 * 2, 2)
+        half = cells // 2
+        a = params.a
+        step_diag = (math.sqrt(3.0) * a - a) / half
+        out = np.empty_like(w)
+        eye = np.eye(d, dtype=bool)
+        diag = w[..., eye]
+        idx = np.clip(np.floor((np.abs(diag) - a) / step_diag), 0, half - 1)
+        out[..., eye] = np.sign(diag) * (a + (idx + 0.5) * step_diag)
+        if params.b > 0.0:
+            step_off = 2.0 * params.b / cells
+            vals = np.clip(w[..., ~eye], -params.b, params.b)
+            oidx = np.clip(np.floor((vals + params.b) / step_off), 0, cells - 1)
+            out[..., ~eye] = -params.b + (oidx + 0.5) * step_off
+        else:
+            out[..., ~eye] = 0.0
+        return out
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("b,k_q", [(0.3, 1.5), (0.3, 5.0), (0.0, 3.0), (0.3, 60.0)])
+    def test_in_place_matches_out_of_place(self, d, b, k_q):
+        from types import SimpleNamespace
+
+        from corrlink.estimators import stopping_matrix_batch
+
+        a = d * 1.3 + 1.0
+        # b = 0 has no valid crossing probability at d > 1, so the quantizer,
+        # which reads only a, b, d and k_q, gets those four directly.
+        params = SimpleNamespace(a=a, b=b, d=d, k_l=20.0, k_q=k_q)
+        w, _ = stopping_matrix_batch(d, a, 0.3, substream(11, d), 3_000)
+        # Entries past both clamps, a zero diagonal and a negative zero.
+        w[:50] = 3.0 * a * substream(12, d).standard_normal((50, d, d))
+        w[50, 0, 0], w[51, d - 1, d - 1] = 0.0, -0.0
+        before = w.copy()
+        fresh = quantize_W_matrix(w, params)
+        np.testing.assert_array_equal(bits(w), bits(before))
+        np.testing.assert_array_equal(bits(fresh.values), bits(self.reference(w, params)))
+        aliased = quantize_W_matrix(w, params, out=w)
+        assert aliased.values is w
+        np.testing.assert_array_equal(bits(w), bits(fresh.values))
+        assert (aliased.bits_expected, aliased.bits_realized) == (
+            fresh.bits_expected, fresh.bits_realized)
 
 
 class TestQuantizePareto:

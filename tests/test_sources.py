@@ -26,6 +26,7 @@ from corrlink.sources import (
     normal_from_uniform,
     scan_first_crossing,
     _binomial_upper_tail,
+    _open_uniform,
     substream,
 )
 from corrlink.linalg import CorrelationMatrix
@@ -486,3 +487,44 @@ class TestFirstCrossing:
         block = BlockAveraged(AdditiveNoise(0.2, UnitLaplace(), StdNormal()), 4)
         with pytest.raises(ConfigurationError):
             draw_first_crossing(block, 0.5, substream(0, 0), 4)
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose ``random`` returns these values in turn."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, size=None, out=None):
+        if out is None:
+            out = np.empty(size)
+        out[...] = self.values.reshape(out.shape)
+        return out
+
+
+class TestOpenUniform:
+    @staticmethod
+    def where_form(u):
+        return np.where(u == 0.0, 2.0**-53, u)
+
+    def test_matches_where_form_on_philox(self):
+        for size in (1, 1000, (50, 3, 3)):
+            want = self.where_form(substream(5, 1).random(size))
+            got = _open_uniform(substream(5, 1), size)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_clamps_only_exact_zeros(self):
+        # Generator.random returns multiples of 2^-53 in [0, 1).
+        values = np.array([0.0, 2.0**-53, 2.0**-52, 0.5, 0.0, 1.0 - 2.0**-53])
+        want = self.where_form(values)
+        np.testing.assert_array_equal(_open_uniform(_FixedUniforms(values), values.size), want)
+        out = np.empty((2, 3))
+        got = _open_uniform(_FixedUniforms(values), out=out)
+        assert got is out
+        np.testing.assert_array_equal(got.reshape(-1), want)
+        assert got.min() > 0.0
+
+    def test_out_draws_the_same_stream(self):
+        out = np.empty((40, 4, 4))
+        _open_uniform(substream(6, 2), out=out)
+        np.testing.assert_array_equal(out, _open_uniform(substream(6, 2), (40, 4, 4)))
