@@ -488,8 +488,10 @@ class TestQuantizeWMatrix:
         """Boolean-mask form of the quantizer: gather the diagonal and the rest."""
         if params.k_q > 52:
             return w.copy()
+        from corrlink.protocol import _cell_count
+
         d = params.d
-        cells = max(int(math.floor(2.0**params.k_q)) // 2 * 2, 2)
+        cells = _cell_count(params.k_q)
         half = cells // 2
         a = params.a
         step_diag = (math.sqrt(3.0) * a - a) / half

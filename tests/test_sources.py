@@ -490,7 +490,7 @@ class TestFirstCrossing:
 
 
 class _FixedUniforms:
-    """Stands in for a Generator whose ``random`` returns these values in turn."""
+    """Stands in for a Generator whose ``random`` returns these fixed values."""
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
