@@ -11,7 +11,6 @@ other.
 from .analysis import (
     TheoryReport,
     additive_exact_variance,
-    binary_example_theory,
     crlb_xvec,
     crlb_yvec,
     exact_max_variance,
@@ -41,7 +40,6 @@ from .errors import (
     DomainError,
     SingularMatrixError,
     TrialFailureError,
-    WaitCapExceededError,
 )
 from .estimators import (
     TrialBatch,
@@ -70,25 +68,16 @@ from .harness import (
 )
 from .linalg import CorrelationMatrix, invert, singular_value_lower_bound, sym_inv_sqrt, sym_sqrt
 from .protocol import (
-    BitLedger,
-    LedgerEntry,
     LedgerMode,
-    Selection,
     StoppingSetParams,
-    Transcript,
     allocate_bits_pareto,
     allocate_bits_xvec,
-    default_wait_cap,
     golomb_decode,
     golomb_encode,
     golomb_length,
     golomb_parameter,
     quantize_W_matrix,
-    quantize_correlation_entries,
     quantize_pareto_value,
-    select_max_index,
-    select_stopping_set_indices,
-    select_threshold_index,
     stopping_params_from_body_budget,
 )
 from .sources import (
@@ -100,7 +89,6 @@ from .sources import (
     GaussianYVec,
     ParetoTwoSided,
     Rademacher,
-    SampleStream,
     StdNormal,
     UnitLaplace,
     UnitUniform,
@@ -125,7 +113,7 @@ __all__ = [
     "__version__",
     # errors
     "CorrlinkError", "DomainError", "ConfigurationError", "SingularMatrixError",
-    "WaitCapExceededError", "TrialFailureError",
+    "TrialFailureError",
     # statmath
     "phi", "qfunc", "qfunc_inv", "inverse_mills", "truncated_normal_moments",
     "ThresholdMoments", "geometric_entropy", "geometric_entropy_inv",
@@ -136,14 +124,11 @@ __all__ = [
     # sources
     "StdNormal", "UnitLaplace", "ParetoTwoSided", "UnitUniform", "Rademacher",
     "GaussianScalar", "GaussianYVec", "GaussianXVec", "AdditiveNoise",
-    "DoublySymmetricBinary", "BlockAveraged", "SampleStream", "substream",
+    "DoublySymmetricBinary", "BlockAveraged", "substream",
     # protocol
-    "LedgerMode", "LedgerEntry", "BitLedger", "Transcript", "Selection",
-    "StoppingSetParams", "golomb_parameter", "golomb_length", "golomb_encode",
-    "golomb_decode", "select_max_index", "select_threshold_index",
-    "select_stopping_set_indices", "quantize_W_matrix", "quantize_pareto_value",
-    "quantize_correlation_entries", "allocate_bits_xvec", "allocate_bits_pareto",
-    "default_wait_cap", "stopping_params_from_body_budget",
+    "LedgerMode", "StoppingSetParams", "golomb_parameter", "golomb_length",
+    "golomb_encode", "golomb_decode", "quantize_W_matrix", "quantize_pareto_value",
+    "allocate_bits_xvec", "allocate_bits_pareto", "stopping_params_from_body_budget",
     # estimators
     "TrialBatch", "max_trials", "threshold_trials", "yvec_trials",
     "xvec_trials", "xvec_unquantized_trials", "xvec_paired_batch", "clt_trials",
@@ -157,7 +142,7 @@ __all__ = [
     "stopping_second_moment", "stopping_moment_bracket",
     "quantization_loss_bound", "xvec_mse_bound", "unquantized_xvec_trace_bound",
     "additive_exact_variance", "laplace_theory", "pareto_theory",
-    "pareto_unquantized_floor", "binary_example_theory", "linear_baseline_trace",
+    "pareto_unquantized_floor", "linear_baseline_trace",
     # harness
     "ExperimentConfig", "SweepRow", "COLUMNS",
     "parse_config", "run_sweep", "emit_csv", "format_csv",

@@ -44,7 +44,6 @@ __all__ = [
     "laplace_theory",
     "pareto_theory",
     "pareto_unquantized_floor",
-    "binary_example_theory",
     "linear_baseline_trace",
 ]
 
@@ -328,20 +327,6 @@ def pareto_unquantized_floor(alpha: float, rho: float) -> float:
     if not alpha > 2.0:
         raise DomainError(f"tail exponent must exceed 2, got {alpha!r}")
     return rho * rho / (alpha * (alpha - 2.0))
-
-
-def binary_example_theory(p: float, k: float) -> tuple[float, float]:
-    """Asymptotic variances for flip-probability estimation on doubly symmetric bits.
-
-    Returns (block-averaged scheme variance, plain sign-counting variance);
-    their ratio is 1/(2 ln 2) independent of p and k.
-    """
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"flip probability must lie in [0, 1], got {p!r}")
-    if not k > 0.0:
-        raise DomainError(f"bit budget must be positive, got {k!r}")
-    return p * (1.0 - p) / (2.0 * k * _LN2), p * (1.0 - p) / k
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,5 @@ class SingularMatrixError(CorrlinkError, ArithmeticError):
         self.condition_estimate = condition_estimate
 
 
-class WaitCapExceededError(CorrlinkError, RuntimeError):
-    """A literal sample scan hit its cap before the stopping event occurred."""
-
-
 class TrialFailureError(CorrlinkError, RuntimeError):
     """Too many trials in a sweep failed to produce an estimate."""

@@ -3,10 +3,11 @@
 Batch functions sample many independent trials at once. They draw the
 selected samples from the exact conditional laws of the selection events
 (geometric index, tail-conditioned values) rather than scanning sample by
-sample; the two paths are distribution-identical and the literal scans in
-`protocol` stay available for validation. Each batch reports estimates,
-per-trial sample consumption, bit costs, and failure flags; nothing is ever
-silently dropped.
+sample. The two are distribution-identical; the tests check each shortcut
+against the literal walk ``sources.walk_first_hit``, which is also the
+sampler for block averages without a closed-form crossing law. Each batch
+reports estimates, per-trial sample consumption, bit costs, and failure
+flags; nothing is ever silently dropped.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .linalg import singular_value_lower_bound, sym_sqrt
+from .linalg import singular_value_lower_bound
 from .protocol import (
     LedgerMode,
     ParetoAllocation,
@@ -27,7 +28,6 @@ from .protocol import (
     allocate_bits_xvec,
     golomb_length_array,
     golomb_parameter,
-    quantize_correlation_entries,
     quantize_pareto_value,
     quantize_W_matrix,
     stopping_params_from_body_budget,
@@ -43,7 +43,7 @@ from .sources import (
     _open_uniform,
     draw_first_crossing,
     normal_from_uniform,
-    scan_first_crossing,
+    walk_first_hit,
 )
 from .statmath import (
     _qinv_unchecked,
@@ -215,23 +215,23 @@ def clt_trials(
                 f"crossing probability is 0 at block size {model.m}; increase the block size"
             )
         return _crossing_trials(model, t, s, p, rng, size, mode)
-    # No closed-form crossing probability: fall back to a literal scan.
+    # No closed-form crossing probability: walk the block stream literally,
+    # with slabs sized by the Gaussian limit of the crossing probability.
     if mode is LedgerMode.REALIZED:
         raise ConfigurationError(
             "realized accounting needs a closed-form crossing probability for the index code"
         )
     if cap is None:
         cap = 4096 * 1024
-    batch = scan_first_crossing(model, t, rng, size, cap=cap)
-    est = (batch.y / s)[:, None]
-    est = np.where(batch.capped[:, None], np.nan, est)
+    batch = walk_first_hit(model.draw_pairs, lambda x: x > t, float(qfunc(t)), rng, size, cap)
+    # Capped trials carry NaN payloads, so their estimates are NaN too.
     return TrialBatch(
-        estimates=est,
+        estimates=(batch.y / s)[:, None],
         truth=model.true_correlations(),
         bits_expected=math.nan,
         bits_realized=None,
         samples=batch.index,
-        failed=batch.capped.copy(),
+        failed=batch.capped,
     )
 
 
@@ -365,12 +365,10 @@ def xvec_core_batch(
     size: int,
     quantize: bool,
     mode: LedgerMode = LedgerMode.EXPECTED,
-    charge_sigma: bool = False,
 ) -> TrialBatch:
     """Stopping-set selection, optional matrix quantization, and reconstruction."""
     d = model.dim
     w, gaps, y = _xvec_selection(model, params, rng, size)
-    recon = model.sqrt_sigma_x
     bits_expected = d * geometric_entropy(params.crossing_prob)
     realized = None
     if mode is LedgerMode.REALIZED:
@@ -384,16 +382,7 @@ def xvec_core_batch(
         bits_expected += q.bits_expected
         if realized is not None:
             realized = realized + q.bits_realized
-    if charge_sigma:
-        total_budget = d * params.k_l + d * d * params.k_q
-        q_sigma, sig_bits, sig_realized = quantize_correlation_entries(
-            model.sigma_x.values, total_budget
-        )
-        recon = sym_sqrt(q_sigma)
-        bits_expected += sig_bits
-        if realized is not None:
-            realized = realized + sig_realized
-    est, failed = _xvec_reconstruct(w, y, recon)
+    est, failed = _xvec_reconstruct(w, y, model.sqrt_sigma_x)
     return TrialBatch(
         estimates=est,
         truth=model.true_correlations(),
@@ -408,12 +397,10 @@ def xvec_trials(
     model: GaussianXVec, k: float, rng: np.random.Generator, size: int,
     b0: float = 0.3,
     mode: LedgerMode = LedgerMode.EXPECTED,
-    charge_sigma: bool = False,
 ) -> TrialBatch:
     """Full vector-X scheme under a total budget: allocation, selection, quantization."""
     params = allocate_bits_xvec(k, model.dim, b0)
-    return xvec_core_batch(model, params, rng, size, quantize=True, mode=mode,
-                           charge_sigma=charge_sigma)
+    return xvec_core_batch(model, params, rng, size, quantize=True, mode=mode)
 
 
 def xvec_unquantized_trials(

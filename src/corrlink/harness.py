@@ -190,10 +190,11 @@ class ExperimentConfig:
                     model[name] = parsed[0]
             elif key == "scheme":
                 top["scheme"] = value
-            elif key == "trials":
-                top["trials"] = int(value)
-            elif key == "seed":
-                top["seed"] = int(value)
+            elif key in ("trials", "seed"):
+                try:
+                    top[key] = int(value)
+                except ValueError as exc:
+                    raise ConfigurationError(f"{key}: expected an integer, got {value!r}") from exc
             elif key == "mode":
                 mode = value.strip().lower()
                 if mode not in ("expected", "realized"):
@@ -398,9 +399,8 @@ def _clt_inner(config: ExperimentConfig, point: dict):
 
 def _build_clt(config: ExperimentConfig, point: dict):
     k = float(point["k"])
-    m = int(point.get("m", config.model.get("m", 1)))
     inner = _clt_inner(config, point)
-    model = BlockAveraged(inner=inner, m=m)
+    model = BlockAveraged(inner=inner, m=point.get("m", config.model.get("m", 1)))
     require_crossable_block(model, k)
     rho = float(inner.rho)
     t = analysis.threshold_for_budget(k)
@@ -412,7 +412,7 @@ def _build_clt(config: ExperimentConfig, point: dict):
     theory = _scalar_report(config, k, exact, analysis.fisher_threshold(rho, t),
                             analysis.zhang_berger_optimal(rho, k),
                             (("gaussian-limit-variance", exact),))
-    return batch_fn, _meta(1, k, (rho,), m=m), theory
+    return batch_fn, _meta(1, k, (rho,), m=model.m), theory
 
 
 def _build_pareto(config: ExperimentConfig, point: dict):

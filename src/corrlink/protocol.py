@@ -1,48 +1,38 @@
 """Two-party machinery: what Alice sends, how it is coded, and what it costs.
 
-Selection rules walk a paired sample stream exactly as the transmitting side
-would, so their sample accounting is literal. Every transmitted object is
-charged to a BitLedger either as entropy (expected bits, the default) or as
-an actual prefix-free codeword length (realized bits): geometric indices get
-a Golomb code matched to the crossing probability, fixed-size payloads get
-fixed-length codes.
+Every transmitted object is booked either as entropy (``LedgerMode.EXPECTED``,
+the default) or as an actual prefix-free codeword length
+(``LedgerMode.REALIZED``): geometric indices get a Golomb code matched to the
+crossing probability, fixed-size payloads get fixed-length codes. This
+module holds those codes, the quantizers for the transmitted values, and the
+bit allocations that split a budget between index and payload.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, WaitCapExceededError
-from .sources import SampleStream
-from .statmath import geometric_entropy, geometric_entropy_inv, qfunc, qfunc_inv
+from .errors import ConfigurationError, DomainError
+from .statmath import geometric_entropy_inv, qfunc, qfunc_inv
 
 __all__ = [
     "LedgerMode",
-    "LedgerEntry",
-    "BitLedger",
-    "Transcript",
-    "Selection",
     "StoppingSetParams",
     "ParetoAllocation",
     "golomb_parameter",
     "golomb_length",
     "golomb_encode",
     "golomb_decode",
-    "select_max_index",
-    "select_threshold_index",
-    "select_stopping_set_indices",
     "quantize_W_matrix",
     "quantize_pareto_value",
-    "quantize_correlation_entries",
     "allocate_bits_xvec",
     "allocate_bits_pareto",
     "stopping_params_from_body_budget",
-    "default_wait_cap",
 ]
 
 _SQRT3 = math.sqrt(3.0)
@@ -55,68 +45,6 @@ _MAX_EXACT_INDEX = 2.0**53
 class LedgerMode(Enum):
     EXPECTED = "expected"
     REALIZED = "realized"
-
-
-@dataclass(frozen=True)
-class LedgerEntry:
-    label: str
-    expected_bits: float
-    realized_bits: Optional[int] = None
-
-
-@dataclass
-class BitLedger:
-    """Per-message accounting of communication cost."""
-
-    mode: LedgerMode = LedgerMode.EXPECTED
-    entries: list[LedgerEntry] = field(default_factory=list)
-
-    def charge(self, label: str, expected_bits: float, realized_bits: Optional[int] = None):
-        if expected_bits < 0.0 and not math.isnan(expected_bits):
-            raise ConfigurationError(f"cannot charge negative bits ({expected_bits!r})")
-        if self.mode is LedgerMode.REALIZED:
-            if realized_bits is None:
-                raise ConfigurationError(f"realized mode requires a codeword length for {label!r}")
-            if realized_bits < 1:
-                raise ConfigurationError(f"codeword length must be >= 1, got {realized_bits!r}")
-        self.entries.append(LedgerEntry(label, float(expected_bits), realized_bits))
-
-    def total(self) -> float:
-        return sum(e.expected_bits for e in self.entries)
-
-    def total_realized(self) -> Optional[int]:
-        if any(e.realized_bits is None for e in self.entries):
-            return None
-        return sum(e.realized_bits for e in self.entries)
-
-
-@dataclass
-class Transcript:
-    """Everything one protocol run put on the wire."""
-
-    label: str
-    indices: list[int]
-    ledger: BitLedger
-    samples_consumed: int
-    quantized_values: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        for prev, cur in zip(self.indices, self.indices[1:]):
-            if cur <= prev:
-                raise ConfigurationError(
-                    f"transcript indices must be strictly increasing, got {self.indices!r}"
-                )
-        if self.indices and self.samples_consumed < self.indices[-1]:
-            raise ConfigurationError("samples_consumed cannot be below the last index")
-
-
-@dataclass(frozen=True)
-class Selection:
-    """A selection rule's outcome: the transcript plus both parties' values."""
-
-    transcript: Transcript
-    x: np.ndarray
-    y: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -266,150 +194,6 @@ class ParetoAllocation(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Selection rules (literal stream walks).
-
-
-def default_wait_cap(p: Optional[float]) -> int:
-    """Default scan budget: 1024 expected waits; truncation odds are e^-1024 order."""
-    if p is None or p <= 0.0:
-        raise ConfigurationError("no crossing probability available; pass an explicit cap")
-    return 1024 * math.ceil(1.0 / p)
-
-
-def select_max_index(stream: SampleStream, n: int, mode: LedgerMode = LedgerMode.EXPECTED) -> Selection:
-    """Scan ``n`` samples and transmit the position of the largest X.
-
-    ``n`` must be a power of two at least 2 so the fixed-length index code is
-    exactly log2(n) bits.
-    """
-    n = int(n)
-    if n < 2 or (n & (n - 1)) != 0:
-        raise ConfigurationError(f"sample count must be a power of two >= 2, got {n!r}")
-    k = n.bit_length() - 1
-    xs, ys = stream.draw_chunk(n)
-    j = int(np.argmax(xs))
-    ledger = BitLedger(mode=mode)
-    ledger.charge("max-index", float(k), k)
-    # samples_consumed is the full scan length here, not the chosen index.
-    transcript = Transcript(label="max", indices=[j + 1], ledger=ledger, samples_consumed=n)
-    return Selection(transcript=transcript, x=xs[j : j + 1], y=ys[j : j + 1])
-
-
-def select_threshold_index(
-    stream: SampleStream,
-    t: float,
-    cap: Optional[int] = None,
-    mode: LedgerMode = LedgerMode.EXPECTED,
-) -> Selection:
-    """Walk the stream until X exceeds ``t`` and transmit that sample's position.
-
-    The index cost is the geometric-index entropy when the crossing
-    probability has a closed form (NaN otherwise), or the Golomb codeword
-    length in realized mode.
-    """
-    p = stream.model.crossing_prob(t)
-    if p is not None and p <= 0.0:
-        raise ConfigurationError(f"threshold {t!r} can never be crossed under {stream.model!r}")
-    if cap is None:
-        cap = default_wait_cap(p)
-    cap = int(cap)
-    j = 0
-    found = None
-    while j < cap:
-        take = min(4096, cap - j)
-        xc, yc = stream.draw_chunk(take)
-        hits = np.nonzero(xc > t)[0]
-        if hits.size:
-            h = int(hits[0])
-            found = (j + h + 1, xc[h : h + 1], yc[h : h + 1])
-            break
-        j += take
-    if found is None:
-        raise WaitCapExceededError(f"no crossing of {t!r} within {cap} samples")
-    index, x, y = found
-    ledger = BitLedger(mode=mode)
-    if mode is LedgerMode.REALIZED:
-        if p is None:
-            raise ConfigurationError(
-                "realized accounting needs the crossing probability to pick the code"
-            )
-        m = golomb_parameter(p)
-        ledger.charge("threshold-index", geometric_entropy(p), golomb_length(index, m))
-    else:
-        expected = geometric_entropy(p) if p is not None else math.nan
-        ledger.charge("threshold-index", expected)
-    transcript = Transcript(
-        label="threshold", indices=[index], ledger=ledger, samples_consumed=index
-    )
-    return Selection(transcript=transcript, x=x, y=y)
-
-
-def select_stopping_set_indices(
-    stream: SampleStream,
-    params: StoppingSetParams,
-    cap: Optional[int] = None,
-    mode: LedgerMode = LedgerMode.EXPECTED,
-) -> Selection:
-    """Collect d whitened samples, the l-th with coordinate l strong and the rest weak.
-
-    Walks the whitened X stream once; the l-th transmitted index is the first
-    position after the (l-1)-th where |W_l| > a and every other coordinate
-    sits inside (-b, b). Returns the d selected whitened vectors as the
-    columns of the x payload, matching the convention that column l is the
-    l-th selection.
-    """
-    d = params.d
-    if getattr(stream.model, "dim", None) != d:
-        raise ConfigurationError(
-            f"stream model dimension does not match params dimension {d}"
-        )
-    p = params.crossing_prob
-    if cap is None:
-        cap = d * default_wait_cap(p)
-    cap = int(cap)
-    m = golomb_parameter(p) if mode is LedgerMode.REALIZED else None
-    indices: list[int] = []
-    w_cols = np.empty((d, d))
-    y_sel = np.empty(d)
-    ledger = BitLedger(mode=mode)
-    consumed = 0
-    target = 0
-    while target < d and consumed < cap:
-        take = min(4096, cap - consumed)
-        wc, yc = stream.take_whitened(take)
-        absw = np.abs(wc)
-        for row in range(take):
-            if target >= d:
-                break
-            strong = absw[row, target] > params.a
-            others = np.delete(absw[row], target)
-            if strong and np.all(others < params.b):
-                idx = consumed + row + 1
-                gap = idx - (indices[-1] if indices else 0)
-                if mode is LedgerMode.REALIZED:
-                    ledger.charge(
-                        f"stopping-index-{target + 1}",
-                        geometric_entropy(p),
-                        golomb_length(gap, m),
-                    )
-                else:
-                    ledger.charge(f"stopping-index-{target + 1}", geometric_entropy(p))
-                indices.append(idx)
-                w_cols[:, target] = wc[row]
-                y_sel[target] = yc[row]
-                target += 1
-        consumed += take
-    if target < d:
-        raise WaitCapExceededError(
-            f"only {target} of {d} stopping sets hit within {cap} whitened samples"
-        )
-    transcript = Transcript(
-        label="stopping-set", indices=indices, ledger=ledger, samples_consumed=indices[-1]
-    )
-    return Selection(transcript=transcript, x=w_cols, y=y_sel)
-
-
-# ---------------------------------------------------------------------------
 # Quantizers.
 
 
@@ -499,25 +283,6 @@ def quantize_pareto_value(x, t: float, u: float, k_q: float) -> QuantizedPayload
     idx = np.minimum(np.floor((x - t) / step), cells - 1)
     values = np.where(x > u, u, t + (idx + 0.5) * step)
     return QuantizedPayload(values, float(k_q), _payload_width(cells))
-
-
-def quantize_correlation_entries(values: np.ndarray, k: float) -> tuple[np.ndarray, float, int]:
-    """Describe a correlation matrix with ceil(sqrt(k)) bits per entry.
-
-    Entries are midpoint-quantized on [-1, 1]; the diagonal is restored
-    exactly. Returns (quantized matrix, expected bits, realized bits), both
-    charges equal to d^2 ceil(sqrt(k)).
-    """
-    values = np.asarray(values, dtype=float)
-    d = values.shape[0]
-    per_entry = math.ceil(math.sqrt(k))
-    cells = 2**per_entry
-    step = 2.0 / cells
-    idx = np.clip(np.floor((values + 1.0) / step), 0, cells - 1)
-    out = -1.0 + (idx + 0.5) * step
-    np.fill_diagonal(out, 1.0)
-    bits = float(d * d * per_entry)
-    return out, bits, int(bits)
 
 
 # ---------------------------------------------------------------------------

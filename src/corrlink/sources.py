@@ -7,9 +7,11 @@ reproducible across platforms from the seed alone. The joint models combine
 marginals into (X, Y) pairs with known ground-truth correlation and own
 their sampling: plain pair draws, the crossing probability, X | X > t, and
 Y given X. The crossing helpers at the bottom draw "first sample beyond a
-threshold" events either literally (sequential scan) or by an exact
-distribution-equivalent shortcut (geometric index plus conditional tail
-draw) that makes tiny crossing probabilities affordable.
+threshold" events by an exact distribution-equivalent shortcut (geometric
+index plus conditional tail draw) that makes tiny crossing probabilities
+affordable, and ``walk_first_hit`` finds first hits literally, row by row of
+a model's own draws, for any hit rule: it is the oracle the shortcuts are
+tested against.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -46,10 +48,9 @@ __all__ = [
     "MarginalLaw",
     "substream",
     "normal_from_uniform",
-    "SampleStream",
     "CrossingBatch",
     "draw_first_crossing",
-    "scan_first_crossing",
+    "walk_first_hit",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -294,7 +295,7 @@ class JointModel:
     X law has a closed-form upper tail also provide ``crossing_prob(t)``
     (Pr(X > t)), ``tail_x`` (draws of X | X > t) and ``y_given_x``, which
     together drive the first-crossing shortcut; the rest report a crossing
-    probability of None and can only be scanned literally.
+    probability of None and can only be walked literally (``walk_first_hit``).
     """
 
     x_support_upper = math.inf
@@ -578,15 +579,14 @@ class BlockAveraged(JointModel):
     m: int
 
     def __post_init__(self):
-        m = int(self.m)
-        if m < 1:
-            raise ConfigurationError(f"block size must be >= 1, got {self.m!r}")
+        if not (float(self.m).is_integer() and self.m >= 1):
+            raise ConfigurationError(f"block size must be an integer >= 1, got {self.m!r}")
         if isinstance(self.inner, BlockAveraged):
             raise ConfigurationError("nested block averaging is not supported")
         if isinstance(self.inner, (GaussianYVec, GaussianXVec)):
             raise ConfigurationError("block averaging is defined for scalar pair models only")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_block", self.inner.block_law(m))
+        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "_block", self.inner.block_law(self.m))
 
     @property
     def rho(self) -> float:
@@ -612,43 +612,6 @@ class BlockAveraged(JointModel):
         x = xi.reshape(n, self.m).sum(axis=1) * scale
         y = yi.reshape(n, self.m).sum(axis=1) * scale
         return x, y
-
-
-# ---------------------------------------------------------------------------
-# Plain i.i.d. streams.
-
-
-class SampleStream:
-    """Infinite deterministic iterator of (x, y) pairs for one model and seed.
-
-    Single consumer. Iteration yields floats for scalar coordinates and 1-D
-    arrays for vector ones; ``draw_chunk`` returns stacked arrays. For the
-    X-vector model ``take_whitened`` emits the decorrelated X coordinates
-    instead, which is the representation the selection protocol operates on.
-    """
-
-    def __init__(self, model: JointModel, seed: int, chunk: int = 8192):
-        self.model = model
-        self._rng = substream(seed, 0)
-        self._chunk = int(chunk)
-
-    def draw_chunk(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Next ``n`` pairs as arrays, shapes (n, ...) per side."""
-        return self.model.draw_pairs(self._rng, int(n))
-
-    def take_whitened(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Next ``n`` (whitened X vector, scalar Y) pairs; X-vector model only."""
-        if not isinstance(self.model, GaussianXVec):
-            raise ConfigurationError("whitened draws are defined for the X-vector model only")
-        return self.model.draw_whitened(self._rng, int(n))
-
-    def __iter__(self) -> Iterator[tuple]:
-        while True:
-            xs, ys = self.draw_chunk(self._chunk)
-            for i in range(xs.shape[0]):
-                x = xs[i] if xs.ndim > 1 else float(xs[i])
-                y = ys[i] if ys.ndim > 1 else float(ys[i])
-                yield x, y
 
 
 # ---------------------------------------------------------------------------
@@ -687,14 +650,13 @@ def draw_first_crossing(
     Uses the exact factorization of the first-crossing event: the index is
     geometric with the crossing probability, independent of the crossing
     value, whose law is X | X > t; Y is then drawn from its conditional given
-    X. Identical in distribution to a literal scan (see the matching scan
-    function) at any crossing probability, including ones far too small to
-    wait out.
+    X. Identical in distribution to the literal walk ``walk_first_hit`` at
+    any crossing probability, including ones far too small to wait out.
     """
     p = model.crossing_prob(t)
     if p is None:
         raise ConfigurationError(
-            f"model {model!r} has no closed-form crossing probability; use a literal scan"
+            f"model {model!r} has no closed-form crossing probability; walk it with walk_first_hit"
         )
     if p <= 0.0:
         raise ConfigurationError(
@@ -707,48 +669,57 @@ def draw_first_crossing(
     return CrossingBatch(index=index, x=x, y=y, capped=np.zeros(n, dtype=bool))
 
 
-def scan_first_crossing(
-    model: JointModel,
-    t: float,
-    rng: np.random.Generator,
-    size: int,
-    cap: int,
-    chunk: int = 4096,
-) -> CrossingBatch:
-    """Literal sequential search for the first X > t, one trial at a time.
+# Rows per draw of the literal walk: bounds its working set at any crossing
+# probability (a block-averaged row costs m inner pairs).
+_WALK_ROWS = 2**16
 
-    Intended for moderate crossing probabilities: validation against
-    draw_first_crossing, and models without a closed-form crossing
-    probability. Trials that scan past ``cap`` samples are flagged in
-    ``capped`` with NaN payloads rather than raising, so batch callers can
-    count them.
+
+def walk_first_hit(
+    draw: Callable, hit: Callable, p: float, rng: np.random.Generator, size: int, cap: int
+) -> CrossingBatch:
+    """Literal search, in each of ``size`` trials, for the first row whose X satisfies ``hit``.
+
+    ``draw(rng, n)`` returns n i.i.d. (X, Y) rows, as a model's ``draw_pairs``
+    or ``draw_whitened`` does, and ``hit(x)`` marks the rows that end a walk.
+    Each pass gives every live trial a slab of about 1/``p`` fresh rows, ``p``
+    being the hit probability (exact, or an approximation: it sets only the
+    slab length); a trial stops at the first hit in its slab, and the rest of
+    the slab is discarded, which the i.i.d. stream allows. Trials with no hit
+    within ``cap`` rows are flagged ``capped``, with index ``cap`` and NaN
+    payloads. This is the package's one literal scan: the independent check
+    on every exact shortcut, and the sampler for models without one.
     """
     n = int(size)
     cap = int(cap)
-    y_probe = model.draw_pairs(rng, 1)[1]
-    ydim = y_probe.shape[1] if y_probe.ndim > 1 else 0
-    index = np.empty(n)
-    xs = np.empty(n)
-    ys = np.empty((n, ydim)) if ydim else np.empty(n)
-    capped = np.zeros(n, dtype=bool)
-    for i in range(n):
-        seen = 0
-        found = False
-        while seen < cap:
-            take = min(chunk, cap - seen)
-            xc, yc = model.draw_pairs(rng, take)
-            hits = np.nonzero(xc > t)[0]
-            if hits.size:
-                h = int(hits[0])
-                index[i] = seen + h + 1
-                xs[i] = xc[h]
-                ys[i] = yc[h]
-                found = True
-                break
-            seen += take
-        if not found:
-            index[i] = cap
-            xs[i] = math.nan
-            ys[i] = math.nan
-            capped[i] = True
-    return CrossingBatch(index=index, x=xs, y=ys, capped=capped)
+    if cap < 1:
+        raise ConfigurationError(f"scan cap must be at least 1, got {cap!r}")
+    if not 0.0 < p <= 1.0:
+        raise ConfigurationError(f"hit probability must lie in (0, 1], got {p!r}")
+    block = min(math.ceil(1.0 / p), _WALK_ROWS)
+    index = np.full(n, float(cap))
+    capped = np.ones(n, dtype=bool)
+    # The payload shapes are those of the first draw; size 0 draws nothing.
+    x = y = np.empty(0)
+    live = np.arange(n)
+    seen = 0
+    while live.size and seen < cap:
+        take = min(block, cap - seen)
+        per_draw = max(1, _WALK_ROWS // take)
+        for lo in range(0, live.size, per_draw):
+            trials = live[lo : lo + per_draw]
+            xs, ys = draw(rng, trials.size * take)
+            if x.shape[0] != n:
+                x = np.full((n,) + xs.shape[1:], math.nan)
+                y = np.full((n,) + ys.shape[1:], math.nan)
+            mask = hit(xs).reshape(trials.size, take)
+            first = mask.argmax(axis=1)
+            found = mask[np.arange(trials.size), first]
+            rows = np.flatnonzero(found) * take + first[found]
+            done = trials[found]
+            index[done] = seen + first[found] + 1
+            x[done] = xs[rows]
+            y[done] = ys[rows]
+            capped[done] = False
+        live = live[capped[live]]
+        seen += take
+    return CrossingBatch(index=index, x=x, y=y, capped=capped)

@@ -12,7 +12,6 @@ from scipy import integrate, stats
 from corrlink.analysis import (
     TheoryReport,
     additive_exact_variance,
-    binary_example_theory,
     crlb_xvec,
     crlb_yvec,
     exact_max_variance,
@@ -340,14 +339,6 @@ class TestAdditiveTheory:
         law = ParetoTwoSided(4.0)
         assert pareto_unquantized_floor(4.0, 0.6) == pytest.approx(0.045, rel=1e-12)
         assert additive_exact_variance(law, 0.6, 1e8) == pytest.approx(0.045, rel=1e-5)
-
-    def test_binary_ratio_is_the_coding_constant(self):
-        for p in (0.05, 0.25, 0.4):
-            averaged, plain = binary_example_theory(p, 20.0)
-            assert averaged / plain == pytest.approx(1.0 / (2.0 * LN2), rel=1e-12)
-            assert plain == pytest.approx(p * (1.0 - p) / 20.0, rel=1e-12)
-        with pytest.raises(DomainError):
-            binary_example_theory(1.2, 20.0)
 
 
 class TestLinearBaselineTrace:

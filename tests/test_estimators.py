@@ -512,13 +512,6 @@ class TestXVecTrials:
         for col in range(2):
             assert_mean_close(batch.estimates[:, col], self.RHO[col], extra=5e-3)
 
-    def test_sigma_charge_adds_matrix_description(self):
-        k = 200.0
-        plain = xvec_trials(self.model(), k, substream(SEED, 74), 50)
-        charged = xvec_trials(self.model(), k, substream(SEED, 74), 50, charge_sigma=True)
-        per_entry = math.ceil(math.sqrt(k))
-        assert charged.bits_expected == pytest.approx(plain.bits_expected + 4 * per_entry)
-
     def test_realized_accounting(self):
         k = 60.0
         batch = xvec_trials(self.model(), k, substream(SEED, 75), 5_000,

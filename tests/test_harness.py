@@ -8,9 +8,12 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrlink import harness
 from corrlink.analysis import (
@@ -35,6 +38,7 @@ from corrlink.harness import (
 from corrlink.protocol import LedgerMode
 from corrlink.sources import substream
 from corrlink.statmath import geometric_entropy_inv
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 THRESHOLD_TEXT = """
 # comment line
@@ -182,10 +186,26 @@ class TestExperimentConfig:
         ("scheme = threshold\ngrid.k = 10\ntrials = 200", "seed: required"),
         ("scheme = threshold\ngrid.k = ten\ntrials = 200\nseed = 1",
          "comma-separated numbers"),
+        ("scheme = threshold\ngrid.k = 10\ntrials = 1e3\nseed = 1",
+         "trials: expected an integer, got '1e3'"),
+        ("scheme = threshold\ngrid.k = 10\ntrials = 1000.5\nseed = 1",
+         "trials: expected an integer, got '1000.5'"),
+        ("scheme = threshold\ngrid.k = 10\ntrials = 200\nseed = abc",
+         "seed: expected an integer, got 'abc'"),
+        ("scheme = clt\ngrid.k = 10\ngrid.rho = 0.5\ngrid.m = 4.5, 4\ntrials = 200\nseed = 1",
+         r"grid point \{'k': 10.0, 'rho': 0.5, 'm': 4.5\}: block size must be an integer"),
+        ("scheme = clt\ngrid.k = 10\ngrid.rho = 0.5\nmodel.m = 4.5\ntrials = 200\nseed = 1",
+         r"grid point \{'k': 10.0, 'rho': 0.5\}: block size must be an integer >= 1, got 4.5"),
     ])
     def test_validation_errors(self, text, match):
         with pytest.raises(ConfigurationError, match=match):
             ExperimentConfig.from_text(text)
+
+    def test_integral_float_block_size_is_accepted(self):
+        for line in ("grid.m = 4.0, 16", "model.m = 4.0"):
+            config = ExperimentConfig.from_text("scheme = clt\ngrid.k = 10\ngrid.rho = 0.5\n"
+                                                f"{line}\ntrials = 200\nseed = 1")
+            assert config._cells[0][1]["m"] == 4
 
     def test_probe_rejects_fractional_budget_for_fixed_length_scheme(self):
         text = "scheme = max\ngrid.k = 10.5\ngrid.rho = 0.5\ntrials = 200\nseed = 1"
@@ -333,6 +353,19 @@ class TestRunSweep:
         csv_one = format_csv(run_sweep(config, threads=1))
         csv_many = format_csv(run_sweep(config, threads=8))
         assert csv_one == csv_many
+
+    @settings(max_examples=25, deadline=None)
+    @given(scheme=st.sampled_from(sorted(harness._SCHEMES)), threads=st.sampled_from([1, 2, 3]),
+           chunk=st.integers(min_value=40, max_value=400))
+    def test_thread_count_never_changes_the_bytes_at_any_chunk_size(self, scheme, threads,
+                                                                     chunk):
+        # The chunk size is part of the stream identity (it decides which
+        # substream draws each trial), so each size is checked against its own
+        # one-thread run.
+        config = ExperimentConfig.from_text(GOLDEN_CONFIGS[scheme] + "trials = 300\nseed = 5\n")
+        with mock.patch.object(harness, "CHUNK_TRIALS", chunk):
+            serial = format_csv(run_sweep(config, threads=1))
+            assert format_csv(run_sweep(config, threads=threads)) == serial
 
     def test_chunked_cells_reduce_like_one_chunk(self):
         # More trials than one chunk forces the multi-chunk reduction path.

@@ -1,70 +1,25 @@
-"""Tests for index coding, selection rules, quantizers, and bit accounting."""
+"""Tests for index coding, stopping-set geometry, quantizers, and bit allocation."""
 
 import math
-import re
 
 import numpy as np
 import pytest
-from scipy import stats
 
-from corrlink.errors import ConfigurationError, DomainError, WaitCapExceededError
+from corrlink.errors import ConfigurationError, DomainError
 from corrlink.protocol import (
-    BitLedger,
-    LedgerMode,
-    ParetoAllocation,
-    QuantizedPayload,
-    Selection,
     StoppingSetParams,
-    Transcript,
     allocate_bits_pareto,
     allocate_bits_xvec,
-    default_wait_cap,
     golomb_decode,
     golomb_encode,
     golomb_length,
     golomb_length_array,
     golomb_parameter,
-    quantize_correlation_entries,
     quantize_pareto_value,
     quantize_W_matrix,
-    select_max_index,
-    select_stopping_set_indices,
-    select_threshold_index,
 )
-from corrlink.sources import (
-    AdditiveNoise,
-    BlockAveraged,
-    GaussianScalar,
-    GaussianXVec,
-    SampleStream,
-    StdNormal,
-    UnitLaplace,
-    UnitUniform,
-    substream,
-)
-from corrlink.statmath import (
-    geometric_entropy,
-    geometric_entropy_inv,
-    max_normal_moments,
-    qfunc,
-    qfunc_inv,
-)
-from corrlink.linalg import CorrelationMatrix
-
-
-class FixedStream:
-    """Stand-in stream that replays preset (x, y) arrays."""
-
-    def __init__(self, xs, ys):
-        self.model = GaussianScalar(0.0)
-        self._xs = np.asarray(xs, dtype=float)
-        self._ys = np.asarray(ys, dtype=float)
-        self._pos = 0
-
-    def draw_chunk(self, n):
-        lo, hi = self._pos, self._pos + n
-        self._pos = hi
-        return self._xs[lo:hi], self._ys[lo:hi]
+from corrlink.sources import substream
+from corrlink.statmath import geometric_entropy, qfunc
 
 
 class TestGolombCoding:
@@ -151,122 +106,6 @@ class TestGolombCoding:
             want = [golomb_length(int(v), m) for v in j]
             assert np.array_equal(golomb_length_array(j, m), want)
 
-    def test_length_array_guards(self):
-        with pytest.raises(DomainError):
-            golomb_length_array(np.array([0.5]), 4)
-        with pytest.raises(ConfigurationError):
-            golomb_length_array(np.array([2.0**53]), 4)
-
-
-class TestBitLedger:
-    def test_expected_mode_totals(self):
-        ledger = BitLedger()
-        ledger.charge("a", 2.5)
-        ledger.charge("b", 17.5, 3)
-        assert ledger.total() == pytest.approx(20.0)
-        assert ledger.total_realized() is None
-        ledger2 = BitLedger()
-        ledger2.charge("a", 2.0, 3)
-        ledger2.charge("b", 5.0, 4)
-        assert ledger2.total_realized() == 7
-
-    def test_negative_charge_rejected(self):
-        with pytest.raises(ConfigurationError):
-            BitLedger().charge("bad", -1.0)
-
-    def test_nan_charge_allowed(self):
-        # Schemes without a closed-form index cost charge NaN expected bits.
-        ledger = BitLedger()
-        ledger.charge("open", math.nan)
-        assert math.isnan(ledger.total())
-
-    def test_realized_mode_requires_codeword(self):
-        ledger = BitLedger(mode=LedgerMode.REALIZED)
-        with pytest.raises(ConfigurationError):
-            ledger.charge("a", 2.0)
-        with pytest.raises(ConfigurationError):
-            ledger.charge("a", 2.0, 0)
-        ledger.charge("a", 2.0, 1)
-        assert ledger.total_realized() == 1
-
-
-class TestTranscript:
-    def test_indices_must_increase(self):
-        with pytest.raises(ConfigurationError):
-            Transcript(label="x", indices=[3, 3], ledger=BitLedger(), samples_consumed=3)
-        with pytest.raises(ConfigurationError):
-            Transcript(label="x", indices=[5, 2], ledger=BitLedger(), samples_consumed=5)
-
-    def test_samples_cover_last_index(self):
-        with pytest.raises(ConfigurationError):
-            Transcript(label="x", indices=[4], ledger=BitLedger(), samples_consumed=3)
-
-
-class TestSelectMaxIndex:
-    def test_picks_argmax(self):
-        stream = FixedStream([0.1, 2.0, -1.0, 0.5], [1.0, 2.0, 3.0, 4.0])
-        sel = select_max_index(stream, 4)
-        assert sel.transcript.indices == [2]
-        assert sel.transcript.ledger.total() == pytest.approx(2.0)
-        assert sel.transcript.samples_consumed == 4
-        assert sel.x[0] == 2.0 and sel.y[0] == 2.0
-
-    def test_power_of_two_budget(self):
-        stream = SampleStream(GaussianScalar(0.0), 3)
-        sel = select_max_index(stream, 2**10)
-        assert sel.transcript.ledger.total() == pytest.approx(10.0)
-        assert sel.transcript.ledger.total_realized() == 10
-
-    def test_rejects_non_power_of_two(self):
-        stream = SampleStream(GaussianScalar(0.0), 3)
-        for n in [0, 1, 6, 100]:
-            with pytest.raises(ConfigurationError):
-                select_max_index(stream, n)
-
-    def test_selected_value_moments(self):
-        # The transmitted X is the block maximum; its mean and spread must
-        # match the quadrature moments.
-        mom = max_normal_moments(8)
-        stream = SampleStream(GaussianScalar(0.3), 7)
-        vals = np.array([select_max_index(stream, 8).x[0] for _ in range(4000)])
-        se = math.sqrt(mom.variance / vals.size)
-        assert abs(vals.mean() - mom.mean) < 5 * se
-
-
-class TestSelectThresholdIndex:
-    def test_matches_replayed_stream(self):
-        model = GaussianScalar(0.4)
-        sel = select_threshold_index(SampleStream(model, 11), 0.5)
-        xs, ys = SampleStream(model, 11).draw_chunk(4096)
-        j = int(np.argmax(xs > 0.5))
-        assert sel.transcript.indices == [j + 1]
-        assert sel.transcript.samples_consumed == j + 1
-        assert sel.x[0] == xs[j] and sel.y[0] == ys[j]
-
-    def test_expected_bits_at_even_odds(self):
-        sel = select_threshold_index(SampleStream(GaussianScalar(0.0), 5), 0.0)
-        assert sel.transcript.ledger.total() == pytest.approx(2.0)
-
-    def test_expected_bits_hit_budget(self):
-        t = qfunc_inv(geometric_entropy_inv(20.0))
-        sel = select_threshold_index(SampleStream(GaussianScalar(0.0), 5), t)
-        assert sel.transcript.ledger.total() == pytest.approx(20.0, abs=1e-6)
-
-    def test_realized_mode_charges_codeword(self):
-        model = GaussianScalar(0.0)
-        t = qfunc_inv(0.1)
-        m = golomb_parameter(0.1)
-        total = 0.0
-        n = 300
-        for i in range(n):
-            sel = select_threshold_index(
-                SampleStream(model, 1000 + i), t, cap=4096, mode=LedgerMode.REALIZED
-            )
-            realized = sel.transcript.ledger.total_realized()
-            assert realized == golomb_length(sel.transcript.indices[0], m)
-            total += realized
-        assert geometric_entropy(0.1) - 0.5 < total / n < geometric_entropy(0.1) + 1.0
-
     def test_realized_mean_within_one_bit(self):
         # Codeword-length accounting for geometric indices stays within one
         # bit of the entropy charge at scale.
@@ -278,39 +117,11 @@ class TestSelectThresholdIndex:
         h = geometric_entropy(p)
         assert h - 0.05 < mean_len < h + 1.0
 
-    def test_wait_cap(self):
-        model = AdditiveNoise(0.3, UnitUniform(), StdNormal())
-        with pytest.raises(WaitCapExceededError):
-            select_threshold_index(SampleStream(model, 21), 1.7, cap=2)
-
-    def test_impossible_threshold(self):
-        model = AdditiveNoise(0.3, UnitUniform(), StdNormal())
+    def test_length_array_guards(self):
+        with pytest.raises(DomainError):
+            golomb_length_array(np.array([0.5]), 4)
         with pytest.raises(ConfigurationError):
-            select_threshold_index(SampleStream(model, 21), 2.0)
-
-    def test_realized_needs_crossing_prob(self):
-        block = BlockAveraged(AdditiveNoise(0.2, UnitLaplace(), StdNormal()), 4)
-        with pytest.raises(ConfigurationError):
-            select_threshold_index(
-                SampleStream(block, 3), 0.5, cap=4096, mode=LedgerMode.REALIZED
-            )
-
-    def test_no_closed_form_charges_nan(self):
-        block = BlockAveraged(AdditiveNoise(0.2, UnitLaplace(), StdNormal()), 4)
-        sel = select_threshold_index(SampleStream(block, 3), 0.2, cap=4096)
-        assert math.isnan(sel.transcript.ledger.total())
-
-    def test_default_wait_cap(self):
-        assert default_wait_cap(0.01) == 1024 * 100
-        with pytest.raises(ConfigurationError):
-            default_wait_cap(None)
-        with pytest.raises(ConfigurationError):
-            default_wait_cap(0.0)
-
-
-def xvec_model(d, rho=None):
-    rho = np.zeros(d) if rho is None else np.asarray(rho, dtype=float)
-    return GaussianXVec(rho=rho, sigma_x=CorrelationMatrix.identity(d))
+            golomb_length_array(np.array([2.0**53]), 4)
 
 
 class TestStoppingSetParams:
@@ -331,63 +142,6 @@ class TestStoppingSetParams:
         with pytest.raises(ConfigurationError):
             StoppingSetParams(a=3.0, b=0.4, d=0, k_l=10.0, k_q=4.0)
 
-    def test_degenerate_crossing_prob(self):
-        # b = 0 in dimension 2 leaves no room for the weak coordinates.
-        with pytest.raises(ConfigurationError):
-            StoppingSetParams(a=3.0, b=0.0, d=2, k_l=10.0, k_q=4.0)
-
-
-class TestSelectStoppingSets:
-    PARAMS = StoppingSetParams(a=1.2, b=0.0, d=1, k_l=4.0, k_q=4.0)
-
-    def test_selected_geometry(self):
-        params = StoppingSetParams(a=2.7, b=0.3, d=2, k_l=10.0, k_q=4.0)
-        sel = select_stopping_set_indices(SampleStream(xvec_model(2), 31), params)
-        w = sel.x
-        assert w.shape == (2, 2)
-        for ell in range(2):
-            assert abs(w[ell, ell]) > params.a
-            for j in range(2):
-                if j != ell:
-                    assert abs(w[j, ell]) < params.b
-        idx = sel.transcript.indices
-        assert len(idx) == 2 and idx[0] < idx[1]
-        assert sel.transcript.samples_consumed == idx[-1]
-
-    def test_expected_bits(self):
-        params = StoppingSetParams(a=2.7, b=0.3, d=2, k_l=10.0, k_q=4.0)
-        sel = select_stopping_set_indices(SampleStream(xvec_model(2), 33), params)
-        h = geometric_entropy(params.crossing_prob)
-        assert sel.transcript.ledger.total() == pytest.approx(2 * h)
-        labels = [e.label for e in sel.transcript.ledger.entries]
-        assert labels == ["stopping-index-1", "stopping-index-2"]
-
-    def test_realized_charges_gap_codewords(self):
-        params = StoppingSetParams(a=2.7, b=0.3, d=2, k_l=10.0, k_q=4.0)
-        sel = select_stopping_set_indices(
-            SampleStream(xvec_model(2), 35), params, mode=LedgerMode.REALIZED
-        )
-        m = golomb_parameter(params.crossing_prob)
-        idx = sel.transcript.indices
-        gaps = [idx[0], idx[1] - idx[0]]
-        want = [golomb_length(g, m) for g in gaps]
-        assert [e.realized_bits for e in sel.transcript.ledger.entries] == want
-
-    def test_gap_distribution(self):
-        # Literal scan gaps follow the geometric law of the crossing event.
-        p = self.PARAMS.crossing_prob
-        gaps = []
-        for i in range(400):
-            sel = select_stopping_set_indices(
-                SampleStream(xvec_model(1), 100 + i), self.PARAMS, cap=4096
-            )
-            gaps.append(sel.transcript.indices[0])
-        gaps = np.array(gaps)
-        kmax = 12
-        obs = np.array([np.sum(gaps == j) for j in range(1, kmax + 1)] + [np.sum(gaps > kmax)])
-        probs = np.array([p * (1 - p) ** (j - 1) for j in range(1, kmax + 1)] + [(1 - p) ** kmax])
-        assert stats.chisquare(obs, gaps.size * probs).pvalue > 0.01
-
     def test_crossing_frequency(self):
         # Empirical frequency of strong-here-weak-there over raw whitened draws.
         rng = substream(41, 0)
@@ -397,15 +151,10 @@ class TestSelectStoppingSets:
         se = math.sqrt(p * (1 - p) / w.shape[0])
         assert abs(hit.mean() - p) < 5 * se
 
-    def test_dimension_mismatch(self):
-        params = StoppingSetParams(a=2.7, b=0.3, d=2, k_l=10.0, k_q=4.0)
+    def test_degenerate_crossing_prob(self):
+        # b = 0 in dimension 2 leaves no room for the weak coordinates.
         with pytest.raises(ConfigurationError):
-            select_stopping_set_indices(SampleStream(xvec_model(3), 1), params)
-
-    def test_wait_cap(self):
-        params = StoppingSetParams(a=5.0, b=0.3, d=2, k_l=10.0, k_q=4.0)
-        with pytest.raises(WaitCapExceededError):
-            select_stopping_set_indices(SampleStream(xvec_model(2), 1), params, cap=64)
+            StoppingSetParams(a=3.0, b=0.0, d=2, k_l=10.0, k_q=4.0)
 
 
 def bits(x: np.ndarray) -> np.ndarray:
@@ -573,17 +322,6 @@ class TestQuantizePareto:
             quantize_pareto_value(0.9, 1.0, 3.0, 2.0)
         with pytest.raises(ConfigurationError):
             quantize_pareto_value(1.5, 3.0, 1.0, 2.0)
-
-
-class TestQuantizeCorrelationEntries:
-    def test_charges_and_accuracy(self):
-        values = CorrelationMatrix.equicorrelated(3, 0.37).values
-        out, expected, realized = quantize_correlation_entries(values, 40.0)
-        per_entry = math.ceil(math.sqrt(40.0))
-        assert expected == realized == 9 * per_entry
-        assert np.array_equal(np.diag(out), np.ones(3))
-        assert np.all(np.abs(out - values) <= 2.0 / 2**per_entry)
-        assert np.all(np.abs(out) <= 1.0)
 
 
 class TestAllocateBitsXVec:

@@ -18,13 +18,11 @@ from corrlink.sources import (
     GaussianYVec,
     ParetoTwoSided,
     Rademacher,
-    SampleStream,
     StdNormal,
     UnitLaplace,
     UnitUniform,
     draw_first_crossing,
     normal_from_uniform,
-    scan_first_crossing,
     _binomial_upper_tail,
     _open_uniform,
     substream,
@@ -209,7 +207,7 @@ class TestRandomness:
 class TestJointModels:
     def test_scalar_correlation(self):
         model = GaussianScalar(rho=0.6)
-        x, y = SampleStream(model, 11).draw_chunk(200000)
+        x, y = model.draw_pairs(substream(11, 0), 200000)
         assert abs(np.mean(x * y) - 0.6) < 0.012
         assert abs(np.var(y) - 1.0) < 0.015
 
@@ -220,7 +218,7 @@ class TestJointModels:
     def test_yvec_covariances(self):
         rho = np.array([0.8, 0.4, -0.2])
         model = GaussianYVec(rho=rho, sigma_y=CorrelationMatrix.equicorrelated(3, 0.3))
-        x, y = SampleStream(model, 5).draw_chunk(200000)
+        x, y = model.draw_pairs(substream(5, 0), 200000)
         for ell in range(3):
             assert abs(np.mean(x * y[:, ell]) - rho[ell]) < 0.015
         emp = np.cov(y, rowvar=False)
@@ -235,7 +233,7 @@ class TestJointModels:
     def test_xvec_covariances(self):
         rho = np.array([0.7, 0.3, -0.2])
         model = GaussianXVec(rho=rho, sigma_x=CorrelationMatrix.equicorrelated(3, 0.4))
-        x, y = SampleStream(model, 5).draw_chunk(200000)
+        x, y = model.draw_pairs(substream(5, 0), 200000)
         assert np.allclose(np.cov(x, rowvar=False), model.sigma_x.values, atol=0.02)
         for ell in range(3):
             assert abs(np.mean(x[:, ell] * y) - rho[ell]) < 0.015
@@ -251,7 +249,7 @@ class TestJointModels:
     def test_xvec_whitened_draws(self):
         rho = np.array([0.7, 0.3, -0.2])
         model = GaussianXVec(rho=rho, sigma_x=CorrelationMatrix.equicorrelated(3, 0.4))
-        w, y = SampleStream(model, 5).take_whitened(200000)
+        w, y = model.draw_whitened(substream(5, 0), 200000)
         assert np.allclose(np.cov(w, rowvar=False), np.eye(3), atol=0.02)
         for ell in range(3):
             assert abs(np.mean(w[:, ell] * y) - model.whitened_rho[ell]) < 0.015
@@ -262,16 +260,25 @@ class TestJointModels:
 
     def test_additive_correlation(self):
         model = AdditiveNoise(rho=0.5, x_law=UnitLaplace(), z_law=StdNormal())
-        x, y = SampleStream(model, 13).draw_chunk(200000)
+        x, y = model.draw_pairs(substream(13, 0), 200000)
         assert abs(np.mean(x * y) - 0.5) < 0.015
         assert abs(np.var(y) - 1.0) < 0.02
 
     def test_binary_correlation(self):
         model = DoublySymmetricBinary(flip_prob=0.2)
         assert model.rho == pytest.approx(0.6)
-        x, y = SampleStream(model, 17).draw_chunk(200000)
+        x, y = model.draw_pairs(substream(17, 0), 200000)
         assert set(np.unique(x)) <= {-1.0, 1.0}
         assert abs(np.mean(x * y) - 0.6) < 0.01
+
+    def test_vector_shapes(self):
+        rho = np.array([0.5, -0.1])
+        yv = GaussianYVec(rho, CorrelationMatrix.identity(2))
+        x, y = yv.draw_pairs(substream(1, 0), 10)
+        assert x.shape == (10,) and y.shape == (10, 2)
+        xv = GaussianXVec(rho, CorrelationMatrix.identity(2))
+        x, y = xv.draw_pairs(substream(1, 0), 10)
+        assert x.shape == (10, 2) and y.shape == (10,)
 
     def test_binary_rejects_bad_flip(self):
         with pytest.raises(ConfigurationError):
@@ -280,7 +287,7 @@ class TestJointModels:
     def test_block_average_keeps_correlation(self):
         inner = DoublySymmetricBinary(flip_prob=0.2)
         for m in [1, 16]:
-            x, y = SampleStream(BlockAveraged(inner, m), 19).draw_chunk(100000)
+            x, y = BlockAveraged(inner, m).draw_pairs(substream(19, 0), 100000)
             assert abs(np.mean(x * y) - 0.6) < 0.02
             assert abs(np.var(x) - 1.0) < 0.02
 
@@ -289,15 +296,17 @@ class TestJointModels:
         inner = DoublySymmetricBinary(flip_prob=0.2)
         dists = []
         for m in [1, 4, 64]:
-            x, _ = SampleStream(BlockAveraged(inner, m), 23).draw_chunk(40000)
+            x, _ = BlockAveraged(inner, m).draw_pairs(substream(23, 0), 40000)
             dists.append(stats.kstest(x, "norm").statistic)
         assert dists[0] > dists[1] > dists[2]
         assert dists[2] < 0.08
 
     def test_block_average_validation(self):
         inner = GaussianScalar(rho=0.1)
-        with pytest.raises(ConfigurationError):
-            BlockAveraged(inner, 0)
+        for m in (0, 4.5, math.nan):
+            with pytest.raises(ConfigurationError):
+                BlockAveraged(inner, m)
+        assert BlockAveraged(inner, 4.0).m == 4
         with pytest.raises(ConfigurationError):
             BlockAveraged(BlockAveraged(inner, 2), 2)
         vec = GaussianYVec(rho=np.array([0.3]), sigma_y=CorrelationMatrix.identity(1))
@@ -378,38 +387,6 @@ class TestModelQueries:
         assert GaussianXVec(np.array([0.5, 0.1]), mat).crossing_prob(0.5) is None
 
 
-class TestSampleStream:
-    def test_deterministic(self):
-        model = GaussianScalar(0.3)
-        a = SampleStream(model, 42).draw_chunk(64)
-        b = SampleStream(model, 42).draw_chunk(64)
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-        c = SampleStream(model, 43).draw_chunk(64)
-        assert not np.array_equal(a[0], c[0])
-
-    def test_iterator_matches_draw_chunk(self):
-        # Same chunk size means the same draw order, hence identical values.
-        model = GaussianScalar(0.3)
-        xs, ys = SampleStream(model, 42).draw_chunk(16)
-        it = iter(SampleStream(model, 42, chunk=16))
-        for i in range(5):
-            x, y = next(it)
-            assert x == xs[i] and y == ys[i]
-
-    def test_vector_shapes(self):
-        rho = np.array([0.5, -0.1])
-        yv = GaussianYVec(rho, CorrelationMatrix.identity(2))
-        x, y = SampleStream(yv, 1).draw_chunk(10)
-        assert x.shape == (10,) and y.shape == (10, 2)
-        xv = GaussianXVec(rho, CorrelationMatrix.identity(2))
-        x, y = SampleStream(xv, 1).draw_chunk(10)
-        assert x.shape == (10, 2) and y.shape == (10,)
-
-    def test_whitened_requires_xvec(self):
-        with pytest.raises(ConfigurationError):
-            SampleStream(GaussianScalar(0.1), 1).take_whitened(4)
-
-
 class TestFirstCrossing:
     def test_index_is_geometric(self):
         model = GaussianScalar(0.5)
@@ -440,17 +417,6 @@ class TestFirstCrossing:
         y_var = 0.25 * v + 0.75
         assert abs(batch.y.mean() - 0.5 * m) < 5 * math.sqrt(y_var / n)
 
-    def test_matches_literal_scan(self):
-        # The factorized draw and the sequential scan agree in distribution.
-        model = GaussianScalar(0.5)
-        t = 0.8
-        direct = draw_first_crossing(model, t, substream(41, 0), 4000)
-        scanned = scan_first_crossing(model, t, substream(41, 1), 4000, cap=4096, chunk=32)
-        assert not scanned.capped.any()
-        assert stats.ks_2samp(direct.x, scanned.x).pvalue > 1e-3
-        assert stats.ks_2samp(direct.y, scanned.y).pvalue > 1e-3
-        assert stats.ks_2samp(direct.index, scanned.index).pvalue > 1e-3
-
     def test_binary_block_crossing_values(self):
         model = BlockAveraged(DoublySymmetricBinary(0.2), 9)
         batch = draw_first_crossing(model, 0.5, substream(43, 0), 20000)
@@ -468,13 +434,6 @@ class TestFirstCrossing:
         # E[Y | X = x] = rho x for the averaged sign pairs.
         resid = batch.y - inner.rho * batch.x
         assert abs(resid.mean()) < 5 * resid.std() / math.sqrt(resid.size)
-
-    def test_scan_caps_out(self):
-        model = GaussianScalar(0.0)
-        batch = scan_first_crossing(model, 3.0, substream(51, 0), 50, cap=8, chunk=8)
-        assert batch.capped.all() or (np.isnan(batch.x[batch.capped]).all() and batch.capped.any())
-        assert np.isnan(batch.x[batch.capped]).all()
-        assert np.all(batch.index[batch.capped] == 8)
 
     def test_impossible_crossing_rejected(self):
         with pytest.raises(ConfigurationError):
