@@ -144,9 +144,10 @@ def max_trials(
     maximum value, so the trial draws (J, X_J) directly from those laws; the
     fixed-length index code costs exactly k bits either way.
     """
-    k = int(k)
-    if k < 1:
+    # A fractional k would be a block of 2^k rows that is not a whole number.
+    if not (float(k).is_integer() and k >= 1):
         raise ConfigurationError(f"bit budget must be a positive integer, got {k!r}")
+    k = int(k)
     if not isinstance(model, GaussianScalar):
         raise ConfigurationError("max trials need the scalar Gaussian model")
     n_samples = 2.0**k

@@ -83,41 +83,6 @@ def assert_same_laws(pairs):
 
 
 class TestWalkFirstHit:
-    def test_first_slab_matches_a_replay_of_the_stream(self):
-        model, t, n = GaussianScalar(0.4), 0.5, 40
-        p = model.crossing_prob(t)
-        take = math.ceil(1.0 / p)
-        batch = walk_first_hit(model.draw_pairs, lambda x: x > t, p, substream(11, 0), n, 10**6)
-        xs, ys = model.draw_pairs(substream(11, 0), n * take)
-        mask = (xs > t).reshape(n, take)
-        hit = mask.any(axis=1)
-        assert 0 < hit.sum() < n
-        first = mask.argmax(axis=1)
-        rows = np.arange(n) * take + first
-        np.testing.assert_array_equal(batch.index[hit], first[hit] + 1)
-        np.testing.assert_array_equal(batch.x[hit], xs[rows[hit]])
-        np.testing.assert_array_equal(batch.y[hit], ys[rows[hit]])
-        # Trials with no hit in their first slab are carried to the next one.
-        assert np.all(batch.index[~hit] > take) and np.all(batch.x[~hit] > t)
-        assert not batch.capped.any()
-
-    def test_caps_out_exactly_the_trials_without_a_hit(self):
-        # Cap 8 is below the slab length at p = Q(2), so the one pass reads 8
-        # rows per trial, in one draw that a replay reproduces.
-        model, t, cap = GaussianScalar(0.0), 2.0, 8
-        batch = walk_first_hit(model.draw_pairs, lambda x: x > t, float(qfunc(t)),
-                               substream(51, 0), 50, cap)
-        xs, _ = model.draw_pairs(substream(51, 0), 50 * cap)
-        mask = (xs > t).reshape(50, cap)
-        no_hit = ~mask.any(axis=1)
-        assert batch.capped.sum() == 43
-        np.testing.assert_array_equal(batch.capped, no_hit)
-        np.testing.assert_array_equal(np.isnan(batch.x), no_hit)
-        np.testing.assert_array_equal(np.isnan(batch.y), no_hit)
-        # A hit on the last allowed row also reads index = cap (one trial
-        # here), so ``capped``, not the index, marks the capped trials.
-        np.testing.assert_array_equal(batch.index, np.where(no_hit, cap, mask.argmax(axis=1) + 1))
-
     def test_payload_shapes_follow_the_draw(self):
         rho = np.array([0.5, -0.1])
         yv = GaussianYVec(rho, CorrelationMatrix.identity(2))

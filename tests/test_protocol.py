@@ -1,12 +1,28 @@
-"""Tests for index coding, stopping-set geometry, quantizers, and bit allocation."""
+"""Tests for index coding, selection rules, quantizers, and bit accounting.
+
+The selection rules are checked on the literal walk ``sources.walk_first_hit``
+and on the batches the estimators build from the exact shortcuts.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from corrlink.analysis import threshold_for_budget
 from corrlink.errors import ConfigurationError, DomainError
+from corrlink.estimators import (
+    clt_trials,
+    linear_baseline_trials,
+    max_trials,
+    stopping_matrix_batch,
+    threshold_trials,
+    xvec_core_batch,
+)
+from corrlink.linalg import CorrelationMatrix
 from corrlink.protocol import (
+    LedgerMode,
     StoppingSetParams,
     allocate_bits_pareto,
     allocate_bits_xvec,
@@ -18,8 +34,50 @@ from corrlink.protocol import (
     quantize_pareto_value,
     quantize_W_matrix,
 )
-from corrlink.sources import substream
-from corrlink.statmath import geometric_entropy, qfunc
+from corrlink.sources import (
+    AdditiveNoise,
+    BlockAveraged,
+    GaussianScalar,
+    GaussianXVec,
+    StdNormal,
+    UnitLaplace,
+    UnitUniform,
+    draw_first_crossing,
+    substream,
+    walk_first_hit,
+)
+from corrlink.statmath import (
+    geometric_entropy,
+    geometric_entropy_inv,
+    max_normal_moments,
+    qfunc,
+    qfunc_inv,
+)
+from test_oracles import max_oracle, stopping_set_oracle, threshold_oracle
+
+
+class FixedDraw:
+    """Row draw that replays preset (x, y) arrays in order."""
+
+    def __init__(self, xs, ys):
+        self._xs = np.asarray(xs, dtype=float)
+        self._ys = np.asarray(ys, dtype=float)
+        self._pos = 0
+
+    def __call__(self, rng, n):
+        lo, hi = self._pos, self._pos + n
+        self._pos = hi
+        return self._xs[lo:hi], self._ys[lo:hi]
+
+
+def xvec_model(d):
+    return GaussianXVec(rho=np.zeros(d), sigma_x=CorrelationMatrix.identity(d))
+
+
+def laplace_block():
+    # Block averages of Laplace X have no closed-form crossing law, so the
+    # CLT scheme walks them literally.
+    return BlockAveraged(AdditiveNoise(0.2, UnitLaplace(), StdNormal()), 4)
 
 
 class TestGolombCoding:
@@ -106,6 +164,168 @@ class TestGolombCoding:
             want = [golomb_length(int(v), m) for v in j]
             assert np.array_equal(golomb_length_array(j, m), want)
 
+    def test_length_array_guards(self):
+        with pytest.raises(DomainError):
+            golomb_length_array(np.array([0.5]), 4)
+        with pytest.raises(ConfigurationError):
+            golomb_length_array(np.array([2.0**53]), 4)
+
+
+class TestBitLedger:
+    """Bit accounting, as each ``TrialBatch`` carries it."""
+
+    def test_expected_mode_totals(self):
+        # The transform baseline books the sum of its two channels' charges;
+        # realized mode adds their codewords trial by trial.
+        model = GaussianXVec(rho=np.array([0.4, -0.2]), sigma_x=CorrelationMatrix.identity(2))
+        budgets = (6.0, 9.0)
+        expected = linear_baseline_trials(model, budgets, np.eye(2), substream(5, 0), 200)
+        assert expected.bits_expected == pytest.approx(15.0, abs=1e-6)
+        assert expected.bits_realized is None
+        realized = linear_baseline_trials(model, budgets, np.eye(2), substream(5, 0), 200,
+                                          mode=LedgerMode.REALIZED)
+        rng = substream(5, 0)
+        runs = [threshold_trials(GaussianScalar(float(r)), k, rng, 200, mode=LedgerMode.REALIZED)
+                for r, k in zip(model.rho, budgets)]
+        np.testing.assert_array_equal(realized.bits_realized,
+                                      runs[0].bits_realized + runs[1].bits_realized)
+
+    def test_negative_charge_rejected(self):
+        # A budget that cannot pay for an index is refused before any draw.
+        for k in (0.0, -1.0):
+            with pytest.raises(ConfigurationError):
+                max_trials(GaussianScalar(0.3), k, substream(0, 0), 4)
+            with pytest.raises(ConfigurationError):
+                allocate_bits_xvec(k, 2)
+            with pytest.raises(ConfigurationError):
+                allocate_bits_pareto(k, 4.0)
+            with pytest.raises(DomainError):
+                threshold_trials(GaussianScalar(0.3), k, substream(0, 0), 4)
+
+    def test_nan_charge_allowed(self):
+        # The literal walk has no closed-form index cost: it books NaN
+        # expected bits, and that alone fails no trial.
+        batch = clt_trials(laplace_block(), 4.0, substream(3, 0), 50)
+        assert math.isnan(batch.bits_expected)
+        assert not batch.failed.any()
+        assert np.isfinite(batch.estimates).all()
+
+    def test_realized_mode_requires_codeword(self):
+        # Realized mode gives every trial a whole codeword of at least one
+        # bit; expected mode books none.
+        fixed = max_trials(GaussianScalar(0.3), 6, substream(7, 0), 100, mode=LedgerMode.REALIZED)
+        assert np.all(fixed.bits_realized == 6)
+        batch = threshold_trials(GaussianScalar(0.3), 6.0, substream(7, 1), 100,
+                                 mode=LedgerMode.REALIZED)
+        assert np.issubdtype(batch.bits_realized.dtype, np.integer)
+        assert batch.bits_realized.min() >= 1
+        assert threshold_trials(GaussianScalar(0.3), 6.0, substream(7, 1), 100).bits_realized is None
+
+
+class TestTranscript:
+    """What a transcript's indices and sample count satisfy, on the walks and batches."""
+
+    def test_indices_must_increase(self):
+        # Each stopping-set gap is a whole number of rows, at least one, so
+        # the cumulative selection indices strictly increase.
+        _, walked = stopping_set_oracle(xvec_model(3), 1.0, 1.5, substream(31, 0), 2000)
+        _, direct = stopping_matrix_batch(3, 1.0, 1.5, substream(31, 1), 2000)
+        for gaps in (walked, direct):
+            assert np.all(gaps >= 1) and np.all(gaps == np.floor(gaps))
+            assert np.all(np.diff(np.cumsum(gaps, axis=1), axis=1) > 0)
+
+    def test_samples_cover_last_index(self):
+        # A trial's sample count is the index of its last selection: the sum
+        # of the stopping-set gaps, drawn first from the same substream.
+        params = StoppingSetParams(a=2.7, b=0.3, d=2, k_l=10.0, k_q=4.0)
+        batch = xvec_core_batch(xvec_model(2), params, substream(33, 0), 500, quantize=False)
+        _, gaps = stopping_matrix_batch(2, params.a, params.b, substream(33, 0), 500)
+        np.testing.assert_array_equal(batch.samples, gaps.sum(axis=1))
+        # A crossing trial stops reading at its index.
+        model, k = GaussianScalar(0.3), 8.0
+        batch = threshold_trials(model, k, substream(33, 1), 500)
+        crossing = draw_first_crossing(model, threshold_for_budget(k), substream(33, 1), 500)
+        np.testing.assert_array_equal(batch.samples, crossing.index)
+
+
+class TestSelectMaxIndex:
+    def test_picks_argmax(self):
+        # One block of four rows, walked to the row holding the block's largest X.
+        draw = FixedDraw([0.1, 2.0, -1.0, 0.5], [1.0, 2.0, 3.0, 4.0])
+        sel = walk_first_hit(draw, lambda x: x == x.max(), 0.25, None, 1, 4)
+        assert sel.index.tolist() == [2.0]
+        assert sel.x[0] == 2.0 and sel.y[0] == 2.0
+        assert not sel.capped.any()
+
+    def test_power_of_two_budget(self):
+        batch = max_trials(GaussianScalar(0.0), 10, substream(3, 0), 50, mode=LedgerMode.REALIZED)
+        assert batch.bits_expected == pytest.approx(10.0)
+        assert np.all(batch.bits_realized == 10)
+        assert np.all(batch.samples == 2**10)
+
+    def test_rejects_non_power_of_two(self):
+        # Blocks of 0, 1, 6 and 100 rows: budgets of no bits or a fraction of one.
+        for k in [-math.inf, 0, math.log2(6), math.log2(100)]:
+            with pytest.raises(ConfigurationError):
+                max_trials(GaussianScalar(0.0), k, substream(3, 0), 4)
+        assert max_trials(GaussianScalar(0.0), 3.0, substream(3, 0), 4).bits_expected == 3.0
+
+    def test_selected_value_moments(self):
+        # The transmitted X is the block maximum; its mean must match the
+        # quadrature moments.
+        mom = max_normal_moments(8)
+        _, x, _ = max_oracle(GaussianScalar(0.3), 3, substream(7, 0), 4000)
+        se = math.sqrt(mom.variance / x.size)
+        assert abs(x.mean() - mom.mean) < 5 * se
+
+
+class TestSelectThresholdIndex:
+    def test_matches_replayed_stream(self):
+        model, t, n = GaussianScalar(0.4), 0.5, 40
+        p = model.crossing_prob(t)
+        take = math.ceil(1.0 / p)
+        batch = walk_first_hit(model.draw_pairs, lambda x: x > t, p, substream(11, 0), n, 10**6)
+        xs, ys = model.draw_pairs(substream(11, 0), n * take)
+        mask = (xs > t).reshape(n, take)
+        hit = mask.any(axis=1)
+        assert 0 < hit.sum() < n
+        first = mask.argmax(axis=1)
+        rows = np.arange(n) * take + first
+        np.testing.assert_array_equal(batch.index[hit], first[hit] + 1)
+        np.testing.assert_array_equal(batch.x[hit], xs[rows[hit]])
+        np.testing.assert_array_equal(batch.y[hit], ys[rows[hit]])
+        # Trials with no hit in their first slab are carried to the next one.
+        assert np.all(batch.index[~hit] > take) and np.all(batch.x[~hit] > t)
+        assert not batch.capped.any()
+
+    def test_expected_bits_at_even_odds(self):
+        # A 2-bit budget is crossing probability 1/2: threshold 0, and on
+        # average two rows read.
+        assert geometric_entropy_inv(2.0) == pytest.approx(0.5, abs=1e-12)
+        batch = threshold_trials(GaussianScalar(0.0), 2.0, substream(5, 0), 20_000)
+        assert batch.bits_expected == pytest.approx(2.0)
+        se = math.sqrt(2.0 / batch.n)
+        assert abs(batch.samples.mean() - 2.0) < 5 * se
+
+    def test_expected_bits_hit_budget(self):
+        # The threshold is set so that the model's own crossing probability
+        # costs exactly the budget.
+        t = qfunc_inv(geometric_entropy_inv(20.0))
+        model = GaussianScalar(0.0)
+        assert geometric_entropy(model.crossing_prob(t)) == pytest.approx(20.0, abs=1e-6)
+        batch = threshold_trials(model, 20.0, substream(5, 1), 10)
+        assert batch.bits_expected == pytest.approx(20.0, abs=1e-6)
+
+    def test_realized_mode_charges_codeword(self):
+        p = 0.1
+        k = geometric_entropy(p)
+        m = golomb_parameter(geometric_entropy_inv(k))
+        batch = threshold_trials(GaussianScalar(0.0), k, substream(1000, 0), 300,
+                                 mode=LedgerMode.REALIZED)
+        want = [golomb_length(int(j), m) for j in batch.samples]
+        assert batch.bits_realized.tolist() == want
+        assert geometric_entropy(p) - 0.5 < batch.bits_realized.mean() < geometric_entropy(p) + 1.0
+
     def test_realized_mean_within_one_bit(self):
         # Codeword-length accounting for geometric indices stays within one
         # bit of the entropy charge at scale.
@@ -117,11 +337,46 @@ class TestGolombCoding:
         h = geometric_entropy(p)
         assert h - 0.05 < mean_len < h + 1.0
 
-    def test_length_array_guards(self):
-        with pytest.raises(DomainError):
-            golomb_length_array(np.array([0.5]), 4)
+    def test_wait_cap(self):
+        # Past the cap a walk stops: the trial is flagged, its index is the
+        # cap and its payloads are NaN.
+        model = AdditiveNoise(0.3, UnitUniform(), StdNormal())
+        t = 1.7
+        batch = walk_first_hit(model.draw_pairs, lambda x: x > t, model.crossing_prob(t),
+                               substream(21, 0), 200, 2)
+        assert batch.capped.any() and not batch.capped.all()
+        assert np.all(batch.index[batch.capped] == 2)
+        assert np.isnan(batch.x[batch.capped]).all() and np.isnan(batch.y[batch.capped]).all()
+        assert np.all(batch.x[~batch.capped] > t) and np.all(batch.index[~batch.capped] <= 2)
+
+    def test_impossible_threshold(self):
+        # Uniform X never exceeds sqrt(3), so neither sampler can cross 2.
+        model = AdditiveNoise(0.3, UnitUniform(), StdNormal())
+        assert model.crossing_prob(2.0) == 0.0
         with pytest.raises(ConfigurationError):
-            golomb_length_array(np.array([2.0**53]), 4)
+            draw_first_crossing(model, 2.0, substream(21, 1), 4)
+        with pytest.raises(ConfigurationError):
+            threshold_oracle(model, 2.0, substream(21, 2), 4)
+
+    def test_realized_needs_crossing_prob(self):
+        with pytest.raises(ConfigurationError, match="closed-form crossing probability"):
+            clt_trials(laplace_block(), 4.0, substream(3, 1), 10, mode=LedgerMode.REALIZED)
+
+    def test_no_closed_form_charges_nan(self):
+        block = laplace_block()
+        assert block.crossing_prob(threshold_for_budget(4.0)) is None
+        batch = clt_trials(block, 4.0, substream(3, 2), 20, cap=4096)
+        assert math.isnan(batch.bits_expected)
+        assert batch.bits_realized is None
+
+    def test_default_wait_cap(self):
+        # Without a cap the walk reads up to 4096 * 1024 rows a trial, far
+        # beyond any trial at this budget.
+        default = clt_trials(laplace_block(), 4.0, substream(9, 0), 200)
+        explicit = clt_trials(laplace_block(), 4.0, substream(9, 0), 200, cap=4096 * 1024)
+        assert not default.failed.any()
+        np.testing.assert_array_equal(default.samples, explicit.samples)
+        np.testing.assert_array_equal(default.estimates, explicit.estimates)
 
 
 class TestStoppingSetParams:
@@ -142,6 +397,54 @@ class TestStoppingSetParams:
         with pytest.raises(ConfigurationError):
             StoppingSetParams(a=3.0, b=0.4, d=0, k_l=10.0, k_q=4.0)
 
+    def test_degenerate_crossing_prob(self):
+        # b = 0 in dimension 2 leaves no room for the weak coordinates.
+        with pytest.raises(ConfigurationError):
+            StoppingSetParams(a=3.0, b=0.0, d=2, k_l=10.0, k_q=4.0)
+
+
+class TestSelectStoppingSets:
+    PARAMS = StoppingSetParams(a=1.2, b=0.0, d=1, k_l=4.0, k_q=4.0)
+
+    def test_selected_geometry(self):
+        # The literal walk selects, for each column, a strong target
+        # coordinate and weak others.
+        params = StoppingSetParams(a=2.7, b=0.3, d=2, k_l=10.0, k_q=4.0)
+        w, gaps = stopping_set_oracle(xvec_model(2), params.a, params.b, substream(31, 1), 200)
+        assert w.shape == (200, 2, 2) and gaps.shape == (200, 2)
+        for ell in range(2):
+            assert np.all(np.abs(w[:, ell, ell]) > params.a)
+            for j in range(2):
+                if j != ell:
+                    assert np.all(np.abs(w[:, j, ell]) < params.b)
+
+    def test_expected_bits(self):
+        params = StoppingSetParams(a=2.7, b=0.3, d=2, k_l=10.0, k_q=4.0)
+        batch = xvec_core_batch(xvec_model(2), params, substream(33, 2), 50, quantize=False)
+        h = geometric_entropy(params.crossing_prob)
+        assert batch.bits_expected == pytest.approx(2 * h)
+        assert batch.bits_realized is None
+
+    def test_realized_charges_gap_codewords(self):
+        params = StoppingSetParams(a=2.7, b=0.3, d=2, k_l=10.0, k_q=4.0)
+        batch = xvec_core_batch(xvec_model(2), params, substream(35, 0), 300,
+                                quantize=False, mode=LedgerMode.REALIZED)
+        _, gaps = stopping_matrix_batch(2, params.a, params.b, substream(35, 0), 300)
+        m = golomb_parameter(params.crossing_prob)
+        want = golomb_length_array(gaps.reshape(-1), m).reshape(300, 2).sum(axis=1)
+        np.testing.assert_array_equal(batch.bits_realized, want)
+
+    def test_gap_distribution(self):
+        # Literal walk gaps follow the geometric law of the crossing event.
+        p = self.PARAMS.crossing_prob
+        a = self.PARAMS.a
+        gaps = walk_first_hit(xvec_model(1).draw_whitened, lambda w: np.abs(w[:, 0]) > a, p,
+                              substream(100, 0), 4000, 4096).index
+        kmax = 12
+        obs = np.array([np.sum(gaps == j) for j in range(1, kmax + 1)] + [np.sum(gaps > kmax)])
+        probs = np.array([p * (1 - p) ** (j - 1) for j in range(1, kmax + 1)] + [(1 - p) ** kmax])
+        assert stats.chisquare(obs, gaps.size * probs).pvalue > 0.01
+
     def test_crossing_frequency(self):
         # Empirical frequency of strong-here-weak-there over raw whitened draws.
         rng = substream(41, 0)
@@ -151,10 +454,21 @@ class TestStoppingSetParams:
         se = math.sqrt(p * (1 - p) / w.shape[0])
         assert abs(hit.mean() - p) < 5 * se
 
-    def test_degenerate_crossing_prob(self):
-        # b = 0 in dimension 2 leaves no room for the weak coordinates.
+    def test_dimension_mismatch(self):
+        params = StoppingSetParams(a=2.7, b=0.3, d=2, k_l=10.0, k_q=4.0)
         with pytest.raises(ConfigurationError):
-            StoppingSetParams(a=3.0, b=0.0, d=2, k_l=10.0, k_q=4.0)
+            xvec_core_batch(xvec_model(3), params, substream(1, 0), 4, quantize=False)
+
+    def test_wait_cap(self):
+        a, b, cap = 5.0, 0.3, 64
+        p = 2.0 * qfunc(a) * (1.0 - 2.0 * qfunc(b))
+
+        def hit(w):
+            return (np.abs(w[:, 0]) > a) & (np.abs(w[:, 1]) < b)
+
+        batch = walk_first_hit(xvec_model(2).draw_whitened, hit, p, substream(1, 1), 20, cap)
+        assert batch.capped.all()
+        assert np.all(batch.index == cap) and np.isnan(batch.x).all()
 
 
 def bits(x: np.ndarray) -> np.ndarray:

@@ -26,8 +26,10 @@ from corrlink.sources import (
     _binomial_upper_tail,
     _open_uniform,
     substream,
+    walk_first_hit,
 )
 from corrlink.linalg import CorrelationMatrix
+from corrlink.statmath import qfunc
 
 SQRT3 = math.sqrt(3.0)
 
@@ -271,15 +273,6 @@ class TestJointModels:
         assert set(np.unique(x)) <= {-1.0, 1.0}
         assert abs(np.mean(x * y) - 0.6) < 0.01
 
-    def test_vector_shapes(self):
-        rho = np.array([0.5, -0.1])
-        yv = GaussianYVec(rho, CorrelationMatrix.identity(2))
-        x, y = yv.draw_pairs(substream(1, 0), 10)
-        assert x.shape == (10,) and y.shape == (10, 2)
-        xv = GaussianXVec(rho, CorrelationMatrix.identity(2))
-        x, y = xv.draw_pairs(substream(1, 0), 10)
-        assert x.shape == (10, 2) and y.shape == (10,)
-
     def test_binary_rejects_bad_flip(self):
         with pytest.raises(ConfigurationError):
             DoublySymmetricBinary(flip_prob=1.2)
@@ -387,6 +380,45 @@ class TestModelQueries:
         assert GaussianXVec(np.array([0.5, 0.1]), mat).crossing_prob(0.5) is None
 
 
+class TestSampleStream:
+    """The row stream of a substream, as the models and the walker read it."""
+
+    def test_deterministic(self):
+        model = GaussianScalar(0.3)
+        a = model.draw_pairs(substream(42, 0), 64)
+        b = model.draw_pairs(substream(42, 0), 64)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        c = model.draw_pairs(substream(43, 0), 64)
+        assert not np.array_equal(a[0], c[0])
+
+    def test_iterator_matches_draw_chunk(self):
+        # A walk that stops on every row reads the rows of one draw in order.
+        model = GaussianScalar(0.3)
+        xs, ys = model.draw_pairs(substream(42, 0), 16)
+        batch = walk_first_hit(model.draw_pairs, lambda x: np.ones(x.shape[0], dtype=bool), 1.0,
+                               substream(42, 0), 16, 1)
+        assert np.all(batch.index == 1) and not batch.capped.any()
+        assert np.array_equal(batch.x, xs) and np.array_equal(batch.y, ys)
+
+    def test_vector_shapes(self):
+        rho = np.array([0.5, -0.1])
+        yv = GaussianYVec(rho, CorrelationMatrix.identity(2))
+        x, y = yv.draw_pairs(substream(1, 0), 10)
+        assert x.shape == (10,) and y.shape == (10, 2)
+        xv = GaussianXVec(rho, CorrelationMatrix.identity(2))
+        x, y = xv.draw_pairs(substream(1, 0), 10)
+        assert x.shape == (10, 2) and y.shape == (10,)
+
+    def test_whitened_requires_xvec(self):
+        # Only the X-vector model has whitened rows to walk.
+        assert not hasattr(GaussianScalar(0.1), "draw_whitened")
+        yv = GaussianYVec(np.array([0.3, 0.1]), CorrelationMatrix.identity(2))
+        assert not hasattr(yv, "draw_whitened")
+        xv = GaussianXVec(np.array([0.3, 0.1]), CorrelationMatrix.identity(2))
+        w, y = xv.draw_whitened(substream(1, 0), 4)
+        assert w.shape == (4, 2) and y.shape == (4,)
+
+
 class TestFirstCrossing:
     def test_index_is_geometric(self):
         model = GaussianScalar(0.5)
@@ -417,6 +449,18 @@ class TestFirstCrossing:
         y_var = 0.25 * v + 0.75
         assert abs(batch.y.mean() - 0.5 * m) < 5 * math.sqrt(y_var / n)
 
+    def test_matches_literal_scan(self):
+        # The factorized draw and the literal walk agree in distribution.
+        model = GaussianScalar(0.5)
+        t = 0.8
+        direct = draw_first_crossing(model, t, substream(41, 0), 4000)
+        walked = walk_first_hit(model.draw_pairs, lambda x: x > t, model.crossing_prob(t),
+                                substream(41, 1), 4000, 4096)
+        assert not walked.capped.any()
+        assert stats.ks_2samp(direct.x, walked.x).pvalue > 1e-3
+        assert stats.ks_2samp(direct.y, walked.y).pvalue > 1e-3
+        assert stats.ks_2samp(direct.index, walked.index).pvalue > 1e-3
+
     def test_binary_block_crossing_values(self):
         model = BlockAveraged(DoublySymmetricBinary(0.2), 9)
         batch = draw_first_crossing(model, 0.5, substream(43, 0), 20000)
@@ -434,6 +478,23 @@ class TestFirstCrossing:
         # E[Y | X = x] = rho x for the averaged sign pairs.
         resid = batch.y - inner.rho * batch.x
         assert abs(resid.mean()) < 5 * resid.std() / math.sqrt(resid.size)
+
+    def test_scan_caps_out(self):
+        # Cap 8 is below the slab length at p = Q(2), so the one pass reads 8
+        # rows per trial, in one draw that a replay reproduces.
+        model, t, cap = GaussianScalar(0.0), 2.0, 8
+        batch = walk_first_hit(model.draw_pairs, lambda x: x > t, float(qfunc(t)),
+                               substream(51, 0), 50, cap)
+        xs, _ = model.draw_pairs(substream(51, 0), 50 * cap)
+        mask = (xs > t).reshape(50, cap)
+        no_hit = ~mask.any(axis=1)
+        assert batch.capped.sum() == 43
+        np.testing.assert_array_equal(batch.capped, no_hit)
+        np.testing.assert_array_equal(np.isnan(batch.x), no_hit)
+        np.testing.assert_array_equal(np.isnan(batch.y), no_hit)
+        # A hit on the last allowed row also reads index = cap (one trial
+        # here), so ``capped``, not the index, marks the capped trials.
+        np.testing.assert_array_equal(batch.index, np.where(no_hit, cap, mask.argmax(axis=1) + 1))
 
     def test_impossible_crossing_rejected(self):
         with pytest.raises(ConfigurationError):
