@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .linalg import invert
+from .linalg import _transform_channels, invert
 from .sources import GaussianXVec, MarginalLaw
 from .statmath import geometric_entropy_inv, inverse_mills, max_normal_moments, phi, qfunc, qfunc_inv
 
@@ -336,13 +336,7 @@ def pareto_unquantized_floor(alpha: float, rho: float) -> float:
 def linear_baseline_trace(model: GaussianXVec, budgets: tuple[float, float],
                           m_transform: np.ndarray) -> float:
     """Exact covariance trace of the transform-then-threshold baseline estimator."""
-    from .estimators import normalize_transform_rows
-
-    if model.dim != 2:
-        raise ConfigurationError("the transform baseline is defined for two coordinates")
-    mt = normalize_transform_rows(m_transform, model.sigma_x.values)
-    alphas = np.clip(mt @ model.rho, -1.0, 1.0)
-    inv_mt = np.linalg.inv(mt)
+    alphas, inv_mt = _transform_channels(m_transform, model.sigma_x.values, model.rho)
     trace = 0.0
     for i, k in enumerate(budgets):
         t = threshold_for_budget(float(k))

@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "CorrlinkError",
+    "DomainError",
+    "ConfigurationError",
+    "SingularMatrixError",
+    "TrialFailureError",
+]
+
 
 class CorrlinkError(Exception):
     """Base class for every error raised by this package."""

@@ -19,10 +19,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .linalg import singular_value_lower_bound
+from .linalg import _transform_channels, singular_value_lower_bound
 from .protocol import (
     LedgerMode,
     ParetoAllocation,
+    QuantizedPayload,
     StoppingSetParams,
     allocate_bits_pareto,
     allocate_bits_xvec,
@@ -35,9 +36,9 @@ from .protocol import (
 from .sources import (
     AdditiveNoise,
     BlockAveraged,
+    CrossingBatch,
     GaussianScalar,
     GaussianXVec,
-    GaussianYVec,
     JointModel,
     ParetoTwoSided,
     _open_uniform,
@@ -59,7 +60,6 @@ __all__ = [
     "TrialBatch",
     "threshold_trials",
     "max_trials",
-    "yvec_trials",
     "stopping_matrix_batch",
     "xvec_core_batch",
     "xvec_trials",
@@ -68,9 +68,7 @@ __all__ = [
     "clt_trials",
     "pareto_allocation",
     "pareto_trials",
-    "additive_trials",
     "linear_baseline_trials",
-    "normalize_transform_rows",
     "require_crossable_block",
 ]
 
@@ -91,12 +89,6 @@ class TrialBatch:
         return self.estimates.shape[0]
 
 
-def _threshold_from_budget(k: float) -> tuple[float, float, float]:
-    p = geometric_entropy_inv(k)
-    t = qfunc_inv(p)
-    return t, inverse_mills(t), p
-
-
 def _realized_for_indices(index: np.ndarray, p: float, mode: LedgerMode):
     if mode is not LedgerMode.REALIZED:
         return None
@@ -104,18 +96,29 @@ def _realized_for_indices(index: np.ndarray, p: float, mode: LedgerMode):
 
 
 def _crossing_trials(
-    model: JointModel, t: float, norm: float, p: float,
-    rng: np.random.Generator, size: int, mode: LedgerMode,
+    model: JointModel, batch: CrossingBatch, norm, p: Optional[float], mode: LedgerMode,
+    payload: Optional[QuantizedPayload] = None,
 ) -> TrialBatch:
-    """First crossing of ``t``, estimate Y_J / ``norm``; the index is booked at entropy H(p)."""
-    batch = draw_first_crossing(model, t, rng, size)
+    """Estimates Y_J / ``norm`` from first crossings, each index booked at entropy H(p).
+
+    ``p`` is None for walked crossings, which have no closed-form index code:
+    their bits read NaN. Capped trials fail. A quantized ``payload`` sent with
+    each index adds its bits.
+    """
+    bits = math.nan if p is None else geometric_entropy(p)
+    realized = None if p is None else _realized_for_indices(batch.index, p, mode)
+    if payload is not None:
+        bits += payload.bits_expected
+        if realized is not None:
+            realized = realized + payload.bits_realized
+    est = batch.y / norm
     return TrialBatch(
-        estimates=(batch.y / norm).reshape(batch.index.shape[0], -1),
+        estimates=est if est.ndim == 2 else est[:, None],
         truth=model.true_correlations(),
-        bits_expected=geometric_entropy(p),
-        bits_realized=_realized_for_indices(batch.index, p, mode),
+        bits_expected=bits,
+        bits_realized=realized,
         samples=batch.index,
-        failed=np.zeros(batch.index.shape[0], dtype=bool),
+        failed=batch.capped,
     )
 
 
@@ -124,14 +127,24 @@ def _crossing_trials(
 
 
 def threshold_trials(
-    model: GaussianScalar, k: float, rng: np.random.Generator, size: int,
+    model: JointModel, k: float, rng: np.random.Generator, size: int,
     mode: LedgerMode = LedgerMode.EXPECTED,
 ) -> TrialBatch:
-    """First-crossing scheme on a unit bivariate normal pair: estimate = Y_J / E[X|X>t]."""
-    if not isinstance(model, GaussianScalar):
-        raise ConfigurationError("threshold trials need the scalar Gaussian model")
-    t, s, p = _threshold_from_budget(k)
-    return _crossing_trials(model, t, s, p, rng, size, mode)
+    """First-crossing scheme on any model with a scalar X law: estimate = Y_J / E[X|X>t].
+
+    The threshold t is the X law's upper quantile at the crossing probability
+    whose index costs ``k`` bits. Every coordinate of a vector Y is read at
+    the one shared index.
+    """
+    x_law = getattr(model, "x_law", None)
+    if x_law is None:
+        raise ConfigurationError(
+            f"threshold trials need a model with a scalar X law, got {model!r}"
+        )
+    p = geometric_entropy_inv(k)
+    t = float(x_law.tail_quantile(p))
+    batch = draw_first_crossing(model, t, rng, size)
+    return _crossing_trials(model, batch, x_law.tail_mean(t), p, mode)
 
 
 def max_trials(
@@ -169,23 +182,14 @@ def max_trials(
     )
 
 
-def additive_trials(
-    model: AdditiveNoise, k: float, rng: np.random.Generator, size: int,
-    mode: LedgerMode = LedgerMode.EXPECTED,
-) -> TrialBatch:
-    """Threshold scheme for a general additive-noise pair, normalized by the law's tail mean."""
-    if not isinstance(model, AdditiveNoise):
-        raise ConfigurationError("additive trials need an additive-noise model")
-    p = geometric_entropy_inv(k)
-    t = float(model.x_law.tail_quantile(p))
-    return _crossing_trials(model, t, model.x_law.tail_mean(t), p, rng, size, mode)
+def require_crossable_block(model: BlockAveraged, k: float) -> float:
+    """Reject block sizes whose bounded support cannot reach the budget's threshold.
 
-
-def require_crossable_block(model: BlockAveraged, k: float) -> None:
-    """Reject block sizes whose bounded support cannot reach the budget's threshold."""
+    Returns that threshold: the Gaussian one whose crossing index costs ``k`` bits.
+    """
     if not isinstance(model, BlockAveraged):
         raise ConfigurationError("CLT trials need a block-averaged model")
-    t, _, _ = _threshold_from_budget(k)
+    t = qfunc_inv(geometric_entropy_inv(k))
     xsup = model.x_support_upper
     if math.isfinite(xsup) and t >= xsup:
         inner_sup = model.inner.x_support_upper
@@ -194,6 +198,7 @@ def require_crossable_block(model: BlockAveraged, k: float) -> None:
             f"block size {model.m} cannot cross threshold {t:.4f} (block support tops out "
             f"at {xsup:.4f}); the smallest workable block size is {m_min}"
         )
+    return t
 
 
 def clt_trials(
@@ -207,33 +212,26 @@ def clt_trials(
     probability of the block-average process, which tends to the configured
     budget as the block size grows but differs from it at finite block sizes.
     """
-    require_crossable_block(model, k)
-    t, s, _ = _threshold_from_budget(k)
+    t = require_crossable_block(model, k)
     p = model.crossing_prob(t)
     if p is not None:
         if p <= 0.0:
             raise ConfigurationError(
                 f"crossing probability is 0 at block size {model.m}; increase the block size"
             )
-        return _crossing_trials(model, t, s, p, rng, size, mode)
-    # No closed-form crossing probability: walk the block stream literally,
-    # with slabs sized by the Gaussian limit of the crossing probability.
-    if mode is LedgerMode.REALIZED:
-        raise ConfigurationError(
-            "realized accounting needs a closed-form crossing probability for the index code"
-        )
-    if cap is None:
-        cap = 4096 * 1024
-    batch = walk_first_hit(model.draw_pairs, lambda x: x > t, float(qfunc(t)), rng, size, cap)
-    # Capped trials carry NaN payloads, so their estimates are NaN too.
-    return TrialBatch(
-        estimates=(batch.y / s)[:, None],
-        truth=model.true_correlations(),
-        bits_expected=math.nan,
-        bits_realized=None,
-        samples=batch.index,
-        failed=batch.capped,
-    )
+        batch = draw_first_crossing(model, t, rng, size)
+    else:
+        # No closed-form crossing probability: walk the block stream literally,
+        # with slabs sized by the Gaussian limit of the crossing probability.
+        # Capped trials carry NaN payloads, so their estimates are NaN too.
+        if mode is LedgerMode.REALIZED:
+            raise ConfigurationError(
+                "realized accounting needs a closed-form crossing probability for the index code"
+            )
+        if cap is None:
+            cap = 4096 * 1024
+        batch = walk_first_hit(model.draw_pairs, lambda x: x > t, float(qfunc(t)), rng, size, cap)
+    return _crossing_trials(model, batch, inverse_mills(t), p, mode)
 
 
 def pareto_allocation(model: AdditiveNoise, k: float) -> ParetoAllocation:
@@ -257,36 +255,11 @@ def pareto_trials(
     p = geometric_entropy_inv(alloc.k_l)
     batch = draw_first_crossing(model, alloc.t, rng, size)
     xhat = quantize_pareto_value(batch.x, alloc.t, alloc.u, alloc.k_q)
-    est = (batch.y / xhat.values)[:, None]
-    realized = _realized_for_indices(batch.index, p, mode)
-    if realized is not None:
-        realized = realized + xhat.bits_realized
-    return (
-        TrialBatch(
-            estimates=est,
-            truth=model.true_correlations(),
-            bits_expected=geometric_entropy(p) + xhat.bits_expected,
-            bits_realized=realized,
-            samples=batch.index,
-            failed=np.zeros(batch.index.shape[0], dtype=bool),
-        ),
-        alloc,
-    )
+    return _crossing_trials(model, batch, xhat.values, p, mode, payload=xhat), alloc
 
 
 # ---------------------------------------------------------------------------
 # Vector schemes.
-
-
-def yvec_trials(
-    model: GaussianYVec, k: float, rng: np.random.Generator, size: int,
-    mode: LedgerMode = LedgerMode.EXPECTED,
-) -> TrialBatch:
-    """One shared crossing index, all of Bob's coordinates read at it."""
-    if not isinstance(model, GaussianYVec):
-        raise ConfigurationError("Y-vector trials need the Y-vector Gaussian model")
-    t, s, p = _threshold_from_budget(k)
-    return _crossing_trials(model, t, s, p, rng, size, mode)
 
 
 def stopping_matrix_batch(
@@ -448,15 +421,6 @@ def xvec_paired_batch(
 # Linear-transform baseline.
 
 
-def normalize_transform_rows(m: np.ndarray, sigma_x: np.ndarray) -> np.ndarray:
-    """Rescale each row of a mixing matrix so the transformed coordinates have unit variance."""
-    m = np.asarray(m, dtype=float)
-    row_vars = np.einsum("ij,jk,ik->i", m, sigma_x, m)
-    if np.any(row_vars <= 0.0):
-        raise ConfigurationError("transform rows must have positive variance")
-    return m / np.sqrt(row_vars)[:, None]
-
-
 def linear_baseline_trials(
     model: GaussianXVec,
     budgets: tuple[float, float],
@@ -472,22 +436,13 @@ def linear_baseline_trials(
     independent samples and the estimates map back through the inverse
     transform.
     """
-    if model.dim != 2:
-        raise ConfigurationError("the transform baseline is defined for two coordinates")
-    mt = normalize_transform_rows(m_transform, model.sigma_x.values)
-    det = float(np.linalg.det(mt))
-    if abs(det) < 1e-12:
-        raise ConfigurationError("transform matrix is singular after row normalization")
-    alphas = np.clip(mt @ model.rho, -1.0, 1.0)
-    inv_mt = np.linalg.inv(mt)
-    k1, k2 = budgets
+    alphas, inv_mt = _transform_channels(m_transform, model.sigma_x.values, model.rho)
     cols = []
     samples = np.zeros(size)
     bits_expected = 0.0
     realized = np.zeros(size, dtype=np.int64) if mode is LedgerMode.REALIZED else None
-    for alpha, k in zip(alphas, (float(k1), float(k2))):
-        t, s, p = _threshold_from_budget(k)
-        batch = _crossing_trials(GaussianScalar(rho=float(alpha)), t, s, p, rng, size, mode)
+    for alpha, k in zip(alphas, budgets, strict=True):
+        batch = threshold_trials(GaussianScalar(rho=float(alpha)), k, rng, size, mode)
         cols.append(batch.estimates[:, 0])
         samples += batch.samples
         bits_expected += batch.bits_expected

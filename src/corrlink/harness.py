@@ -25,7 +25,6 @@ from . import analysis
 from .errors import ConfigurationError, CorrlinkError, TrialFailureError
 from .estimators import (
     TrialBatch,
-    additive_trials,
     clt_trials,
     linear_baseline_trials,
     max_trials,
@@ -34,7 +33,6 @@ from .estimators import (
     require_crossable_block,
     threshold_trials,
     xvec_core_batch,
-    yvec_trials,
 )
 from .linalg import CorrelationMatrix
 from .protocol import LedgerMode, allocate_bits_xvec, stopping_params_from_body_budget
@@ -178,9 +176,8 @@ class ExperimentConfig:
                 grid[key[5:]] = _parse_float_list(value, key)
             elif key.startswith("model."):
                 name = key[6:]
-                if name in ("rho", "sigma_offdiag"):
-                    parsed = _parse_float_list(value, key)
-                    model[name] = parsed[0] if len(parsed) == 1 and name != "rho" else parsed
+                if name == "rho":
+                    model[name] = _parse_float_list(value, key)
                 elif name in ("x_law", "kind", "transform"):
                     model[name] = value
                 else:
@@ -325,7 +322,7 @@ def _build_yvec(config: ExperimentConfig, point: dict):
     t = analysis.threshold_for_budget(k)
 
     def batch_fn(rng, size):
-        return yvec_trials(model, k, rng, size, mode=config.mode)
+        return threshold_trials(model, k, rng, size, mode=config.mode)
 
     asym = float(np.sum(1.0 - rho * rho)) / (2.0 * k * math.log(2.0))
     exj2 = 1.0 + t * inverse_mills(t)
@@ -340,8 +337,7 @@ def _build_yvec(config: ExperimentConfig, point: dict):
 
 def _xvec_model(config: ExperimentConfig, rho: np.ndarray) -> GaussianXVec:
     d = rho.size
-    off = config.model.get("sigma_offdiag", 0.0)
-    off = float(np.asarray(off, dtype=float).reshape(-1)[0])
+    off = float(config.model.get("sigma_offdiag", 0.0))
     sigma_x = CorrelationMatrix.equicorrelated(d, off) if off != 0.0 else CorrelationMatrix.identity(d)
     return GaussianXVec(rho=rho, sigma_x=sigma_x)
 
@@ -388,7 +384,7 @@ def _clt_inner(config: ExperimentConfig, point: dict):
     if kind == "binary":
         if "rho" in point or "rho" in config.model:
             raise ConfigurationError("rho: binary blocks take their correlation from model.p")
-        p_flip = float(np.asarray(config.model.get("p", 0.25)).reshape(-1)[0])
+        p_flip = float(config.model.get("p", 0.25))
         return DoublySymmetricBinary(flip_prob=p_flip)
     if kind != "gaussian":
         raise ConfigurationError(f"model.kind: unknown block kind {kind!r} (known: binary, gaussian)")
@@ -437,9 +433,7 @@ def _build_pareto(config: ExperimentConfig, point: dict):
 _LAW_FACTORIES = {
     "laplace": lambda config: UnitLaplace(),
     "gaussian": lambda config: StdNormal(),
-    "pareto": lambda config: ParetoTwoSided(
-        alpha=float(np.asarray(config.model.get("alpha", 4.0)).reshape(-1)[0])
-    ),
+    "pareto": lambda config: ParetoTwoSided(alpha=float(config.model.get("alpha", 4.0))),
 }
 
 
@@ -458,7 +452,7 @@ def _build_additive(config: ExperimentConfig, point: dict):
     t = float(x_law.tail_quantile(p))
 
     def batch_fn(rng, size):
-        return additive_trials(model, k, rng, size, mode=config.mode)
+        return threshold_trials(model, k, rng, size, mode=config.mode)
 
     bounds = ()
     if law_name == "laplace":
@@ -707,6 +701,8 @@ def run_sweep(config: ExperimentConfig, threads: Optional[int] = None) -> list[S
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, tuple):
+        return "|".join("%.10g" % v for v in value)
     if isinstance(value, float) and math.isnan(value):
         return ""
     if isinstance(value, float):
@@ -715,27 +711,7 @@ def _fmt(value) -> str:
 
 
 def _row_fields(row: SweepRow) -> list[str]:
-    rho_spec = "|".join("%.10g" % r for r in row.rho_spec)
-    return [
-        row.scheme,
-        str(row.d),
-        _fmt(row.k),
-        rho_spec,
-        _fmt(row.alpha),
-        _fmt(row.m) if row.m is not None else "",
-        _fmt(row.b0),
-        str(row.trials),
-        str(row.failures),
-        _fmt(row.bias),
-        _fmt(row.bias_se),
-        _fmt(row.variance),
-        _fmt(row.variance_se),
-        _fmt(row.mse),
-        _fmt(row.theory_exact),
-        _fmt(row.theory_asymptotic),
-        _fmt(row.theory_bound),
-        _fmt(row.bits_expected_mean),
-    ]
+    return [_fmt(getattr(row, name)) for name in COLUMNS]
 
 
 def format_csv(rows: list[SweepRow]) -> str:
@@ -743,9 +719,7 @@ def format_csv(rows: list[SweepRow]) -> str:
     buf = io.StringIO()
     buf.write(",".join(COLUMNS) + "\n")
     for row in rows:
-        fields = _row_fields(row)
-        assert len(fields) == len(COLUMNS)
-        buf.write(",".join(fields) + "\n")
+        buf.write(",".join(_row_fields(row)) + "\n")
     return buf.getvalue()
 
 

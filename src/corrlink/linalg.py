@@ -155,3 +155,23 @@ def singular_value_lower_bound(m: np.ndarray):
         np.subtract(diag, row_off, out=col_i)
     bound = col_off.min(axis=-1)
     return float(bound) if bound.ndim == 0 else bound
+
+
+def _transform_channels(transform, sigma_x: np.ndarray, rho: np.ndarray):
+    """Channels of the two-coordinate transform baseline: (correlations, inverse transform).
+
+    Each row of ``transform`` is rescaled so its coordinate of X has unit
+    variance under ``sigma_x``. Returns each transformed coordinate's
+    correlation with Y (clipped to [-1, 1]) and the inverse of the
+    normalized transform, which maps channel estimates back.
+    """
+    if len(rho) != 2:
+        raise ConfigurationError("the transform baseline is defined for two coordinates")
+    m = np.asarray(transform, dtype=float)
+    row_vars = np.einsum("ij,jk,ik->i", m, sigma_x, m)
+    if np.any(row_vars <= 0.0):
+        raise ConfigurationError("transform rows must have positive variance")
+    m = m / np.sqrt(row_vars)[:, None]
+    if abs(float(np.linalg.det(m))) < 1e-12:
+        raise ConfigurationError("transform matrix is singular after row normalization")
+    return np.clip(m @ rho, -1.0, 1.0), np.linalg.inv(m)

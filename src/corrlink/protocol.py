@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .statmath import geometric_entropy_inv, qfunc, qfunc_inv
+from .statmath import geometric_entropy, geometric_entropy_inv, qfunc, qfunc_inv
 
 __all__ = [
     "LedgerMode",
@@ -289,6 +289,27 @@ def quantize_pareto_value(x, t: float, u: float, k_q: float) -> QuantizedPayload
 # Bit allocation.
 
 
+def _strong_bound(k_l: float, d: int, b0: float) -> tuple[float, Optional[float]]:
+    """Stopping-set geometry at weak bound ``b0``: the band mass and the strong bound.
+
+    Returns (1 - 2Q(b0))^(d-1), the chance that the d - 1 weak coordinates
+    all fall inside (-b0, b0), and the strong bound a that solves
+    2Q(a) (1 - 2Q(b0))^(d-1) = p with geometric entropy H(p) = ``k_l``; a is
+    None when p is too large for any a > 0. Raises DomainError when ``k_l``
+    needs a p below the float64 range.
+    """
+    if not b0 >= 0.0:
+        raise ConfigurationError(f"weak bound b0 must be >= 0, got {b0!r}")
+    body = (1.0 - 2.0 * qfunc(b0)) ** (d - 1)
+    if not body > 0.0:
+        raise ConfigurationError(
+            f"weak bound b0 = {b0!r} leaves the weak band (-b0, b0) no probability at "
+            f"dimension {d}; it must be larger"
+        )
+    q_a = geometric_entropy_inv(k_l) / (2.0 * body)
+    return body, (qfunc_inv(q_a) if q_a < 0.5 else None)
+
+
 def allocate_bits_xvec(k: float, d: int, b0: float = 0.3) -> StoppingSetParams:
     """Split a total budget between stopping-set indices and matrix quantization.
 
@@ -303,64 +324,34 @@ def allocate_bits_xvec(k: float, d: int, b0: float = 0.3) -> StoppingSetParams:
         raise ConfigurationError(f"dimension must be >= 1, got {d!r}")
     if k <= 0.0:
         raise ConfigurationError(f"bit budget must be positive, got {k!r}")
-
-    def geometry(budget: float) -> tuple[float, float, float]:
-        k_l = (math.sqrt(budget + 1.0) - 1.0) ** 2 / d
-        k_q = math.sqrt(4.0 * k_l / d**3)
-        p = geometric_entropy_inv(k_l)
-        q_a = p / (2.0 * (1.0 - 2.0 * qfunc(b0)) ** (d - 1))
-        if not 0.0 < q_a < 0.5:
-            raise ConfigurationError(
-                f"budget {budget!r} gives no valid strong-coordinate bound"
-            )
-        return k_l, k_q, qfunc_inv(q_a)
-
+    k_l = (math.sqrt(k + 1.0) - 1.0) ** 2 / d
     try:
-        k_l, k_q, a = geometry(k)
-        feasible = a > d * (b0 + 1.0)
+        body, a = _strong_bound(k_l, d, b0)
+        if a is None or not a > d * (b0 + 1.0):
+            # a > d(b0 + 1) exactly when the crossing probability is below p*,
+            # that is when k_l exceeds H(p*); invert the split at k_l = H(p*).
+            k_l_min = geometric_entropy(2.0 * qfunc(d * (b0 + 1.0)) * body)
+            # The least feasible budget must itself be representable.
+            geometric_entropy_inv(k_l_min)
+            k_min = (1.0 + math.sqrt(d * k_l_min)) ** 2 - 1.0
+            raise ConfigurationError(
+                f"budget {k!r} too small for dimension {d} at weak bound {b0!r}; "
+                f"minimal feasible budget is about {k_min:.10g} bits"
+            )
     except DomainError as exc:
         # Over-large budgets push the crossing probability below float64.
         raise ConfigurationError(
-            f"budget {k!r} needs {(math.sqrt(k + 1.0) - 1.0) ** 2 / d:.1f} index bits "
-            f"per coordinate, beyond the representable crossing range: {exc}"
+            f"budget {k!r} at dimension {d} and weak bound {b0!r} needs a crossing "
+            f"probability beyond the representable crossing range: {exc}"
         ) from exc
-    except ConfigurationError:
-        feasible = False
-    if not feasible:
-        lo, hi = k, max(4.0 * k, 16.0)
-        while True:
-            try:
-                if geometry(hi)[2] > d * (b0 + 1.0):
-                    break
-            except (ConfigurationError, DomainError):
-                pass
-            hi *= 2.0
-            if hi > 1e9:
-                raise ConfigurationError("no feasible budget found below 1e9 bits")
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            try:
-                ok = geometry(mid)[2] > d * (b0 + 1.0)
-            except (ConfigurationError, DomainError):
-                ok = False
-            if ok:
-                hi = mid
-            else:
-                lo = mid
-        raise ConfigurationError(
-            f"budget {k!r} too small for dimension {d} at weak bound {b0!r}; "
-            f"minimal feasible budget is about {hi:.3f} bits"
-        )
-    return StoppingSetParams(a=a, b=b0, d=d, k_l=k_l, k_q=k_q)
+    return StoppingSetParams(a=a, b=b0, d=d, k_l=k_l, k_q=math.sqrt(4.0 * k_l / d**3))
 
 
 def stopping_params_from_body_budget(k_l: float, d: int, b0: float) -> StoppingSetParams:
     """Stopping-set geometry from a per-index budget alone (no quantization split)."""
-    p = geometric_entropy_inv(k_l)
-    q_a = p / (2.0 * (1.0 - 2.0 * qfunc(b0)) ** (d - 1))
-    if not 0.0 < q_a < 0.5:
+    _, a = _strong_bound(k_l, d, b0)
+    if a is None:
         raise ConfigurationError(f"per-index budget {k_l!r} gives no valid strong bound")
-    a = qfunc_inv(q_a)
     return StoppingSetParams(a=a, b=b0, d=d, k_l=k_l, k_q=0.0)
 
 

@@ -26,7 +26,6 @@ from corrlink import (
     StoppingSetParams,
     UnitLaplace,
     additive_exact_variance,
-    additive_trials,
     clt_trials,
     exact_max_variance,
     exact_threshold_variance,
@@ -45,7 +44,6 @@ from corrlink import (
     threshold_trials,
     xvec_paired_batch,
     xvec_trials,
-    yvec_trials,
     zhang_berger_optimal,
 )
 
@@ -161,7 +159,7 @@ def test_shared_index_vector_run_beats_split_budget_scalars():
     """Criterion 4: one 40-bit vector run beats four 10-bit scalar runs by ~1/d."""
     trials = 100_000
     d = YVEC_RHO.size
-    batch = yvec_trials(_yvec_model(), 40.0, substream(SEED, 100), trials)
+    batch = threshold_trials(_yvec_model(), 40.0, substream(SEED, 100), trials)
     sq = np.sum((batch.estimates - YVEC_RHO) ** 2, axis=1)
     vec_mse, vec_se = _mse_and_se(sq)
 
@@ -341,7 +339,7 @@ def test_heavy_tail_budget_exponent_and_unquantized_floor():
     assert -0.45 <= slope <= -0.20, f"log2-MSE slope {slope:.4f}"
 
     floor = pareto_unquantized_floor(4.0, 0.6)
-    batch = additive_trials(model, 90.0, substream(SEED, 153), trials)
+    batch = threshold_trials(model, 90.0, substream(SEED, 153), trials)
     mse_u = float(np.mean((batch.estimates[:, 0] - 0.6) ** 2))
     assert mse_u >= 0.5 * floor, f"unquantized MSE {mse_u:.4f} under half the floor {floor:.4f}"
     print(
@@ -360,7 +358,7 @@ def test_laplace_tail_scaled_mse_converges_to_theory():
     for i, k in enumerate((20.0, 40.0, 80.0)):
         t = float(law.tail_quantile(geometric_entropy_inv(k)))
         exact = additive_exact_variance(law, rho, t)
-        batch = additive_trials(model, k, substream(SEED, 160 + i), trials)
+        batch = threshold_trials(model, k, substream(SEED, 160 + i), trials)
         mse, se = _mse_and_se((batch.estimates[:, 0] - rho) ** 2)
         assert mse == pytest.approx(exact, abs=4.0 * se), f"k={k}: {mse:.3e} vs {exact:.3e}"
         ratios.append(exact / laplace_theory(rho, k))
@@ -423,7 +421,7 @@ def test_realized_bit_accounting_stays_within_one_bit():
         ),
         (
             "yvec",
-            yvec_trials(
+            threshold_trials(
                 _yvec_model(), 40.0, substream(SEED, 172), trials,
                 mode=LedgerMode.REALIZED,
             ),
@@ -437,7 +435,7 @@ def test_realized_bit_accounting_stays_within_one_bit():
         ),
         (
             "additive",
-            additive_trials(
+            threshold_trials(
                 laplace_model, 16.0, substream(SEED, 174), trials,
                 mode=LedgerMode.REALIZED,
             ),

@@ -20,7 +20,6 @@ from corrlink.analysis import (
 )
 from corrlink.errors import ConfigurationError, TrialFailureError
 from corrlink.estimators import (
-    additive_trials,
     clt_trials,
     linear_baseline_trials,
     max_trials,
@@ -30,7 +29,6 @@ from corrlink.estimators import (
     xvec_paired_batch,
     xvec_trials,
     xvec_unquantized_trials,
-    yvec_trials,
 )
 from corrlink.linalg import CorrelationMatrix, sym_sqrt
 from corrlink.protocol import (
@@ -120,9 +118,12 @@ class TestThresholdTrials:
         assert_mean_close(batch.samples, 1.0 / p, n_se=5.0)
 
     def test_rejects_wrong_model(self):
-        model = AdditiveNoise(rho=0.5, x_law=StdNormal(), z_law=StdNormal())
-        with pytest.raises(ConfigurationError):
-            threshold_trials(model, 20.0, substream(SEED, 6), 10)
+        # Models without a scalar X law have no threshold to cross.
+        vector_x = GaussianXVec(rho=np.array([0.3, 0.2]), sigma_x=CorrelationMatrix.identity(2))
+        blocks = BlockAveraged(GaussianScalar(0.5), 4)
+        for model in (vector_x, blocks):
+            with pytest.raises(ConfigurationError, match="scalar X law"):
+                threshold_trials(model, 20.0, substream(SEED, 6), 10)
 
 
 class TestMaxTrials:
@@ -173,13 +174,13 @@ class TestYVecTrials:
     def test_single_coordinate_matches_scalar_run(self):
         k = 15.0
         vec = GaussianYVec(rho=np.array([0.5]), sigma_y=CorrelationMatrix.identity(1))
-        a = yvec_trials(vec, k, substream(SEED, 21), 500)
+        a = threshold_trials(vec, k, substream(SEED, 21), 500)
         b = threshold_trials(GaussianScalar(0.5), k, substream(SEED, 21), 500)
         np.testing.assert_array_equal(a.estimates[:, 0], b.estimates[:, 0])
         np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_unbiased_per_coordinate(self):
-        batch = yvec_trials(self.model(), 20.0, substream(SEED, 22), 200_000)
+        batch = threshold_trials(self.model(), 20.0, substream(SEED, 22), 200_000)
         assert batch.estimates.shape == (200_000, 3)
         for col in range(3):
             assert_mean_close(batch.estimates[:, col], self.RHO[col])
@@ -188,7 +189,7 @@ class TestYVecTrials:
         # Marginally each coordinate runs the scalar scheme at its own
         # correlation; the Y-side coupling moves only the cross terms.
         k = 20.0
-        batch = yvec_trials(self.model(), k, substream(SEED, 23), 200_000)
+        batch = threshold_trials(self.model(), k, substream(SEED, 23), 200_000)
         t = threshold_for_budget(k)
         for col in range(3):
             assert_variance_close(batch.estimates[:, col],
@@ -197,7 +198,7 @@ class TestYVecTrials:
     def test_error_cross_covariance(self):
         k = 20.0
         n = 400_000
-        batch = yvec_trials(self.model(), k, substream(SEED, 24), n)
+        batch = threshold_trials(self.model(), k, substream(SEED, 24), n)
         t = threshold_for_budget(k)
         s = inverse_mills(t)
         tvar = truncated_normal_moments(t).variance
@@ -210,8 +211,8 @@ class TestYVecTrials:
             assert abs(got - want) <= 5.0 * se
 
     def test_single_index_bit_charge(self):
-        batch = yvec_trials(self.model(), 20.0, substream(SEED, 25), 5_000,
-                            mode=LedgerMode.REALIZED)
+        batch = threshold_trials(self.model(), 20.0, substream(SEED, 25), 5_000,
+                                 mode=LedgerMode.REALIZED)
         assert batch.bits_expected == pytest.approx(20.0, abs=1e-6)
         assert 19.95 <= batch.bits_realized.mean() <= 21.0
 
@@ -221,7 +222,7 @@ class TestAdditiveTrials:
                              ids=["laplace", "uniform", "pareto"])
     def test_unbiased(self, x_law):
         model = AdditiveNoise(rho=0.6, x_law=x_law, z_law=StdNormal())
-        batch = additive_trials(model, 16.0, substream(SEED, 31), 100_000)
+        batch = threshold_trials(model, 16.0, substream(SEED, 31), 100_000)
         assert_mean_close(batch.estimates[:, 0], 0.6)
 
     @pytest.mark.parametrize("x_law", [UnitLaplace(), UnitUniform()],
@@ -229,22 +230,35 @@ class TestAdditiveTrials:
     def test_variance_matches_closed_form(self, x_law):
         model = AdditiveNoise(rho=0.6, x_law=x_law, z_law=StdNormal())
         k = 16.0
-        batch = additive_trials(model, k, substream(SEED, 32), 200_000)
+        batch = threshold_trials(model, k, substream(SEED, 32), 200_000)
         t = float(x_law.tail_quantile(geometric_entropy_inv(k)))
         assert_variance_close(batch.estimates[:, 0],
                               additive_exact_variance(x_law, 0.6, t))
 
     def test_budget_and_realized(self):
         model = AdditiveNoise(rho=0.2, x_law=UnitLaplace(), z_law=StdNormal())
-        batch = additive_trials(model, 14.0, substream(SEED, 33), 20_000,
-                                mode=LedgerMode.REALIZED)
+        batch = threshold_trials(model, 14.0, substream(SEED, 33), 20_000,
+                                 mode=LedgerMode.REALIZED)
         assert batch.bits_expected == pytest.approx(14.0, abs=1e-6)
         assert batch.bits_realized.mean() <= 15.0
+
+    @pytest.mark.parametrize("mode", list(LedgerMode))
+    def test_gaussian_x_is_the_scalar_gaussian_run_bit_for_bit(self, mode):
+        additive = AdditiveNoise(rho=0.5, x_law=StdNormal(), z_law=StdNormal())
+        a = threshold_trials(additive, 18.0, substream(SEED, 35), 5_000, mode=mode)
+        b = threshold_trials(GaussianScalar(0.5), 18.0, substream(SEED, 35), 5_000, mode=mode)
+        np.testing.assert_array_equal(a.estimates, b.estimates)
+        np.testing.assert_array_equal(a.samples, b.samples)
+        assert a.bits_expected == b.bits_expected
+        if mode is LedgerMode.REALIZED:
+            np.testing.assert_array_equal(a.bits_realized, b.bits_realized)
+        else:
+            assert a.bits_realized is None and b.bits_realized is None
 
     def test_gaussian_x_reduces_to_threshold_scheme(self):
         model = AdditiveNoise(rho=0.5, x_law=StdNormal(), z_law=StdNormal())
         k = 18.0
-        batch = additive_trials(model, k, substream(SEED, 34), 200_000)
+        batch = threshold_trials(model, k, substream(SEED, 34), 200_000)
         t = threshold_for_budget(k)
         assert_variance_close(batch.estimates[:, 0], exact_threshold_variance(0.5, t))
 

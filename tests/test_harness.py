@@ -159,6 +159,10 @@ class TestExperimentConfig:
                 "trials = 200\nseed = 1")
         with pytest.raises(ConfigurationError, match="model.m: expected a single number"):
             ExperimentConfig.from_text(text)
+        text = ("scheme = xvec\nmodel.sigma_offdiag = 0.1, 0.5\nmodel.rho = 0.3, 0.2\n"
+                "grid.k = 60\ntrials = 200\nseed = 1")
+        with pytest.raises(ConfigurationError, match="model.sigma_offdiag: expected a single"):
+            ExperimentConfig.from_text(text)
 
     def test_programming_error_in_a_builder_is_not_a_config_error(self, monkeypatch):
         def broken(config, point):
@@ -264,6 +268,18 @@ class TestExperimentConfig:
     ])
     def test_pareto_points_the_trials_cannot_run_are_rejected(self, text, match):
         with pytest.raises(ConfigurationError, match=match):
+            ExperimentConfig.from_text(text)
+
+    @pytest.mark.parametrize("scheme,axis,b0,reason", [
+        ("xvec", "model", "0", "weak bound b0 = 0.0 leaves the weak band"),
+        ("xvec_exact", "grid", "0", "weak bound b0 = 0.0 leaves the weak band"),
+        ("xvec", "grid", "-0.2", "weak bound b0 must be >= 0"),
+        ("xvec_exact", "model", "nan", "weak bound b0 must be >= 0"),
+    ])
+    def test_weak_bounds_without_a_weak_band_are_rejected(self, scheme, axis, b0, reason):
+        text = (f"scheme = {scheme}\nmodel.rho = 0.3, 0.2\n{axis}.b0 = {b0}\ngrid.k = 60\n"
+                "trials = 200\nseed = 1")
+        with pytest.raises(ConfigurationError, match=r"grid point \{'k': 60\.0.*\}: " + reason):
             ExperimentConfig.from_text(text)
 
     @pytest.mark.parametrize("text,match", [
@@ -741,6 +757,12 @@ class TestCli:
     def test_theory_rejects_flags_the_scheme_does_not_read(self, flags, match, capsys):
         rho = "0.5,0.3" if flags[0] in ("yvec", "xvec", "linear") else "0.5"
         assert main(["theory", *flags, "--k", "40", "--rho", rho]) == 1
+        assert match in capsys.readouterr().err
+
+    @pytest.mark.parametrize("b0,match", [("0", "weak bound b0 = 0.0 leaves"),
+                                          ("-1", "weak bound b0 must be >= 0")])
+    def test_theory_xvec_rejects_weak_bounds_without_a_weak_band(self, b0, match, capsys):
+        assert main(["theory", "xvec", "--k", "60", "--rho", "0.3,0.2", "--b0", b0]) == 1
         assert match in capsys.readouterr().err
 
     def test_theory_rejects_vector_rho_for_scalar_scheme(self, capsys):

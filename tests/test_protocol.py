@@ -5,6 +5,7 @@ and on the batches the estimators build from the exact shortcuts.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from corrlink.protocol import (
     golomb_parameter,
     quantize_pareto_value,
     quantize_W_matrix,
+    stopping_params_from_body_budget,
 )
 from corrlink.sources import (
     AdditiveNoise,
@@ -651,6 +653,8 @@ class TestAllocateBitsXVec:
     def test_scalar_dimension_formula(self):
         params = allocate_bits_xvec(100.0, 1, b0=0.0)
         assert params.k_l == pytest.approx((math.sqrt(101.0) - 1.0) ** 2)
+        # With no weak coordinates, a zero weak bound is valid.
+        assert stopping_params_from_body_budget(60.0, 1, 0.0).b == 0.0
 
     def test_index_share_approaches_reciprocal_dimension(self):
         # The largest budget whose crossing probability still fits in float64.
@@ -660,10 +664,29 @@ class TestAllocateBitsXVec:
     def test_overlarge_budget_reports_float_limit(self):
         with pytest.raises(ConfigurationError, match="representable crossing range"):
             allocate_bits_xvec(1e4, 2)
+        # Q(d(b0 + 1)) underflows to 0, so no budget reaches a > d(b0 + 1).
+        with pytest.raises(ConfigurationError, match="representable crossing range"):
+            allocate_bits_xvec(60.0, 2, b0=18.0)
 
     def test_infeasible_budget_reports_minimum(self):
-        with pytest.raises(ConfigurationError, match=r"minimal feasible budget is about \d"):
-            allocate_bits_xvec(10.0, 3)
+        # The reported minimum is the feasibility boundary, not an estimate of it.
+        for d in (2, 3, 4):
+            with pytest.raises(ConfigurationError, match=r"minimal feasible budget is about \d") as e:
+                allocate_bits_xvec(10.0, d)
+            k_min = float(re.search(r"about (\S+) bits", str(e.value)).group(1))
+            allocate_bits_xvec(k_min * (1.0 + 1e-6), d)
+            with pytest.raises(ConfigurationError, match="minimal feasible budget"):
+                allocate_bits_xvec(k_min * (1.0 - 1e-6), d)
+
+    @pytest.mark.parametrize("b0,d,match", [
+        (0.0, 2, "leaves the weak band"), (0.0, 4, "leaves the weak band"),
+        (-0.1, 2, "must be >= 0"), (-0.1, 1, "must be >= 0"), (math.nan, 3, "must be >= 0"),
+    ])
+    def test_weak_bound_without_a_weak_band_is_rejected(self, b0, d, match):
+        with pytest.raises(ConfigurationError, match=match):
+            allocate_bits_xvec(400.0, d, b0=b0)
+        with pytest.raises(ConfigurationError, match=match):
+            stopping_params_from_body_budget(60.0, d, b0)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
