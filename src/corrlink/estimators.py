@@ -13,18 +13,20 @@ flags; nothing is ever silently dropped.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .linalg import _transform_channels, singular_value_lower_bound
+from .linalg import _row_sums, _transform_channels, singular_value_lower_bound
 from .protocol import (
     LedgerMode,
     ParetoAllocation,
     QuantizedPayload,
     StoppingSetParams,
+    _stopping_crossing_prob,
     allocate_bits_pareto,
     allocate_bits_xvec,
     golomb_length_array,
@@ -143,6 +145,15 @@ def threshold_trials(
         )
     p = geometric_entropy_inv(k)
     t = float(x_law.tail_quantile(p))
+    # The index is booked at H(p), so X must cross t with probability p, up
+    # to rounding. A discrete law such as the sign law puts t on an atom.
+    p_t = float(x_law.tail_prob(t))
+    if not math.isclose(p_t, p, rel_tol=1e-6):
+        raise ConfigurationError(
+            f"the {x_law.name} X law crosses its threshold {t!r} with probability {p_t!r}, "
+            f"not the {p!r} that a {k!r}-bit index needs; threshold trials need a "
+            "continuous X law"
+        )
     batch = draw_first_crossing(model, t, rng, size)
     return _crossing_trials(model, batch, x_law.tail_mean(t), p, mode)
 
@@ -273,9 +284,7 @@ def stopping_matrix_batch(
     stopping-set crossing probability. Returns (W with shape (size, d, d),
     gaps with shape (size, d)).
     """
-    p = 2.0 * float(qfunc(a)) * (1.0 - 2.0 * float(qfunc(b))) ** (d - 1)
-    if not 0.0 < p < 1.0:
-        raise ConfigurationError(f"stopping-set crossing probability {p!r} outside (0, 1)")
+    p = _stopping_crossing_prob(a, b, d)
     q_a = float(qfunc(a))
     q_b = float(qfunc(b))
     # Strong diagonal: random sign, magnitude conditioned beyond a.
@@ -317,6 +326,16 @@ def _xvec_selection(model: GaussianXVec, params: StoppingSetParams,
     return w, gaps, y
 
 
+# numpy's bundled OpenBLAS serialises concurrent LU factorisations, with
+# contention on top: two threads each solving a chunk's (n, d, d) stack run
+# slower together than one alone. One solve at a time turns that contention
+# into a clean hand-off while the other workers sample, quantize and screen.
+# The cost: under a BLAS whose LU does run concurrently, this lock holds the
+# solve (about a quarter of a one-thread chunk) to one core. The results do
+# not depend on it; every solve is the same call on the same stack.
+_SOLVE_LOCK = threading.Lock()
+
+
 def _xvec_reconstruct(w_used: np.ndarray, y: np.ndarray, recon: np.ndarray):
     """Estimates y W^-1 recon per trial, NaN where the screen rejects W; returns (est, failed)."""
     # Deterministic screen: diagonal dominance gives a positive lower bound on
@@ -326,7 +345,9 @@ def _xvec_reconstruct(w_used: np.ndarray, y: np.ndarray, recon: np.ndarray):
     if any_failed:
         w_used = np.where(failed[:, None, None], np.eye(w_used.shape[-1])[None, :, :], w_used)
     # y W^-1 is the solution x of W^T x = y.
-    est = np.linalg.solve(np.swapaxes(w_used, -1, -2), y[..., None])[..., 0] @ recon
+    with _SOLVE_LOCK:
+        x = np.linalg.solve(np.swapaxes(w_used, -1, -2), y[..., None])
+    est = x[..., 0] @ recon
     if any_failed:
         est[failed] = np.nan
     return est, failed
@@ -347,8 +368,8 @@ def xvec_core_batch(
     realized = None
     if mode is LedgerMode.REALIZED:
         m_code = golomb_parameter(params.crossing_prob)
-        realized = golomb_length_array(gaps.reshape(-1), m_code).reshape(size, d).sum(axis=1)
-    samples = gaps.sum(axis=1)
+        realized = _row_sums(golomb_length_array(gaps.reshape(-1), m_code).reshape(size, d))
+    samples = _row_sums(gaps)
     del gaps
     if quantize:
         # y is formed, so the exact selection matrices are no longer needed.
@@ -401,6 +422,7 @@ def xvec_paired_batch(
     w, gaps, y = _xvec_selection(model, params, rng, size)
     q = quantize_W_matrix(w, params)
     index_bits = model.dim * geometric_entropy(params.crossing_prob)
+    samples = _row_sums(gaps)
     results = []
     for w_used, extra_bits in ((q.values, q.bits_expected), (w, 0.0)):
         est, failed = _xvec_reconstruct(w_used, y, model.sqrt_sigma_x)
@@ -410,7 +432,7 @@ def xvec_paired_batch(
                 truth=model.true_correlations(),
                 bits_expected=index_bits + extra_bits,
                 bits_realized=None,
-                samples=gaps.sum(axis=1),
+                samples=samples,
                 failed=failed,
             )
         )

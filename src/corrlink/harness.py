@@ -34,7 +34,7 @@ from .estimators import (
     threshold_trials,
     xvec_core_batch,
 )
-from .linalg import CorrelationMatrix
+from .linalg import CorrelationMatrix, _row_sums
 from .protocol import LedgerMode, allocate_bits_xvec, stopping_params_from_body_budget
 from .sources import (
     AdditiveNoise,
@@ -550,9 +550,9 @@ def _chunk_partial(batch: TrialBatch) -> dict:
     fail = int(np.count_nonzero(batch.failed))
     estimates = batch.estimates[~batch.failed] if fail else batch.estimates
     err = estimates - batch.truth[None, :]
-    row_sum = err.sum(axis=1)
+    row_sum = _row_sums(err)
     e2 = err * err
-    norm2 = e2.sum(axis=1)
+    norm2 = _row_sums(e2)
     partial = {
         "n": int(batch.failed.shape[0]),
         "fail": fail,

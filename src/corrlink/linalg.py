@@ -121,6 +121,29 @@ def invert(a: np.ndarray) -> np.ndarray:
     return x
 
 
+# numpy adds fewer than this many terms along an axis strictly left to right,
+# starting from 0.0; from this many on it sums pairwise in blocks.
+_SEQUENTIAL_SUM_LIMIT = 8
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1)`` bit for bit, for a numeric array with a short last axis.
+
+    numpy reduces a short last axis one row at a time, which costs far more
+    than the arithmetic. Below ``_SEQUENTIAL_SUM_LIMIT`` terms the same sums
+    come from adding whole columns in order; from there on this is numpy's
+    own sum.
+    """
+    d = a.shape[-1]
+    if d >= _SEQUENTIAL_SUM_LIMIT:
+        return a.sum(axis=-1)
+    # 0 + a[..., 0], as numpy starts: it turns a -0.0 into 0.0.
+    total = a[..., 0] + 0
+    for j in range(1, d):
+        total += a[..., j]
+    return total
+
+
 def singular_value_lower_bound(m: np.ndarray):
     """Deterministic lower bound on the smallest singular value.
 
@@ -135,8 +158,8 @@ def singular_value_lower_bound(m: np.ndarray):
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ConfigurationError(f"bound needs square matrices, got shape {m.shape}")
     # |m| is taken one row slab (..., d) at a time rather than for the whole
-    # stack. Summing rows in order as whole slabs, and each slab over its last
-    # axis, repeats np.abs(m).sum(axis=-2) and .sum(axis=-1) bit for bit.
+    # stack. Summing rows in order as whole slabs, and each slab with
+    # _row_sums, repeats np.abs(m).sum(axis=-2) and .sum(axis=-1) bit for bit.
     d = m.shape[-1]
     slab = np.empty(m.shape[:-1])
     col_off = np.abs(m[..., 0, :])
@@ -146,14 +169,18 @@ def singular_value_lower_bound(m: np.ndarray):
     for i in range(d):
         np.abs(m[..., i, :], out=slab)
         diag = slab[..., i]
-        row_off = slab.sum(axis=-1)
+        row_off = _row_sums(slab)
         row_off -= diag
         col_i = col_off[..., i]
         col_i -= diag
         row_off += col_i
         row_off *= 0.5
         np.subtract(diag, row_off, out=col_i)
-    bound = col_off.min(axis=-1)
+    # A minimum chain over the columns, like _row_sums, in place of a
+    # reduction that runs row by row.
+    bound = col_off[..., 0].copy()
+    for i in range(1, d):
+        np.minimum(bound, col_off[..., i], out=bound)
     return float(bound) if bound.ndim == 0 else bound
 
 

@@ -175,13 +175,23 @@ class StoppingSetParams:
             )
         if not self.a > (self.d - 1) * self.b:
             raise ConfigurationError("need a > (d-1)b for the selection matrix to be invertible")
-        p = self.crossing_prob
-        if not 0.0 < p < 1.0:
-            raise ConfigurationError(f"stopping-set crossing probability {p!r} outside (0, 1)")
+        _stopping_crossing_prob(self.a, self.b, self.d)
 
     @property
     def crossing_prob(self) -> float:
-        return float(2.0 * qfunc(self.a) * (1.0 - 2.0 * qfunc(self.b)) ** (self.d - 1))
+        return _stopping_crossing_prob(self.a, self.b, self.d)
+
+
+def _stopping_crossing_prob(a: float, b: float, d: int) -> float:
+    """Chance that a whitened vector stops the walk: 2Q(a) (1 - 2Q(b))^(d-1).
+
+    One coordinate lands beyond ``a`` in magnitude and the d - 1 others inside
+    (-b, b). Raises ConfigurationError unless the result lies in (0, 1).
+    """
+    p = 2.0 * qfunc(a) * (1.0 - 2.0 * qfunc(b)) ** (d - 1)
+    if not 0.0 < p < 1.0:
+        raise ConfigurationError(f"stopping-set crossing probability {p!r} outside (0, 1)")
+    return p
 
 
 class ParetoAllocation(NamedTuple):

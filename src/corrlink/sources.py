@@ -24,7 +24,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .linalg import CorrelationMatrix, sym_inv_sqrt, sym_sqrt
+from .linalg import CorrelationMatrix, _row_sums, sym_inv_sqrt, sym_sqrt
 from .statmath import (
     _qinv_unchecked,
     inverse_mills,
@@ -609,8 +609,8 @@ class BlockAveraged(JointModel):
     def draw_pairs(self, rng: np.random.Generator, n: int):
         xi, yi = self.inner.draw_pairs(rng, n * self.m)
         scale = 1.0 / math.sqrt(self.m)
-        x = xi.reshape(n, self.m).sum(axis=1) * scale
-        y = yi.reshape(n, self.m).sum(axis=1) * scale
+        x = _row_sums(xi.reshape(n, self.m)) * scale
+        y = _row_sums(yi.reshape(n, self.m)) * scale
         return x, y
 
 

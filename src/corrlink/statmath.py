@@ -268,7 +268,11 @@ def geometric_entropy_inv(k: float) -> float:
     float
         The unique p with geometric_entropy(p) == k.
     """
-    k = float(k)
+    return _geometric_entropy_inv_cached(float(k))
+
+
+@lru_cache(maxsize=256)
+def _geometric_entropy_inv_cached(k: float) -> float:
     if not k > 0.0:
         raise DomainError(f"bit budget must be positive, got {k!r}")
     if k > geometric_entropy(1e-300):

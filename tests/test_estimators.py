@@ -1,7 +1,9 @@
 """Monte Carlo and structural tests for the trial batches."""
 
 import math
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -124,6 +126,18 @@ class TestThresholdTrials:
         for model in (vector_x, blocks):
             with pytest.raises(ConfigurationError, match="scalar X law"):
                 threshold_trials(model, 20.0, substream(SEED, 6), 10)
+
+    @pytest.mark.parametrize("k,t,p_t", [(1.5, -1.0, 0.5), (3.0, 1.0, 0.0)])
+    def test_rejects_an_x_law_with_atoms(self, k, t, p_t):
+        # The sign law crosses -1 with probability 1/2 and 1 never, so no
+        # threshold gives the crossing probability an index of k bits needs.
+        model = DoublySymmetricBinary(0.25)
+        with pytest.raises(ConfigurationError) as err:
+            threshold_trials(model, k, substream(SEED, 7), 10)
+        message = str(err.value)
+        assert "rademacher X law" in message
+        assert f"threshold {t!r} with probability {p_t!r}" in message
+        assert repr(geometric_entropy_inv(k)) in message
 
 
 class TestMaxTrials:
@@ -603,6 +617,33 @@ class TestXVecTrials:
             np.testing.assert_array_equal(pair.samples, core.samples)
             np.testing.assert_array_equal(pair.failed, core.failed)
             assert pair.bits_expected == core.bits_expected
+
+    @pytest.mark.parametrize("quantize", [True, False])
+    def test_concurrent_batches_match_serial_calls(self, quantize):
+        # Two workers share the solve lock; each batch must still be exactly
+        # the serial call on its own substream.
+        from corrlink.estimators import xvec_core_batch
+
+        model = GaussianXVec(rho=np.array([0.3, 0.2, 0.1, 0.4]),
+                             sigma_x=CorrelationMatrix.equicorrelated(4, 0.2))
+        params = StoppingSetParams(a=9.0, b=0.5, d=4, k_l=30.0, k_q=2.0)
+
+        def run(idx):
+            return xvec_core_batch(model, params, substream(SEED, 80 + idx), 4_096, quantize)
+
+        serial = [run(idx) for idx in range(4)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(run, idx) for idx in range(4)]
+                threaded = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(switch)
+        for one, other in zip(serial, threaded):
+            np.testing.assert_array_equal(one.estimates, other.estimates)
+            np.testing.assert_array_equal(one.failed, other.failed)
+            np.testing.assert_array_equal(one.samples, other.samples)
 
     def test_tiny_body_budget_is_rejected(self):
         with pytest.raises(ConfigurationError, match="no valid strong bound"):

@@ -7,11 +7,21 @@ from hypothesis.extra import numpy as hnp
 from corrlink.errors import ConfigurationError, SingularMatrixError
 from corrlink.linalg import (
     CorrelationMatrix,
+    _row_sums,
     invert,
     singular_value_lower_bound,
     sym_inv_sqrt,
     sym_sqrt,
 )
+
+
+def reference_bound(m):
+    """The screen's formula on whole stacks, with numpy's reductions."""
+    absm = np.abs(m)
+    diag = np.diagonal(absm, axis1=-2, axis2=-1)
+    row_off = absm.sum(axis=-1) - diag
+    col_off = absm.sum(axis=-2) - diag
+    return (diag - 0.5 * (row_off + col_off)).min(axis=-1)
 
 
 def random_correlation(rng, d):
@@ -161,11 +171,7 @@ class TestSingularValueLowerBound:
         rng = np.random.default_rng(d)
         m = rng.standard_normal(shape + (d, d)) * np.exp2(rng.integers(-30, 30, shape + (d, d)))
         m += 1e9 * np.eye(d)
-        absm = np.abs(m)
-        diag = np.diagonal(absm, axis1=-2, axis2=-1)
-        row_off = absm.sum(axis=-1) - diag
-        col_off = absm.sum(axis=-2) - diag
-        want = (diag - 0.5 * (row_off + col_off)).min(axis=-1)
+        want = reference_bound(m)
         before = m.copy()
         got = singular_value_lower_bound(m)
         np.testing.assert_array_equal(m, before)
@@ -175,7 +181,54 @@ class TestSingularValueLowerBound:
             assert isinstance(got, float)
             assert np.float64(got).view(np.uint64) == want.view(np.uint64)
 
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_nan_row_gives_nan_bound(self, d):
+        rng = np.random.default_rng(50 + d)
+        stack = rng.standard_normal((5, d, d)) + 4.0 * d * np.eye(d)
+        stack[2, d // 2, 0] = np.nan
+        got = singular_value_lower_bound(stack)
+        np.testing.assert_array_equal(np.isnan(got), [False, False, True, False, False])
+        np.testing.assert_array_equal(got, reference_bound(stack))
+        assert np.isnan(singular_value_lower_bound(stack[2]))
+        assert singular_value_lower_bound(stack[0]) == reference_bound(stack[0])
+
     def test_tight_symmetric_case(self):
         m = np.array([[3.0, 1.0], [1.0, 3.0]])
         assert singular_value_lower_bound(m) == pytest.approx(2.0)
         assert np.linalg.svd(m, compute_uv=False).min() == pytest.approx(2.0)
+
+
+class TestRowSums:
+    """``_row_sums`` must repeat numpy's ``sum(axis=-1)`` bit for bit.
+
+    If a numpy release changes the order in which it adds a short last axis,
+    these tests fail before any golden file does.
+    """
+
+    @pytest.mark.parametrize("shape", [(400,), (), (3, 5)])
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_matches_numpy_sum(self, d, shape):
+        # Magnitudes from 1e-8 to 1e8 with both signs, so any change of order
+        # shows; from d = 8 on the helper is numpy's own sum.
+        rng = np.random.default_rng(100 + d)
+        a = rng.standard_normal(shape + (d,)) * 10.0 ** rng.uniform(-8.0, 8.0, shape + (d,))
+        want = np.asarray(a.sum(axis=-1))
+        got = np.asarray(_row_sums(a))
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 7, 8])
+    def test_special_values_and_integers(self, d):
+        a = np.zeros((4, d))
+        a[0] = -0.0
+        a[1, -1] = np.nan
+        a[2, 0] = np.inf
+        a[3, 0] = -np.inf
+        a[3, -1] = np.inf if d > 1 else -np.inf
+        with np.errstate(invalid="ignore"):  # inf - inf
+            got, want = _row_sums(a), a.sum(axis=-1)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        ints = np.arange(4 * d, dtype=np.int64).reshape(4, d) - 5
+        got = _row_sums(ints)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, ints.sum(axis=-1))

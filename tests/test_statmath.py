@@ -9,6 +9,7 @@ from scipy import special
 from corrlink.errors import ConfigurationError, DomainError
 from corrlink.statmath import (
     _brentq,
+    _geometric_entropy_inv_cached,
     geometric_entropy,
     geometric_entropy_inv,
     inverse_mills,
@@ -196,6 +197,18 @@ class TestGeometricEntropy:
         p = geometric_entropy_inv(k)
         assert 0.0 < p < 1.0
         assert geometric_entropy(p) == pytest.approx(k, rel=1e-9)
+
+    def test_inverse_is_cached_per_budget(self):
+        # Every chunk of a cell asks for the same p; the search runs once.
+        _geometric_entropy_inv_cached.cache_clear()
+        first = geometric_entropy_inv(17.25)
+        assert geometric_entropy_inv(np.float64(17.25)) == first
+        assert _geometric_entropy_inv_cached.cache_info()[:2] == (1, 1)
+        assert first == _geometric_entropy_inv_cached.__wrapped__(17.25)
+        # A refused budget is not cached: it raises every time.
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                geometric_entropy_inv(-1.0)
 
     def test_inverse_domain(self):
         with pytest.raises(DomainError):
