@@ -195,7 +195,12 @@ def yvec_sum_mse(rho: np.ndarray, t: float) -> float:
     the sum does not depend on the off-diagonal structure of Bob's covariance.
     """
     rho = np.asarray(rho, dtype=float).reshape(-1)
-    return float(sum(exact_threshold_variance(r, t) for r in rho))
+    # Left to right on purpose: from Python 3.12 on, the built-in sum() of
+    # floats compensates, and the bytes would depend on the interpreter.
+    total = 0.0
+    for r in rho:
+        total += exact_threshold_variance(r, t)
+    return float(total)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .linalg import _row_sums, _transform_channels, singular_value_lower_bound
 from .protocol import (
     LedgerMode,
     ParetoAllocation,
-    QuantizedPayload,
     StoppingSetParams,
     _stopping_crossing_prob,
     allocate_bits_pareto,
@@ -38,7 +37,6 @@ from .protocol import (
 from .sources import (
     AdditiveNoise,
     BlockAveraged,
-    CrossingBatch,
     GaussianScalar,
     GaussianXVec,
     JointModel,
@@ -60,6 +58,9 @@ from .statmath import (
 
 __all__ = [
     "TrialBatch",
+    "CrossingPlan",
+    "crossing_trials",
+    "threshold_plan",
     "threshold_trials",
     "max_trials",
     "stopping_matrix_batch",
@@ -67,11 +68,14 @@ __all__ = [
     "xvec_trials",
     "xvec_unquantized_trials",
     "xvec_paired_batch",
+    "clt_plan",
     "clt_trials",
-    "pareto_allocation",
+    "pareto_plan",
     "pareto_trials",
+    "LinearPlan",
+    "linear_baseline_plan",
+    "linear_plan_trials",
     "linear_baseline_trials",
-    "require_crossable_block",
 ]
 
 
@@ -91,32 +95,67 @@ class TrialBatch:
         return self.estimates.shape[0]
 
 
-def _realized_for_indices(index: np.ndarray, p: float, mode: LedgerMode):
-    if mode is not LedgerMode.REALIZED:
-        return None
-    return golomb_length_array(index, golomb_parameter(p))
+@dataclass(frozen=True)
+class CrossingPlan:
+    """What every chunk of one first-crossing cell shares, derived once per cell.
 
-
-def _crossing_trials(
-    model: JointModel, batch: CrossingBatch, norm, p: Optional[float], mode: LedgerMode,
-    payload: Optional[QuantizedPayload] = None,
-) -> TrialBatch:
-    """Estimates Y_J / ``norm`` from first crossings, each index booked at entropy H(p).
-
-    ``p`` is None for walked crossings, which have no closed-form index code:
-    their bits read NaN. Capped trials fail. A quantized ``payload`` sent with
-    each index adds its bits.
+    Indices and tail values are drawn at ``p_cross`` = Pr(X > t) with the
+    shortcut, or, when ``walk_cap`` is set, by the literal walk, whose slabs
+    ``p_cross`` (then an approximation) sizes and which flags trials past the
+    cap. ``bits`` books each index: the entropy of the crossing probability
+    its code assumes, NaN for walked crossings. In realized mode ``golomb_m``
+    is that code's divisor, and None otherwise. Y_J / ``norm`` is the
+    estimate, or Y_J over the crossing value quantized by ``alloc``.
     """
+
+    model: JointModel
+    t: float
+    p_cross: float
+    norm: Optional[float]
+    bits: float
+    golomb_m: Optional[int]
+    truth: np.ndarray
+    walk_cap: Optional[int] = None
+    alloc: Optional[ParetoAllocation] = None
+
+
+def _crossing_plan(model: JointModel, t: float, p_cross: float, p: Optional[float],
+                   norm: Optional[float], mode: LedgerMode, **kwargs) -> CrossingPlan:
+    """The plan booking each index at H(``p``); None ``p`` books NaN bits (walked crossings)."""
     bits = math.nan if p is None else geometric_entropy(p)
-    realized = None if p is None else _realized_for_indices(batch.index, p, mode)
-    if payload is not None:
-        bits += payload.bits_expected
+    m_code = golomb_parameter(p) if p is not None and mode is LedgerMode.REALIZED else None
+    truth = model.true_correlations()
+    truth.setflags(write=False)
+    return CrossingPlan(model, t, p_cross, norm, bits, m_code, truth, **kwargs)
+
+
+def crossing_trials(plan: CrossingPlan, rng: np.random.Generator, size: int) -> TrialBatch:
+    """``size`` first-crossing trials of ``plan``'s cell: draw, then estimate Y_J / norm.
+
+    Capped walks fail. A quantized crossing value adds its payload bits.
+    """
+    if plan.walk_cap is None:
+        batch = draw_first_crossing(plan.model, plan.t, rng, size, p=plan.p_cross)
+    else:
+        t = plan.t
+        batch = walk_first_hit(plan.model.draw_pairs, lambda x: x > t, plan.p_cross, rng, size,
+                               plan.walk_cap)
+    bits = plan.bits
+    realized = None
+    if plan.golomb_m is not None:
+        realized = golomb_length_array(batch.index, plan.golomb_m)
+    norm = plan.norm
+    if plan.alloc is not None:
+        xhat = quantize_pareto_value(batch.x, plan.alloc.t, plan.alloc.u, plan.alloc.k_q)
+        norm = xhat.values
+        bits += xhat.bits_expected
         if realized is not None:
-            realized = realized + payload.bits_realized
-    est = batch.y / norm
+            realized += xhat.bits_realized
+    est = batch.y
+    est /= norm
     return TrialBatch(
         estimates=est if est.ndim == 2 else est[:, None],
-        truth=model.true_correlations(),
+        truth=plan.truth,
         bits_expected=bits,
         bits_realized=realized,
         samples=batch.index,
@@ -128,16 +167,9 @@ def _crossing_trials(
 # Scalar schemes.
 
 
-def threshold_trials(
-    model: JointModel, k: float, rng: np.random.Generator, size: int,
-    mode: LedgerMode = LedgerMode.EXPECTED,
-) -> TrialBatch:
-    """First-crossing scheme on any model with a scalar X law: estimate = Y_J / E[X|X>t].
-
-    The threshold t is the X law's upper quantile at the crossing probability
-    whose index costs ``k`` bits. Every coordinate of a vector Y is read at
-    the one shared index.
-    """
+def threshold_plan(model: JointModel, k: float, mode: LedgerMode = LedgerMode.EXPECTED
+                   ) -> CrossingPlan:
+    """The plan behind :func:`threshold_trials`; each index is booked at H(p)."""
     x_law = getattr(model, "x_law", None)
     if x_law is None:
         raise ConfigurationError(
@@ -154,8 +186,20 @@ def threshold_trials(
             f"not the {p!r} that a {k!r}-bit index needs; threshold trials need a "
             "continuous X law"
         )
-    batch = draw_first_crossing(model, t, rng, size)
-    return _crossing_trials(model, batch, x_law.tail_mean(t), p, mode)
+    return _crossing_plan(model, t, p_t, p, x_law.tail_mean(t), mode)
+
+
+def threshold_trials(
+    model: JointModel, k: float, rng: np.random.Generator, size: int,
+    mode: LedgerMode = LedgerMode.EXPECTED,
+) -> TrialBatch:
+    """First-crossing scheme on any model with a scalar X law: estimate = Y_J / E[X|X>t].
+
+    The threshold t is the X law's upper quantile at the crossing probability
+    whose index costs ``k`` bits. Every coordinate of a vector Y is read at
+    the one shared index.
+    """
+    return crossing_trials(threshold_plan(model, k, mode), rng, size)
 
 
 def max_trials(
@@ -193,13 +237,15 @@ def max_trials(
     )
 
 
-def require_crossable_block(model: BlockAveraged, k: float) -> float:
-    """Reject block sizes whose bounded support cannot reach the budget's threshold.
+def clt_plan(model: BlockAveraged, k: float, mode: LedgerMode = LedgerMode.EXPECTED,
+             cap: Optional[int] = None) -> CrossingPlan:
+    """The plan behind :func:`clt_trials`; without a closed-form crossing law it walks.
 
-    Returns that threshold: the Gaussian one whose crossing index costs ``k`` bits.
+    Rejects block sizes whose bounded support cannot reach the threshold.
     """
     if not isinstance(model, BlockAveraged):
         raise ConfigurationError("CLT trials need a block-averaged model")
+    # The Gaussian threshold whose crossing index costs k bits.
     t = qfunc_inv(geometric_entropy_inv(k))
     xsup = model.x_support_upper
     if math.isfinite(xsup) and t >= xsup:
@@ -209,7 +255,22 @@ def require_crossable_block(model: BlockAveraged, k: float) -> float:
             f"block size {model.m} cannot cross threshold {t:.4f} (block support tops out "
             f"at {xsup:.4f}); the smallest workable block size is {m_min}"
         )
-    return t
+    p = model.crossing_prob(t)
+    if p is not None:
+        if p <= 0.0:
+            raise ConfigurationError(
+                f"crossing probability is 0 at block size {model.m}; increase the block size"
+            )
+        return _crossing_plan(model, t, p, p, inverse_mills(t), mode)
+    # No closed-form crossing probability: walk the block stream literally,
+    # with slabs sized by the Gaussian limit of the crossing probability.
+    # Capped trials carry NaN payloads, so their estimates are NaN too.
+    if mode is LedgerMode.REALIZED:
+        raise ConfigurationError(
+            "realized accounting needs a closed-form crossing probability for the index code"
+        )
+    return _crossing_plan(model, t, float(qfunc(t)), None, inverse_mills(t), mode,
+                          walk_cap=4096 * 1024 if cap is None else cap)
 
 
 def clt_trials(
@@ -223,30 +284,12 @@ def clt_trials(
     probability of the block-average process, which tends to the configured
     budget as the block size grows but differs from it at finite block sizes.
     """
-    t = require_crossable_block(model, k)
-    p = model.crossing_prob(t)
-    if p is not None:
-        if p <= 0.0:
-            raise ConfigurationError(
-                f"crossing probability is 0 at block size {model.m}; increase the block size"
-            )
-        batch = draw_first_crossing(model, t, rng, size)
-    else:
-        # No closed-form crossing probability: walk the block stream literally,
-        # with slabs sized by the Gaussian limit of the crossing probability.
-        # Capped trials carry NaN payloads, so their estimates are NaN too.
-        if mode is LedgerMode.REALIZED:
-            raise ConfigurationError(
-                "realized accounting needs a closed-form crossing probability for the index code"
-            )
-        if cap is None:
-            cap = 4096 * 1024
-        batch = walk_first_hit(model.draw_pairs, lambda x: x > t, float(qfunc(t)), rng, size, cap)
-    return _crossing_trials(model, batch, inverse_mills(t), p, mode)
+    return crossing_trials(clt_plan(model, k, mode, cap), rng, size)
 
 
-def pareto_allocation(model: AdditiveNoise, k: float) -> ParetoAllocation:
-    """The quantized heavy-tail scheme's bit split; rejects models and budgets it cannot run."""
+def pareto_plan(model: AdditiveNoise, k: float, mode: LedgerMode = LedgerMode.EXPECTED
+                ) -> CrossingPlan:
+    """The plan behind :func:`pareto_trials`; rejects models and budgets it cannot run."""
     if not isinstance(model, AdditiveNoise) or not isinstance(model.x_law, ParetoTwoSided):
         raise ConfigurationError("the quantized heavy-tail scheme needs a power-law X marginal")
     alpha = model.x_law.alpha
@@ -254,7 +297,9 @@ def pareto_allocation(model: AdditiveNoise, k: float) -> ParetoAllocation:
         raise ConfigurationError(
             f"the quantized scheme's error analysis needs tail exponent > 3, got {alpha!r}"
         )
-    return allocate_bits_pareto(k, alpha)
+    alloc = allocate_bits_pareto(k, alpha)
+    return _crossing_plan(model, alloc.t, model.crossing_prob(alloc.t),
+                          geometric_entropy_inv(alloc.k_l), None, mode, alloc=alloc)
 
 
 def pareto_trials(
@@ -262,11 +307,8 @@ def pareto_trials(
     mode: LedgerMode = LedgerMode.EXPECTED,
 ) -> tuple[TrialBatch, ParetoAllocation]:
     """Quantized-value threshold scheme for power-law X: estimate = Y_J / quantized X_J."""
-    alloc = pareto_allocation(model, k)
-    p = geometric_entropy_inv(alloc.k_l)
-    batch = draw_first_crossing(model, alloc.t, rng, size)
-    xhat = quantize_pareto_value(batch.x, alloc.t, alloc.u, alloc.k_q)
-    return _crossing_trials(model, batch, xhat.values, p, mode, payload=xhat), alloc
+    plan = pareto_plan(model, k, mode)
+    return crossing_trials(plan, rng, size), plan.alloc
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +485,50 @@ def xvec_paired_batch(
 # Linear-transform baseline.
 
 
+class LinearPlan(NamedTuple):
+    """The transform baseline's cell: one threshold plan per transformed coordinate."""
+
+    channels: tuple
+    inv_mt: np.ndarray
+    truth: np.ndarray
+
+
+def linear_baseline_plan(
+    model: GaussianXVec,
+    budgets: tuple[float, float],
+    m_transform: np.ndarray,
+    mode: LedgerMode = LedgerMode.EXPECTED,
+) -> LinearPlan:
+    """Transform channels and a threshold plan on each, at its own budget."""
+    alphas, inv_mt = _transform_channels(m_transform, model.sigma_x.values, model.rho)
+    channels = tuple(threshold_plan(GaussianScalar(rho=float(alpha)), k, mode)
+                     for alpha, k in zip(alphas, budgets, strict=True))
+    return LinearPlan(channels, inv_mt, model.true_correlations())
+
+
+def linear_plan_trials(plan: LinearPlan, rng: np.random.Generator, size: int) -> TrialBatch:
+    """``size`` trials of the transform baseline: each channel's run in turn, then invert."""
+    alpha_hat = np.empty((size, len(plan.channels)))
+    samples = np.zeros(size)
+    bits_expected = 0.0
+    realized = None
+    for i, channel in enumerate(plan.channels):
+        batch = crossing_trials(channel, rng, size)
+        alpha_hat[:, i] = batch.estimates[:, 0]
+        samples += batch.samples
+        bits_expected += batch.bits_expected
+        if batch.bits_realized is not None:
+            realized = batch.bits_realized if realized is None else realized + batch.bits_realized
+    return TrialBatch(
+        estimates=alpha_hat @ plan.inv_mt.T,
+        truth=plan.truth,
+        bits_expected=bits_expected,
+        bits_realized=realized,
+        samples=samples,
+        failed=np.zeros(size, dtype=bool),
+    )
+
+
 def linear_baseline_trials(
     model: GaussianXVec,
     budgets: tuple[float, float],
@@ -458,25 +544,4 @@ def linear_baseline_trials(
     independent samples and the estimates map back through the inverse
     transform.
     """
-    alphas, inv_mt = _transform_channels(m_transform, model.sigma_x.values, model.rho)
-    cols = []
-    samples = np.zeros(size)
-    bits_expected = 0.0
-    realized = np.zeros(size, dtype=np.int64) if mode is LedgerMode.REALIZED else None
-    for alpha, k in zip(alphas, budgets, strict=True):
-        batch = threshold_trials(GaussianScalar(rho=float(alpha)), k, rng, size, mode)
-        cols.append(batch.estimates[:, 0])
-        samples += batch.samples
-        bits_expected += batch.bits_expected
-        if realized is not None:
-            realized = realized + batch.bits_realized
-    alpha_hat = np.stack(cols, axis=1)
-    est = alpha_hat @ inv_mt.T
-    return TrialBatch(
-        estimates=est,
-        truth=model.true_correlations(),
-        bits_expected=bits_expected,
-        bits_realized=realized,
-        samples=samples,
-        failed=np.zeros(size, dtype=bool),
-    )
+    return linear_plan_trials(linear_baseline_plan(model, budgets, m_transform, mode), rng, size)

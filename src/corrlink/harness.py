@@ -25,13 +25,13 @@ from . import analysis
 from .errors import ConfigurationError, CorrlinkError, TrialFailureError
 from .estimators import (
     TrialBatch,
-    clt_trials,
-    linear_baseline_trials,
+    clt_plan,
+    crossing_trials,
+    linear_baseline_plan,
+    linear_plan_trials,
     max_trials,
-    pareto_allocation,
-    pareto_trials,
-    require_crossable_block,
-    threshold_trials,
+    pareto_plan,
+    threshold_plan,
     xvec_core_batch,
 )
 from .linalg import CorrelationMatrix, _row_sums
@@ -48,7 +48,7 @@ from .sources import (
     UnitLaplace,
     substream,
 )
-from .statmath import geometric_entropy_inv, inverse_mills
+from .statmath import inverse_mills
 
 __all__ = [
     "CHUNK_TRIALS",
@@ -237,8 +237,9 @@ class ExperimentConfig:
 # axes it honours, and a builder returning (batch_fn(rng, size) -> TrialBatch,
 # metadata dict with d/k/rho_spec/alpha/m/b0, analysis.TheoryReport). The
 # config rejects any other key or axis, because an ignored key would silently
-# do nothing and an ignored axis would repeat identical cells. Batch functions
-# look their trial function up by name when called.
+# do nothing and an ignored axis would repeat identical cells. A first-crossing
+# builder derives its cell's plan here, once; its chunks only draw. Batch
+# functions look their trial function up by name when called.
 
 
 class _Scheme(NamedTuple):
@@ -283,11 +284,11 @@ def _scalar_report(config: ExperimentConfig, k: float, exact: float, fisher: flo
 def _build_threshold(config: ExperimentConfig, point: dict):
     rho = _scalar_rho(config, point)
     k = float(point["k"])
-    model = GaussianScalar(rho=rho)
-    t = analysis.threshold_for_budget(k)
+    plan = threshold_plan(GaussianScalar(rho=rho), k, config.mode)
+    t = plan.t
 
     def batch_fn(rng, size):
-        return threshold_trials(model, k, rng, size, mode=config.mode)
+        return crossing_trials(plan, rng, size)
 
     benchmark = analysis.zhang_berger_optimal(rho, k)
     theory = _scalar_report(config, k, analysis.exact_threshold_variance(rho, t),
@@ -318,11 +319,11 @@ def _build_yvec(config: ExperimentConfig, point: dict):
     rho = _model_rho_vector(config, point)
     k = float(point["k"])
     sigma_y = CorrelationMatrix(np.outer(rho, rho) + np.diag(1.0 - rho * rho))
-    model = GaussianYVec(rho=rho, sigma_y=sigma_y)
-    t = analysis.threshold_for_budget(k)
+    plan = threshold_plan(GaussianYVec(rho=rho, sigma_y=sigma_y), k, config.mode)
+    t = plan.t
 
     def batch_fn(rng, size):
-        return threshold_trials(model, k, rng, size, mode=config.mode)
+        return crossing_trials(plan, rng, size)
 
     asym = float(np.sum(1.0 - rho * rho)) / (2.0 * k * math.log(2.0))
     exj2 = 1.0 + t * inverse_mills(t)
@@ -397,12 +398,12 @@ def _build_clt(config: ExperimentConfig, point: dict):
     k = float(point["k"])
     inner = _clt_inner(config, point)
     model = BlockAveraged(inner=inner, m=point.get("m", config.model.get("m", 1)))
-    require_crossable_block(model, k)
+    plan = clt_plan(model, k, config.mode)
     rho = float(inner.rho)
-    t = analysis.threshold_for_budget(k)
+    t = plan.t
 
     def batch_fn(rng, size):
-        return clt_trials(model, k, rng, size, mode=config.mode)
+        return crossing_trials(plan, rng, size)
 
     exact = analysis.exact_threshold_variance(rho, t)
     theory = _scalar_report(config, k, exact, analysis.fisher_threshold(rho, t),
@@ -416,10 +417,10 @@ def _build_pareto(config: ExperimentConfig, point: dict):
     k = float(point["k"])
     alpha = float(point.get("alpha", config.model.get("alpha", 4.0)))
     model = AdditiveNoise(rho=rho, x_law=ParetoTwoSided(alpha=alpha), z_law=StdNormal())
-    pareto_allocation(model, k)
+    plan = pareto_plan(model, k, config.mode)
 
     def batch_fn(rng, size):
-        return pareto_trials(model, k, rng, size, mode=config.mode)[0]
+        return crossing_trials(plan, rng, size)
 
     bound, exponent = analysis.pareto_theory(alpha, rho, k)
     theory = analysis.TheoryReport(
@@ -447,12 +448,11 @@ def _build_additive(config: ExperimentConfig, point: dict):
     if law_name != "pareto" and "alpha" in config.model:
         raise ConfigurationError("model.alpha: only the pareto x_law reads a tail index")
     x_law = _LAW_FACTORIES[law_name](config)
-    model = AdditiveNoise(rho=rho, x_law=x_law, z_law=StdNormal())
-    p = geometric_entropy_inv(k)
-    t = float(x_law.tail_quantile(p))
+    plan = threshold_plan(AdditiveNoise(rho=rho, x_law=x_law, z_law=StdNormal()), k, config.mode)
+    t = plan.t
 
     def batch_fn(rng, size):
-        return threshold_trials(model, k, rng, size, mode=config.mode)
+        return crossing_trials(plan, rng, size)
 
     bounds = ()
     if law_name == "laplace":
@@ -483,9 +483,10 @@ def _build_linear(config: ExperimentConfig, point: dict):
     else:
         raise ConfigurationError(f"model.transform: unknown transform {transform!r}")
     budgets = (k / 2.0, k / 2.0)
+    plan = linear_baseline_plan(model, budgets, m_transform, config.mode)
 
     def batch_fn(rng, size):
-        return linear_baseline_trials(model, budgets, m_transform, rng, size, mode=config.mode)
+        return linear_plan_trials(plan, rng, size)
 
     theory = analysis.TheoryReport(
         config.scheme, k,
@@ -547,23 +548,46 @@ class SweepRow:
 
 
 def _chunk_partial(batch: TrialBatch) -> dict:
+    """One chunk's power sums of the errors, per coordinate and over coordinates.
+
+    The per-coordinate sums s1..s4 are lists of floats; t1, t2 are the sums of
+    each trial's summed error and its square, q1, q2 those of its squared norm.
+    """
     fail = int(np.count_nonzero(batch.failed))
     estimates = batch.estimates[~batch.failed] if fail else batch.estimates
-    err = estimates - batch.truth[None, :]
-    row_sum = _row_sums(err)
+    err = estimates - batch.truth
     e2 = err * err
-    norm2 = _row_sums(e2)
+    s1 = err.sum(axis=0)
+    s2 = e2.sum(axis=0)
+    power = e2 * err
+    s3 = power.sum(axis=0)
+    np.multiply(e2, e2, out=power)
+    s4 = power.sum(axis=0)
+    if err.shape[1] == 1:
+        # One coordinate: a trial's summed error is its error and its squared
+        # norm its squared error, and an (n, 1) sum over axis 0 is numpy's
+        # pairwise sum of the column, so these are the bits of the sums
+        # below. Only the sign of an all-zero t1 could differ: the row sums
+        # below turn -0.0 into 0.0, and so does adding 0.0.
+        t1, t2, q1, q2 = float(s1[0]) + 0.0, float(s2[0]), float(s2[0]), float(s4[0])
+    else:
+        row_sum = _row_sums(err)
+        norm2 = _row_sums(e2)
+        t1 = float(row_sum.sum())
+        t2 = float(np.square(row_sum).sum())
+        q1 = float(norm2.sum())
+        q2 = float(np.square(norm2).sum())
     partial = {
         "n": int(batch.failed.shape[0]),
         "fail": fail,
-        "s1": err.sum(axis=0),
-        "s2": e2.sum(axis=0),
-        "s3": (e2 * err).sum(axis=0),
-        "s4": (e2 * e2).sum(axis=0),
-        "t1": float(row_sum.sum()),
-        "t2": float(np.square(row_sum).sum()),
-        "q1": float(norm2.sum()),
-        "q2": float(np.square(norm2).sum()),
+        "s1": s1.tolist(),
+        "s2": s2.tolist(),
+        "s3": s3.tolist(),
+        "s4": s4.tolist(),
+        "t1": t1,
+        "t2": t2,
+        "q1": q1,
+        "q2": q2,
         "samples": float(batch.samples.sum()),
         "bits_expected": float(batch.bits_expected),
     }
@@ -572,34 +596,52 @@ def _chunk_partial(batch: TrialBatch) -> dict:
     return partial
 
 
+def _clip0(x: float) -> float:
+    # np.maximum(x, 0.0) on one float: NaN passes through.
+    return 0.0 if x <= 0.0 else x
+
+
 def _reduce_cell(partials: list[dict], meta: dict, theory: tuple, scheme: str) -> SweepRow:
+    """One grid point's row from its chunk partials, reduced exactly and in chunk order.
+
+    The per-coordinate moments are worked out on Python floats, with the same
+    operations in the same order as numpy on (d,) arrays: a square is a
+    product, and a fourth power is numpy's own power function (on AVX-512
+    hosts it does not always agree with the C library's pow in the last bit).
+    The two sums over coordinates stay numpy's, whose order changes from
+    d = 8 on.
+    """
     n_total = sum(p["n"] for p in partials)
     failures = sum(p["fail"] for p in partials)
     n = n_total - failures
     if n <= 1:
         raise TrialFailureError(f"grid point {meta}: no successful trials to aggregate")
     d = meta["d"]
-    s1 = np.array([math.fsum(float(p["s1"][j]) for p in partials) for j in range(d)])
-    s2 = np.array([math.fsum(float(p["s2"][j]) for p in partials) for j in range(d)])
-    s3 = np.array([math.fsum(float(p["s3"][j]) for p in partials) for j in range(d)])
-    s4 = np.array([math.fsum(float(p["s4"][j]) for p in partials) for j in range(d)])
+    m2 = []
+    var_of_var = []
+    for j in range(d):
+        s1, s2, s3, s4 = (math.fsum(p[key][j] for p in partials)
+                          for key in ("s1", "s2", "s3", "s4"))
+        delta = s1 / n
+        delta2 = delta * delta
+        m2_j = _clip0(s2 / n - delta2)
+        # Central fourth moment from power sums about the truth, recentered at
+        # the sample mean; feeds the standard error of the variance estimate.
+        m4_j = (s4 / n - 4.0 * delta * (s3 / n) + 6.0 * delta2 * (s2 / n)
+                - 3.0 * float(np.power(delta, 4)))
+        m4_j = _clip0(m4_j)
+        m2.append(m2_j)
+        var_of_var.append(_clip0(m4_j - m2_j * m2_j) / n)
     t1 = math.fsum(p["t1"] for p in partials)
     t2 = math.fsum(p["t2"] for p in partials)
     q1 = math.fsum(p["q1"] for p in partials)
     q2 = math.fsum(p["q2"] for p in partials)
     samples = math.fsum(p["samples"] for p in partials)
-    delta = s1 / n
-    m2 = np.maximum(s2 / n - delta**2, 0.0)
-    # Central fourth moment from power sums about the truth, recentered at the
-    # sample mean; feeds the standard error of the variance estimate.
-    m4 = s4 / n - 4.0 * delta * (s3 / n) + 6.0 * delta**2 * (s2 / n) - 3.0 * delta**4
-    m4 = np.maximum(m4, 0.0)
     bias = t1 / n
     bias_var = max(t2 / n - bias * bias, 0.0)
     bias_se = math.sqrt(bias_var / n)
-    variance = float(m2.sum())
-    var_of_var = np.maximum(m4 - m2**2, 0.0) / n
-    variance_se = float(math.sqrt(var_of_var.sum()))
+    variance = float(np.sum(m2))
+    variance_se = float(math.sqrt(np.sum(var_of_var)))
     mse = q1 / n
     mse_se = math.sqrt(max(q2 / n - mse * mse, 0.0) / n)
     bits_expected = partials[0]["bits_expected"]

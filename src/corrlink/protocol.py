@@ -130,18 +130,26 @@ def golomb_decode(bits: str, m: int) -> tuple[int, int]:
 def golomb_length_array(indices: np.ndarray, m: int) -> np.ndarray:
     """Vectorized golomb_length for a float array of exact integer indices."""
     j = np.asarray(indices, dtype=float)
-    if np.any(j < 1.0):
+    # min and max propagate NaN, which passes both guards as it always has.
+    if j.size and j.min() < 1.0:
         raise DomainError("indices must be >= 1")
-    if np.any(j >= _MAX_EXACT_INDEX):
+    if j.size and j.max() >= _MAX_EXACT_INDEX:
         raise ConfigurationError(
             "an index exceeds the exact float64 integer range; realized accounting "
             "is unavailable at this crossing probability"
         )
-    ji = j.astype(np.int64)
-    q, r = np.divmod(ji - 1, np.int64(m))
+    r = j.astype(np.int64)
+    r -= 1
+    # Division by a scalar divisor is far cheaper than divmod; the remainder
+    # follows by multiply and subtract.
+    q = np.floor_divide(r, m)
+    r -= q * m
     b = _trunc_binary_width(m)
     thr = (1 << b) - m
-    return (q + 1 + np.where(r < thr, max(b - 1, 0), b)).astype(np.int64)
+    # q + 1 + b bits, one fewer for the short codewords (r < thr).
+    q += 1 + b
+    q -= r < thr
+    return q
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,8 @@ def _open_uniform(rng: np.random.Generator, size=None, out=None) -> np.ndarray:
 
 def normal_from_uniform(rng: np.random.Generator, size) -> np.ndarray:
     """Standard normals by inverse tail transform of open uniforms."""
-    return _qinv_unchecked(_open_uniform(rng, size))
+    u = _open_uniform(rng, size)
+    return _qinv_unchecked(u, out=u)
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +294,10 @@ class JointModel:
 
     Every model draws plain pairs with ``draw_pairs(rng, n)``. Models whose
     X law has a closed-form upper tail also provide ``crossing_prob(t)``
-    (Pr(X > t)), ``tail_x`` (draws of X | X > t) and ``y_given_x``, which
-    together drive the first-crossing shortcut; the rest report a crossing
-    probability of None and can only be walked literally (``walk_first_hit``).
+    (Pr(X > t)), ``tail_x(t, p, rng, n)`` (draws of X | X > t, given
+    p = Pr(X > t)) and ``y_given_x``, which together drive the first-crossing
+    shortcut; the rest report a crossing probability of None and can only be
+    walked literally (``walk_first_hit``). ``y_given_x`` never writes to x.
     """
 
     x_support_upper = math.inf
@@ -327,9 +329,10 @@ class _ScalarX(JointModel):
     def crossing_prob(self, t: float) -> float:
         return float(self.x_law.tail_prob(float(t)))
 
-    def tail_x(self, t: float, rng: np.random.Generator, n: int) -> np.ndarray:
+    def tail_x(self, t: float, p: float, rng: np.random.Generator, n: int) -> np.ndarray:
         u = _open_uniform(rng, n)
-        return self.x_law.tail_quantile(u * self.x_law.tail_prob(t))
+        u *= p
+        return self.x_law.tail_quantile(u)
 
     def draw_pairs(self, rng: np.random.Generator, n: int):
         x = self.x_law.sample(rng, n)
@@ -340,8 +343,12 @@ class _LinearPair(_ScalarX):
     """Y = rho X + sqrt(1 - rho^2) Z with Z drawn from ``z_law``."""
 
     def y_given_x(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        z = self.z_law.sample(rng, x.shape[0])
-        return self.rho * x + math.sqrt(1.0 - self.rho**2) * z
+        # s z + rho x in z's own buffer; IEEE addition commutes, so these are
+        # the bits of rho x + s z.
+        y = self.z_law.sample(rng, x.shape[0])
+        y *= math.sqrt(1.0 - self.rho**2)
+        y += self.rho * x
+        return y
 
 
 def _check_rho_scalar(rho: float) -> float:
@@ -404,8 +411,9 @@ class GaussianYVec(_ScalarX):
         return self.rho.size
 
     def y_given_x(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        z = normal_from_uniform(rng, (x.shape[0], self.dim))
-        return x[:, None] * self.rho + z @ self._noise_sqrt
+        y = normal_from_uniform(rng, (x.shape[0], self.dim)) @ self._noise_sqrt
+        y += x[:, None] * self.rho
+        return y
 
 
 @dataclass(frozen=True)
@@ -549,7 +557,7 @@ class _BinaryBlock:
             return 1.0
         return _binomial_upper_tail(self.m, bmin)[0]
 
-    def tail_x(self, t: float, rng: np.random.Generator, n: int) -> np.ndarray:
+    def tail_x(self, t: float, p: float, rng: np.random.Generator, n: int) -> np.ndarray:
         u = _open_uniform(rng, n)
         m = self.m
         bmin = max(self._bmin(t), 0)
@@ -600,8 +608,8 @@ class BlockAveraged(JointModel):
     def crossing_prob(self, t: float) -> Optional[float]:
         return None if self._block is None else self._block.crossing_prob(t)
 
-    def tail_x(self, t: float, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self._block.tail_x(t, rng, n)
+    def tail_x(self, t: float, p: float, rng: np.random.Generator, n: int) -> np.ndarray:
+        return self._block.tail_x(t, p, rng, n)
 
     def y_given_x(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return self._block.y_given_x(x, rng)
@@ -636,14 +644,17 @@ class CrossingBatch:
 def _geometric_index(p: float, rng: np.random.Generator, n: int) -> np.ndarray:
     if p >= 1.0:
         return np.ones(n)
-    u = _open_uniform(rng, n)
     # First-success index: ceil(ln u / ln(1 - p)), always >= 1.
-    j = np.ceil(np.log(u) / math.log1p(-p))
-    return np.maximum(j, 1.0)
+    j = _open_uniform(rng, n)
+    np.log(j, out=j)
+    j /= math.log1p(-p)
+    np.ceil(j, out=j)
+    return np.maximum(j, 1.0, out=j)
 
 
 def draw_first_crossing(
-    model: JointModel, t: float, rng: np.random.Generator, size: int
+    model: JointModel, t: float, rng: np.random.Generator, size: int,
+    p: Optional[float] = None,
 ) -> CrossingBatch:
     """Sample (J, X_J, Y_J) for the first X exceeding ``t``, without scanning.
 
@@ -652,8 +663,11 @@ def draw_first_crossing(
     value, whose law is X | X > t; Y is then drawn from its conditional given
     X. Identical in distribution to the literal walk ``walk_first_hit`` at
     any crossing probability, including ones far too small to wait out.
+    ``p`` is Pr(X > t) when the caller has it already, as a crossing plan
+    does; otherwise the model works it out.
     """
-    p = model.crossing_prob(t)
+    if p is None:
+        p = model.crossing_prob(t)
     if p is None:
         raise ConfigurationError(
             f"model {model!r} has no closed-form crossing probability; walk it with walk_first_hit"
@@ -664,7 +678,7 @@ def draw_first_crossing(
         )
     n = int(size)
     index = _geometric_index(p, rng, n)
-    x = model.tail_x(t, rng, n)
+    x = model.tail_x(t, p, rng, n)
     y = model.y_given_x(x, rng)
     return CrossingBatch(index=index, x=x, y=y, capped=np.zeros(n, dtype=bool))
 

@@ -215,6 +215,19 @@ class TestYVecTheory:
         assert float(np.trace(c)) < yvec_sum_mse(self.RHO, t)
 
 
+    def test_sum_runs_left_to_right(self):
+        # At these correlations a compensated sum (the built-in sum() from
+        # Python 3.12 on, or fsum) rounds the last bit differently.
+        rho = np.array([-0.382, 0.327, -0.571, 0.84, -0.256, -0.75])
+        t = threshold_for_budget(10.0)
+        terms = [exact_threshold_variance(float(r), t) for r in rho]
+        want = 0.0
+        for term in terms:
+            want += term
+        assert want != math.fsum(terms)
+        assert yvec_sum_mse(rho, t) == want
+
+
 class TestXVecTheory:
     RHO = np.array([0.5, -0.3, 0.2])
     SIGMA = CorrelationMatrix.equicorrelated(3, 0.4).values

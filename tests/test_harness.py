@@ -24,7 +24,13 @@ from corrlink.analysis import (
 )
 from corrlink.cli import main
 from corrlink.errors import ConfigurationError, TrialFailureError
-from corrlink.estimators import TrialBatch
+from corrlink.estimators import (
+    TrialBatch,
+    clt_trials,
+    linear_baseline_trials,
+    pareto_trials,
+    threshold_trials,
+)
 from corrlink.harness import (
     CHUNK_TRIALS,
     COLUMNS,
@@ -35,8 +41,20 @@ from corrlink.harness import (
     parse_config,
     run_sweep,
 )
+from corrlink.linalg import CorrelationMatrix, _row_sums
 from corrlink.protocol import LedgerMode
-from corrlink.sources import substream
+from corrlink.sources import (
+    AdditiveNoise,
+    BlockAveraged,
+    DoublySymmetricBinary,
+    GaussianScalar,
+    GaussianXVec,
+    GaussianYVec,
+    ParetoTwoSided,
+    StdNormal,
+    UnitLaplace,
+    substream,
+)
 from corrlink.statmath import geometric_entropy_inv
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
@@ -110,6 +128,236 @@ class TestStreamingMoments:
     def test_empty_accumulator_rejected(self):
         with pytest.raises(TrialFailureError, match="no successful trials"):
             reduce_chunks([])
+
+
+def reference_chunk_partial(batch: TrialBatch) -> dict:
+    """The chunk reducer as it was on numpy arrays throughout: the oracle for the fast one."""
+    fail = int(np.count_nonzero(batch.failed))
+    estimates = batch.estimates[~batch.failed] if fail else batch.estimates
+    err = estimates - batch.truth[None, :]
+    row_sum = _row_sums(err)
+    e2 = err * err
+    norm2 = _row_sums(e2)
+    partial = {
+        "n": int(batch.failed.shape[0]),
+        "fail": fail,
+        "s1": err.sum(axis=0),
+        "s2": e2.sum(axis=0),
+        "s3": (e2 * err).sum(axis=0),
+        "s4": (e2 * e2).sum(axis=0),
+        "t1": float(row_sum.sum()),
+        "t2": float(np.square(row_sum).sum()),
+        "q1": float(norm2.sum()),
+        "q2": float(np.square(norm2).sum()),
+        "samples": float(batch.samples.sum()),
+        "bits_expected": float(batch.bits_expected),
+    }
+    if batch.bits_realized is not None:
+        partial["bits_realized"] = float(batch.bits_realized.sum())
+    return partial
+
+
+def reference_reduce_cell(partials: list[dict], meta: dict, theory: tuple, scheme: str) -> SweepRow:
+    n_total = sum(p["n"] for p in partials)
+    failures = sum(p["fail"] for p in partials)
+    n = n_total - failures
+    d = meta["d"]
+    s1 = np.array([math.fsum(float(p["s1"][j]) for p in partials) for j in range(d)])
+    s2 = np.array([math.fsum(float(p["s2"][j]) for p in partials) for j in range(d)])
+    s3 = np.array([math.fsum(float(p["s3"][j]) for p in partials) for j in range(d)])
+    s4 = np.array([math.fsum(float(p["s4"][j]) for p in partials) for j in range(d)])
+    t1 = math.fsum(p["t1"] for p in partials)
+    t2 = math.fsum(p["t2"] for p in partials)
+    q1 = math.fsum(p["q1"] for p in partials)
+    q2 = math.fsum(p["q2"] for p in partials)
+    samples = math.fsum(p["samples"] for p in partials)
+    delta = s1 / n
+    m2 = np.maximum(s2 / n - delta**2, 0.0)
+    m4 = s4 / n - 4.0 * delta * (s3 / n) + 6.0 * delta**2 * (s2 / n) - 3.0 * delta**4
+    m4 = np.maximum(m4, 0.0)
+    bias = t1 / n
+    bias_var = max(t2 / n - bias * bias, 0.0)
+    bias_se = math.sqrt(bias_var / n)
+    variance = float(m2.sum())
+    var_of_var = np.maximum(m4 - m2**2, 0.0) / n
+    variance_se = float(math.sqrt(var_of_var.sum()))
+    mse = q1 / n
+    mse_se = math.sqrt(max(q2 / n - mse * mse, 0.0) / n)
+    bits_realized = None
+    if all("bits_realized" in p for p in partials):
+        bits_realized = math.fsum(p["bits_realized"] for p in partials) / n_total
+    return SweepRow(
+        scheme=scheme, d=d, k=meta["k"], rho_spec=tuple(meta["rho_spec"]), alpha=meta["alpha"],
+        m=meta["m"], b0=meta["b0"], trials=n_total, failures=failures, bias=bias,
+        bias_se=bias_se, variance=variance, variance_se=variance_se, mse=mse,
+        theory_exact=theory[0], theory_asymptotic=theory[1], theory_bound=theory[2],
+        bits_expected_mean=partials[0]["bits_expected"], mse_se=mse_se,
+        bits_realized_mean=bits_realized, samples_mean=samples / n_total,
+    )
+
+
+def row_bits(row: SweepRow) -> tuple:
+    """Every field of a row, floats as their exact hex spelling."""
+    return tuple(
+        tuple(v.hex() for v in value) if isinstance(value, tuple)
+        else value.hex() if isinstance(value, float) else value
+        for value in dataclasses.astuple(row)
+    )
+
+
+class TestReducerOracle:
+    """The sweep reducer against its plain numpy form, bit for bit."""
+
+    @pytest.mark.parametrize("realized", [False, True])
+    @pytest.mark.parametrize("with_failures", [False, True])
+    @pytest.mark.parametrize("n_chunks", [1, 2, 6])
+    @pytest.mark.parametrize("d", [1, 2, 4, 8, 9])
+    def test_rows_match_the_numpy_reducer(self, d, n_chunks, with_failures, realized):
+        rng = np.random.default_rng(1000 * d + 10 * n_chunks + 2 * with_failures + realized)
+        truth = rng.uniform(-0.9, 0.9, d)
+        meta = {"d": d, "k": 12.5, "rho_spec": tuple(truth), "alpha": None, "m": None,
+                "b0": None}
+        sizes = [CHUNK_TRIALS, 5000, 1, 3, 777, 2048][:n_chunks]
+        batches = []
+        for c, size in enumerate(sizes):
+            # Moderate noise, a constant chunk (zero variance, the clip at 0)
+            # and heavy tails, at magnitudes from 1e-6 to 1e6.
+            scale = 10.0 ** rng.uniform(-6, 6)
+            if c == 1:
+                est = np.broadcast_to(truth + scale, (size, d)).copy()
+            else:
+                est = truth + scale * rng.standard_t(3 + c, (size, d))
+            failed = np.zeros(size, dtype=bool)
+            if with_failures and size > 2:
+                failed[rng.random(size) < 0.1] = True
+                est[failed] = np.nan
+            bits = rng.integers(1, 40, size) if realized else None
+            batches.append(TrialBatch(
+                estimates=est, truth=truth, bits_expected=12.5, bits_realized=bits,
+                samples=np.ceil(rng.exponential(100.0, size)), failed=failed,
+            ))
+        theory = (0.25, 0.125, None)
+        fast = harness._reduce_cell([harness._chunk_partial(b) for b in batches], meta, theory, "x")
+        slow = reference_reduce_cell([reference_chunk_partial(b) for b in batches], meta, theory,
+                                     "x")
+        assert row_bits(fast) == row_bits(slow)
+
+    @pytest.mark.parametrize("d", [1, 3, 9])
+    @pytest.mark.parametrize("offset,case", [(0.1, "constant"), (0.7, "constant"), (0.1, "nan")])
+    def test_clipped_and_nan_moments_match(self, d, offset, case):
+        # A constant stream leaves the moments at rounding noise around 0,
+        # which the reducer clips: at offset 0.1 the fourth moment rounds
+        # below 0, at 0.7 the second. An unflagged NaN passes the clip as NaN.
+        truth = np.linspace(-0.5, 0.7, d)
+        est = np.tile(truth + offset, (999, 1))
+        if case == "nan":
+            est[17, 0] = np.nan
+        batch = TrialBatch(estimates=est, truth=truth, bits_expected=3.0, bits_realized=None,
+                           samples=np.ones(999), failed=np.zeros(999, dtype=bool))
+        meta = {"d": d, "k": 3.0, "rho_spec": tuple(truth), "alpha": None, "m": None, "b0": None}
+        fast = harness._reduce_cell([harness._chunk_partial(batch)], meta, (None,) * 3, "x")
+        slow = reference_reduce_cell([reference_chunk_partial(batch)], meta, (None,) * 3, "x")
+        assert row_bits(fast) == row_bits(slow)
+        assert math.isnan(fast.variance) == (case == "nan")
+
+    def test_one_column_sum_is_the_pairwise_sum(self):
+        # For d = 1 the reducer takes the over-coordinate sums from the (n, 1)
+        # column sums: numpy must sum a column as it sums a flat array, which
+        # (pairwise, in blocks) a plain left-to-right loop does not match.
+        rng = np.random.default_rng(5)
+        differs_from_loop = False
+        for n in (1, 2, 7, 8, 9, 127, 128, 129, 1000, 4097, CHUNK_TRIALS, 3 * CHUNK_TRIALS + 5):
+            values = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+            column = values[:, None].copy()
+            assert column.sum(axis=0)[0].hex() == values.sum().hex()
+            assert (column * column).sum(axis=0)[0].hex() == np.square(values).sum().hex()
+            loop = 0.0
+            for v in values:
+                loop += v
+            differs_from_loop |= loop != values.sum()
+        assert differs_from_loop
+
+
+def batch_bits(batch: TrialBatch) -> tuple:
+    arrays = (batch.estimates, batch.truth, batch.samples, batch.failed)
+    realized = None if batch.bits_realized is None else batch.bits_realized.tobytes()
+    return tuple(a.tobytes() for a in arrays) + (float(batch.bits_expected).hex(), realized)
+
+
+def _linear_trials(rng, size, mode):
+    model = GaussianXVec(rho=[0.5, 0.3], sigma_x=CorrelationMatrix.equicorrelated(2, 0.3))
+    return linear_baseline_trials(model, (10.0, 10.0), model.inv_sqrt_sigma_x, rng, size, mode)
+
+
+# One config per crossing scheme, and the public trial function its cell must match.
+PLAN_CASES = {
+    "threshold": ("scheme = threshold\ngrid.k = 10\ngrid.rho = 0.5\n",
+                  lambda rng, n, mode: threshold_trials(GaussianScalar(0.5), 10.0, rng, n, mode)),
+    "yvec": ("scheme = yvec\nmodel.rho = 0.5, 0.2\ngrid.k = 10\n",
+             lambda rng, n, mode: threshold_trials(
+                 GaussianYVec(rho=[0.5, 0.2], sigma_y=CorrelationMatrix(
+                     [[1.0, 0.1], [0.1, 1.0]])), 10.0, rng, n, mode)),
+    "additive-laplace": ("scheme = additive\nmodel.x_law = laplace\ngrid.k = 10\ngrid.rho = 0.5\n",
+                         lambda rng, n, mode: threshold_trials(
+                             AdditiveNoise(0.5, UnitLaplace(), StdNormal()), 10.0, rng, n, mode)),
+    "additive-gaussian": ("scheme = additive\nmodel.x_law = gaussian\ngrid.k = 10\n"
+                          "grid.rho = 0.5\n",
+                          lambda rng, n, mode: threshold_trials(
+                              AdditiveNoise(0.5, StdNormal(), StdNormal()), 10.0, rng, n, mode)),
+    "additive-pareto": ("scheme = additive\nmodel.x_law = pareto\nmodel.alpha = 5\ngrid.k = 10\n"
+                        "grid.rho = 0.5\n",
+                        lambda rng, n, mode: threshold_trials(
+                            AdditiveNoise(0.5, ParetoTwoSided(5.0), StdNormal()), 10.0, rng, n,
+                            mode)),
+    "clt-gaussian": ("scheme = clt\ngrid.k = 10\ngrid.m = 4\ngrid.rho = 0.5\n",
+                     lambda rng, n, mode: clt_trials(BlockAveraged(GaussianScalar(0.5), 4), 10.0,
+                                                     rng, n, mode)),
+    "clt-binary": ("scheme = clt\nmodel.kind = binary\nmodel.p = 0.25\ngrid.k = 10\ngrid.m = 16\n",
+                   lambda rng, n, mode: clt_trials(BlockAveraged(DoublySymmetricBinary(0.25), 16),
+                                                   10.0, rng, n, mode)),
+    "pareto": ("scheme = pareto\ngrid.k = 20\ngrid.rho = 0.5\nmodel.alpha = 4\n",
+               lambda rng, n, mode: pareto_trials(
+                   AdditiveNoise(0.5, ParetoTwoSided(4.0), StdNormal()), 20.0, rng, n, mode)[0]),
+    "linear": ("scheme = linear\nmodel.rho = 0.5, 0.3\nmodel.sigma_offdiag = 0.3\ngrid.k = 20\n",
+               _linear_trials),
+}
+
+
+class TestCrossingPlans:
+    """A cell's plan, derived once at validation, draws what the public trial function does."""
+
+    @pytest.mark.parametrize("mode", ["expected", "realized"])
+    @pytest.mark.parametrize("name", sorted(PLAN_CASES))
+    def test_cell_matches_its_trial_function(self, name, mode):
+        text, trials = PLAN_CASES[name]
+        config = ExperimentConfig.from_text(f"{text}mode = {mode}\ntrials = 1000\nseed = 3\n")
+        (batch_fn, _, _), = config._cells
+        want = trials(substream(3, 9), 3000, config.mode)
+        # The plan is shared by every chunk: a second draw must not see the first.
+        batch_fn(substream(3, 8), 3000)
+        got = batch_fn(substream(3, 9), 3000)
+        assert batch_bits(got) == batch_bits(want)
+        assert (got.bits_realized is None) == (config.mode is LedgerMode.EXPECTED)
+
+    @pytest.mark.parametrize("name", ["pareto", "linear", "yvec"])
+    def test_workers_share_a_plan(self, name):
+        # Every chunk of a cell reads the one plan; chunks run at once on more
+        # workers than cores, switching often, must each equal the serial run.
+        from concurrent.futures import ThreadPoolExecutor
+
+        text, _ = PLAN_CASES[name]
+        config = ExperimentConfig.from_text(f"{text}mode = realized\ntrials = 1000\nseed = 3\n")
+        (batch_fn, _, _), = config._cells
+        serial = [batch_bits(batch_fn(substream(4, key), 2000)) for key in range(8)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(batch_fn, substream(4, key), 2000) for key in range(8)]
+                threaded = [batch_bits(future.result(timeout=60)) for future in futures]
+        finally:
+            sys.setswitchinterval(switch)
+        assert threaded == serial
 
 
 class TestExperimentConfig:

@@ -160,11 +160,23 @@ class TestGolombCoding:
         with pytest.raises(DomainError):
             golomb_decode("0", 5)
 
-    def test_length_array_matches_scalar(self):
-        j = np.array([1.0, 2.0, 7.0, 100.0, 12345.0])
-        for m in [1, 4, 10]:
-            want = [golomb_length(int(v), m) for v in j]
-            assert np.array_equal(golomb_length_array(j, m), want)
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 9, 700, 2**20 + 1, 2**31 - 1])
+    def test_length_array_matches_scalar(self, m):
+        # Every codeword boundary: j - 1 = q m + r with r at 0, thr - 1, thr
+        # and m - 1, thr being where the long remainders start, for small and
+        # huge quotients, up to the last exactly representable index.
+        b = (m - 1).bit_length()
+        thr = (1 << b) - m
+        top_q = (2**53 - 2) // m
+        j = sorted({
+            q * m + r + 1
+            for q in (0, 1, 2, 3, 1000, top_q // 2, top_q - 1, top_q)
+            for r in (0, thr - 1, thr, m - 1)
+            if 0 <= r < m and q * m + r + 1 <= 2**53 - 1
+        } | {1, 2, 7, 100, 12345, 2**53 - 1})
+        got = golomb_length_array(np.array(j, dtype=float), m)
+        assert got.dtype == np.int64
+        assert got.tolist() == [golomb_length(v, m) for v in j]
 
     def test_length_array_guards(self):
         with pytest.raises(DomainError):

@@ -508,6 +508,58 @@ class TestFirstCrossing:
         with pytest.raises(ConfigurationError):
             draw_first_crossing(block, 0.5, substream(0, 0), 4)
 
+    CROSSABLE = [
+        GaussianScalar(0.6),
+        AdditiveNoise(-0.4, UnitLaplace(), StdNormal()),
+        AdditiveNoise(0.3, ParetoTwoSided(4.5), UnitUniform()),
+        AdditiveNoise(0.3, StdNormal(), UnitLaplace()),
+        GaussianYVec(rho=[0.5, -0.2], sigma_y=CorrelationMatrix([[1.0, 0.3], [0.3, 1.0]])),
+        DoublySymmetricBinary(0.2),
+        BlockAveraged(GaussianScalar(0.5), 4),
+        BlockAveraged(DoublySymmetricBinary(0.2), 16),
+    ]
+
+    @pytest.mark.parametrize("model", CROSSABLE, ids=lambda m: type(m).__name__)
+    def test_draws_leave_their_inputs_alone(self, model):
+        # The draws work in their own buffers: Y given X must not write to
+        # X (the quantized scheme reads the crossing values afterwards), and
+        # neither draw may hand back an array it shares with another.
+        t = 0.5
+        p = model.crossing_prob(t)
+        x = model.tail_x(t, p, substream(53, 0), 1000)
+        assert np.all(x > t)
+        x.setflags(write=False)
+        before = x.copy()
+        y = model.y_given_x(x, substream(53, 1))
+        assert not np.shares_memory(x, y)
+        assert x.tobytes() == before.tobytes()
+        assert model.tail_x(t, p, substream(53, 0), 1000).tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("model", CROSSABLE[:4], ids=lambda m: getattr(m, "x_law").name)
+    def test_in_place_draws_match_their_plain_form(self, model):
+        # Scaling the uniforms, and s Z + rho X summed into Z, in place give
+        # the bits of the out-of-place expressions.
+        t = 0.5
+        p = model.crossing_prob(t)
+        x = model.tail_x(t, p, substream(59, 0), 1000)
+        plain_x = model.x_law.tail_quantile(_open_uniform(substream(59, 0), 1000) * p)
+        assert x.tobytes() == np.asarray(plain_x).tobytes()
+        y = model.y_given_x(x, substream(59, 1))
+        z = model.z_law.sample(substream(59, 1), 1000)
+        plain_y = model.rho * x + math.sqrt(1.0 - model.rho**2) * z
+        assert y.tobytes() == plain_y.tobytes()
+
+    def test_a_given_crossing_probability_is_used(self):
+        model = GaussianScalar(0.5)
+        t = 0.8
+        p = model.crossing_prob(t)
+        plain = draw_first_crossing(model, t, substream(61, 0), 500)
+        given = draw_first_crossing(model, t, substream(61, 0), 500, p=p)
+        for a, b in zip((plain.index, plain.x, plain.y), (given.index, given.x, given.y)):
+            assert a.tobytes() == b.tobytes()
+        with pytest.raises(ConfigurationError):
+            draw_first_crossing(model, t, substream(61, 0), 500, p=0.0)
+
 
 class _FixedUniforms:
     """Stands in for a Generator whose ``random`` returns these fixed values."""
