@@ -18,7 +18,8 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from .linalg import _transform_channels, invert
 from .sources import GaussianXVec, MarginalLaw
-from .statmath import geometric_entropy_inv, inverse_mills, max_normal_moments, phi, qfunc, qfunc_inv
+from .statmath import (_max_block, geometric_entropy_inv, inverse_mills, max_normal_moments, phi,
+                       qfunc, qfunc_inv)
 
 __all__ = [
     "TheoryReport",
@@ -129,7 +130,7 @@ def fisher_threshold(rho: float, t: float) -> float:
 def fisher_max(rho: float, k: int) -> float:
     """Information in (J, Y_J) for the largest-of-2^k scheme."""
     rho = _check_rho(rho)
-    second = max_normal_moments(2.0 ** int(k)).second_moment
+    second = max_normal_moments(_max_block(k)).second_moment
     one = 1.0 - rho * rho
     return (one * second + 2.0 * rho * rho) / (one * one)
 
@@ -149,7 +150,7 @@ def exact_threshold_variance(rho: float, t: float) -> float:
 def exact_max_variance(rho: float, k: int) -> float:
     """Exact variance of the largest-of-2^k estimator."""
     rho = _check_rho(rho)
-    mm = max_normal_moments(2.0 ** int(k))
+    mm = max_normal_moments(_max_block(k))
     return (rho * rho * mm.variance + 1.0 - rho * rho) / (mm.mean * mm.mean)
 
 

@@ -12,6 +12,7 @@ flags; nothing is ever silently dropped.
 
 from __future__ import annotations
 
+import copy
 import math
 import threading
 from dataclasses import dataclass
@@ -47,6 +48,7 @@ from .sources import (
     walk_first_hit,
 )
 from .statmath import (
+    _max_block,
     _qinv_unchecked,
     geometric_entropy,
     geometric_entropy_inv,
@@ -212,13 +214,9 @@ def max_trials(
     maximum value, so the trial draws (J, X_J) directly from those laws; the
     fixed-length index code costs exactly k bits either way.
     """
-    # A fractional k would be a block of 2^k rows that is not a whole number.
-    if not (float(k).is_integer() and k >= 1):
-        raise ConfigurationError(f"bit budget must be a positive integer, got {k!r}")
-    k = int(k)
+    n_samples = _max_block(k)
     if not isinstance(model, GaussianScalar):
         raise ConfigurationError("max trials need the scalar Gaussian model")
-    n_samples = 2.0**k
     mean_max = max_normal_moments(n_samples).mean
     u = _open_uniform(rng, size)
     # CDF of the block maximum is Phi^n; invert through the upper tail.
@@ -354,20 +352,6 @@ def stopping_matrix_batch(
     return w, gaps
 
 
-def _xvec_selection(model: GaussianXVec, params: StoppingSetParams,
-                    rng: np.random.Generator, size: int):
-    """Selection matrices, index gaps, and Bob's Y values read at the selected indices."""
-    d = model.dim
-    if params.d != d:
-        raise ConfigurationError(f"params dimension {params.d} does not match model {d}")
-    w, gaps = stopping_matrix_batch(d, params.a, params.b, rng, size)
-    z = normal_from_uniform(rng, (size, d))
-    z *= math.sqrt(model.noise_var)
-    y = np.einsum("j,njl->nl", model.whitened_rho, w)
-    y += z
-    return w, gaps, y
-
-
 # numpy's bundled OpenBLAS serialises concurrent LU factorisations, with
 # contention on top: two threads each solving a chunk's (n, d, d) stack run
 # slower together than one alone. One solve at a time turns that contention
@@ -405,7 +389,13 @@ def xvec_core_batch(
 ) -> TrialBatch:
     """Stopping-set selection, optional matrix quantization, and reconstruction."""
     d = model.dim
-    w, gaps, y = _xvec_selection(model, params, rng, size)
+    if params.d != d:
+        raise ConfigurationError(f"params dimension {params.d} does not match model {d}")
+    w, gaps = stopping_matrix_batch(d, params.a, params.b, rng, size)
+    # Bob's Y values read at the selected indices.
+    y = normal_from_uniform(rng, (size, d))
+    y *= math.sqrt(model.noise_var)
+    y += np.einsum("j,njl->nl", model.whitened_rho, w)
     bits_expected = d * geometric_entropy(params.crossing_prob)
     realized = None
     if mode is LedgerMode.REALIZED:
@@ -450,35 +440,18 @@ def xvec_unquantized_trials(
     return xvec_core_batch(model, params, rng, size, quantize=False, mode=mode)
 
 
-def xvec_paired_batch(
-    model: GaussianXVec,
-    params: StoppingSetParams,
-    rng: np.random.Generator,
-    size: int,
-) -> tuple[TrialBatch, TrialBatch]:
+def xvec_paired_batch(model: GaussianXVec, params: StoppingSetParams, rng: np.random.Generator,
+                      size: int) -> tuple[TrialBatch, TrialBatch]:
     """Quantized and unquantized reconstructions of the same selection draws.
 
     Sharing the selection randomness turns the quantization-loss comparison
     into a paired design, which is what the additive loss bound speaks about.
+    Quantizing draws nothing, so the exact branch replays the quantized
+    branch's draws from a copy of ``rng``; ``rng`` itself advances once.
     """
-    w, gaps, y = _xvec_selection(model, params, rng, size)
-    q = quantize_W_matrix(w, params)
-    index_bits = model.dim * geometric_entropy(params.crossing_prob)
-    samples = _row_sums(gaps)
-    results = []
-    for w_used, extra_bits in ((q.values, q.bits_expected), (w, 0.0)):
-        est, failed = _xvec_reconstruct(w_used, y, model.sqrt_sigma_x)
-        results.append(
-            TrialBatch(
-                estimates=est,
-                truth=model.true_correlations(),
-                bits_expected=index_bits + extra_bits,
-                bits_realized=None,
-                samples=samples,
-                failed=failed,
-            )
-        )
-    return results[0], results[1]
+    replay = copy.deepcopy(rng)
+    return (xvec_core_batch(model, params, rng, size, quantize=True),
+            xvec_core_batch(model, params, replay, size, quantize=False))
 
 
 # ---------------------------------------------------------------------------

@@ -93,10 +93,6 @@ def golomb_encode(j: int, m: int) -> str:
     return prefix + format(r + thr, "b").zfill(b)
 
 
-def _payload_width(cells: int) -> int:
-    return int(math.ceil(math.log2(cells))) if cells > 1 else 0
-
-
 def golomb_decode(bits: str, m: int) -> tuple[int, int]:
     """Decode one codeword from the front of ``bits``; returns (index, bits consumed)."""
     m = int(m)
@@ -181,8 +177,6 @@ class StoppingSetParams:
                 f"need a > d(b+1) for the quantization-loss guarantee: "
                 f"a={self.a!r}, d={self.d!r}, b={self.b!r}"
             )
-        if not self.a > (self.d - 1) * self.b:
-            raise ConfigurationError("need a > (d-1)b for the selection matrix to be invertible")
         _stopping_crossing_prob(self.a, self.b, self.d)
 
     @property
@@ -221,12 +215,20 @@ class QuantizedPayload(NamedTuple):
     bits_realized: int
 
 
-def _cell_count(k_q: float) -> int:
-    # Fractional budgets round the alphabet down; two cells minimum keeps the
-    # sign split on the strong coordinate meaningful.
-    cells = int(math.floor(2.0**k_q))
-    cells -= cells % 2
-    return max(cells, 2)
+def _midpoint(x: np.ndarray, lo: float, step: float, cells: int, out=None) -> np.ndarray:
+    """Midpoints of the ``cells`` cells of width ``step`` from ``lo`` that hold ``x``.
+
+    Values beyond either end, infinities included, go to the end cells. The
+    map runs in place on ``out``, which may be ``x`` itself.
+    """
+    out = np.subtract(x, lo, out=np.empty_like(x) if out is None else out)
+    out /= step
+    np.floor(out, out=out)
+    np.clip(out, 0, cells - 1, out=out)
+    out += 0.5
+    out *= step
+    out += lo
+    return out
 
 
 def quantize_W_matrix(
@@ -252,38 +254,25 @@ def quantize_W_matrix(
         # Alphabet finer than float64 spacing; quantization is the identity.
         out[...] = w
         return QuantizedPayload(out, expected, int(math.ceil(expected)))
-    cells = _cell_count(params.k_q)
+    # Fractional budgets round the alphabet down to an even count; two cells
+    # minimum keeps the sign split on the strong coordinate meaningful.
+    cells = int(math.floor(2.0**params.k_q))
+    cells = max(cells - cells % 2, 2)
     half = cells // 2
     a = params.a
-    step_diag = (_SQRT3 * a - a) / half
     # The diagonal is read into (..., d) arrays before ``out`` overwrites it.
     diag = np.diagonal(w, axis1=-2, axis2=-1)
     mag = np.abs(diag)
-    mag -= a
-    mag /= step_diag
-    np.floor(mag, out=mag)
-    np.clip(mag, 0, half - 1, out=mag)
-    mag += 0.5
-    mag *= step_diag
-    mag += a
+    _midpoint(mag, a, (_SQRT3 * a - a) / half, half, out=mag)
     mag *= np.sign(diag)
     # Every entry goes through the off-diagonal map; the diagonal is then
     # overwritten with its own values.
     if params.b > 0.0:
-        step_off = 2.0 * params.b / cells
-        np.clip(w, -params.b, params.b, out=out)
-        out += params.b
-        out /= step_off
-        np.floor(out, out=out)
-        np.clip(out, 0, cells - 1, out=out)
-        out += 0.5
-        out *= step_off
-        out -= params.b
+        _midpoint(w, -params.b, 2.0 * params.b / cells, cells, out=out)
     else:
         out.fill(0.0)
     np.einsum("...ii->...i", out)[...] = mag
-    realized = int(math.ceil(d * d * math.log2(cells)))
-    return QuantizedPayload(out, expected, max(realized, 1))
+    return QuantizedPayload(out, expected, math.ceil(d * d * math.log2(cells)))
 
 
 def quantize_pareto_value(x, t: float, u: float, k_q: float) -> QuantizedPayload:
@@ -297,10 +286,8 @@ def quantize_pareto_value(x, t: float, u: float, k_q: float) -> QuantizedPayload
     if np.any(x <= t):
         raise DomainError(f"a value does not exceed the threshold {t!r}")
     cells = max(1, int(math.floor(2.0**k_q)))
-    step = (u - t) / cells
-    idx = np.minimum(np.floor((x - t) / step), cells - 1)
-    values = np.where(x > u, u, t + (idx + 0.5) * step)
-    return QuantizedPayload(values, float(k_q), _payload_width(cells))
+    values = np.where(x > u, u, _midpoint(x, t, (u - t) / cells, cells))
+    return QuantizedPayload(values, float(k_q), math.ceil(math.log2(cells)))
 
 
 # ---------------------------------------------------------------------------

@@ -300,6 +300,18 @@ class MaxMoments(NamedTuple):
     variance: float
 
 
+# The largest max budget: past 2^924 samples the maximum's mass moves beyond the
+# top of the quadrature window below, which is pinned at Q^-1(5e-300).
+_MAX_BUDGET = 924
+
+
+def _max_block(k) -> float:
+    """2^k, the max scheme's block size; a fractional k is no whole block."""
+    if not (1 <= k <= _MAX_BUDGET and float(k).is_integer()):
+        raise ConfigurationError(f"max needs an integer budget of 1 to {_MAX_BUDGET} bits, got {k!r}")
+    return 2.0 ** int(k)
+
+
 @lru_cache(maxsize=256)
 def _max_normal_moments_cached(n: float) -> MaxMoments:
     # Imported here: only the max scheme's theory needs quadrature, and
@@ -336,7 +348,7 @@ def _max_normal_moments_cached(n: float) -> MaxMoments:
 
 
 def max_normal_moments(n: float) -> MaxMoments:
-    """Moments of max(Z_1, ..., Z_n) for iid standard normals, n >= 2.
+    """Moments of max(Z_1, ..., Z_n) for iid standard normals, 2 <= n <= 2^924.
 
     Computed by log-space quadrature of the extreme-value density
     n phi(x) CDF(x)^(n-1) over a window that carries all but ~1e-20 of the
@@ -349,6 +361,8 @@ def max_normal_moments(n: float) -> MaxMoments:
         mean, second_moment, variance of the maximum.
     """
     n = float(n)
-    if not n >= 2.0:
-        raise ConfigurationError(f"need at least 2 samples for a maximum, got {n!r}")
+    if not 2.0 <= n <= 2.0**_MAX_BUDGET:
+        raise ConfigurationError(
+            f"need 2 to 2^{_MAX_BUDGET} samples for a maximum (a max budget of at most "
+            f"{_MAX_BUDGET} bits), got {n!r}")
     return _max_normal_moments_cached(n)

@@ -178,6 +178,13 @@ class TestMaxTrials:
         with pytest.raises(ConfigurationError):
             max_trials(GaussianScalar(0.4), 0, substream(SEED, 15), 10)
 
+    @pytest.mark.parametrize("k", [925, 1000, 1024, 10**6, 1e300])
+    def test_rejects_budgets_past_924_bits(self, k):
+        with pytest.raises(ConfigurationError, match="integer budget of 1 to 924 bits"):
+            max_trials(GaussianScalar(0.4), k, substream(SEED, 15), 10)
+        with pytest.raises(ConfigurationError, match="integer budget of 1 to 924 bits"):
+            exact_max_variance(0.4, k)
+
 
 class TestYVecTrials:
     RHO = np.array([0.8, 0.4, -0.2])
@@ -603,20 +610,24 @@ class TestXVecTrials:
         np.testing.assert_array_equal(est[~failed], ok_est)
 
     def test_paired_branches_match_core_batches(self):
-        # The core batch quantizes its own stack in place; the paired batch
-        # quantizes a copy and keeps the exact stack for its second branch.
+        # Each branch is the core batch on the same substream, and the caller's
+        # generator advances by one batch's draws, not two.
         from corrlink.estimators import xvec_core_batch
 
         model = GaussianXVec(rho=np.array([0.3, 0.2, 0.4]),
                              sigma_x=CorrelationMatrix.equicorrelated(3, 0.2))
         params = StoppingSetParams(a=6.0, b=0.5, d=3, k_l=30.0, k_q=3.0)
-        paired = xvec_paired_batch(model, params, substream(SEED, 79), 3_000)
+        rng = substream(SEED, 79)
+        paired = xvec_paired_batch(model, params, rng, 3_000)
         for pair, quantize in zip(paired, (True, False)):
-            core = xvec_core_batch(model, params, substream(SEED, 79), 3_000, quantize=quantize)
+            core_rng = substream(SEED, 79)
+            core = xvec_core_batch(model, params, core_rng, 3_000, quantize=quantize)
             np.testing.assert_array_equal(pair.estimates, core.estimates)
             np.testing.assert_array_equal(pair.samples, core.samples)
             np.testing.assert_array_equal(pair.failed, core.failed)
             assert pair.bits_expected == core.bits_expected
+            assert pair.bits_realized is None
+        np.testing.assert_array_equal(rng.random(64), core_rng.random(64))
 
     @pytest.mark.parametrize("quantize", [True, False])
     def test_concurrent_batches_match_serial_calls(self, quantize):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from corrlink import harness
 from corrlink.analysis import (
+    exact_max_variance,
     exact_threshold_variance,
     threshold_for_budget,
     yvec_sum_mse,
@@ -1020,6 +1021,40 @@ class TestCli:
     def test_theory_max_rejects_fractional_budget(self, capsys):
         assert main(["theory", "max", "--k", "10.5", "--rho", "0.5"]) == 1
         assert "integer budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "theory"])
+    def test_max_budgets_stop_at_924_bits(self, command, tmp_path, capsys):
+        # Past 2^924 samples the block maximum's mass leaves the moments'
+        # quadrature window, so larger budgets are refused, not misreported.
+        def exit_code(k):
+            if command == "theory":
+                return main(["theory", "max", "--k", k, "--rho", "0.5"])
+            path = tmp_path / "max.cfg"
+            path.write_text(f"scheme = max\ngrid.k = {k}\ngrid.rho = 0.5\ntrials = 100\nseed = 1\n")
+            return main(["run", str(path), "--threads", "1"])
+
+        assert exit_code("924") == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        exact = exact_max_variance(0.5, 924)
+        assert 0.0 < exact < 1e-3
+        assert "%.10g" % exact in captured.out
+        for k in ("925", "1000", "1024", "1e6"):
+            assert exit_code(k) == 1
+            captured = capsys.readouterr()
+            assert "integer budget of 1 to 924 bits" in captured.err
+            assert captured.out == ""
+
+    THEORY_RHO = {"yvec": "0.5,0.3", "xvec": "0.3,0.2", "xvec_exact": "0.3,0.2",
+                  "linear": "0.5,0.3"}
+
+    @pytest.mark.parametrize("scheme", sorted(harness._SCHEMES))
+    @pytest.mark.parametrize("k", ["1e-9", "0.5", "2", "925", "1024", "1e6", "1e300"])
+    def test_theory_exits_cleanly_at_any_budget(self, scheme, k, capsys):
+        code = main(["theory", scheme, "--k", k, "--rho", self.THEORY_RHO.get(scheme, "0.5")])
+        captured = capsys.readouterr()
+        assert code in (0, 1)
+        assert ("config error" in captured.err) == (code == 1)
 
     @pytest.mark.parametrize("flags,match", [
         (["--alpha", "2.5", "--k", "40"], "tail exponent > 3"),

@@ -490,6 +490,13 @@ def bits(x: np.ndarray) -> np.ndarray:
     return x.view(np.uint64)
 
 
+def matrix_cells(k_q: float) -> int:
+    """The matrix alphabet: 2^k_q cells rounded down to an even count, at least two."""
+    cells = int(math.floor(2.0**k_q))
+    cells -= cells % 2
+    return max(cells, 2)
+
+
 class TestQuantizeWMatrix:
     PARAMS = StoppingSetParams(a=3.2, b=0.4, d=2, k_l=20.0, k_q=8.0)
 
@@ -565,10 +572,8 @@ class TestQuantizeWMatrix:
         """Boolean-mask form of the quantizer: gather the diagonal and the rest."""
         if params.k_q > 52:
             return w.copy()
-        from corrlink.protocol import _cell_count
-
         d = params.d
-        cells = _cell_count(params.k_q)
+        cells = matrix_cells(params.k_q)
         half = cells // 2
         a = params.a
         step_diag = (math.sqrt(3.0) * a - a) / half
@@ -650,6 +655,104 @@ class TestQuantizePareto:
             quantize_pareto_value(0.9, 1.0, 3.0, 2.0)
         with pytest.raises(ConfigurationError):
             quantize_pareto_value(1.5, 3.0, 1.0, 2.0)
+
+
+class TestSharedMidpointMap:
+    """The matrix and Pareto quantizers share one midpoint map.
+
+    The references are the three maps as each quantizer once wrote it out:
+    the diagonal magnitudes, the off-diagonals after a clip to [-b, b], and
+    the Pareto value through np.minimum with saturation above u.
+    """
+
+    @staticmethod
+    def reference_matrix(w, a, b, cells):
+        half = cells // 2
+        step_diag = (math.sqrt(3.0) * a - a) / half
+        diag = np.diagonal(w, axis1=-2, axis2=-1)
+        mag = np.abs(diag)
+        mag -= a
+        mag /= step_diag
+        np.floor(mag, out=mag)
+        np.clip(mag, 0, half - 1, out=mag)
+        mag += 0.5
+        mag *= step_diag
+        mag += a
+        mag *= np.sign(diag)
+        out = np.empty_like(w)
+        if b > 0.0:
+            step_off = 2.0 * b / cells
+            np.clip(w, -b, b, out=out)
+            out += b
+            out /= step_off
+            np.floor(out, out=out)
+            np.clip(out, 0, cells - 1, out=out)
+            out += 0.5
+            out *= step_off
+            out -= b
+        else:
+            out.fill(0.0)
+        np.einsum("...ii->...i", out)[...] = mag
+        return out
+
+    @staticmethod
+    def reference_pareto(x, t, u, cells):
+        step = (u - t) / cells
+        idx = np.minimum(np.floor((x - t) / step), cells - 1)
+        return np.where(x > u, u, t + (idx + 0.5) * step)
+
+    # Budgets giving 2, 4, 6 and 200 cells to both quantizers.
+    K_Q = [1.0, 2.0, 2.6, 7.65]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("b", [0.0, 0.4])
+    @pytest.mark.parametrize("k_q", K_Q)
+    def test_matrix_matches_the_written_out_maps(self, d, b, k_q):
+        from types import SimpleNamespace
+
+        a = d * 1.3 + 1.0
+        cells = matrix_cells(k_q)
+        assert cells == {1.0: 2, 2.0: 4, 2.6: 6, 7.65: 200}[k_q]
+        params = SimpleNamespace(a=a, b=b, d=d, k_l=20.0, k_q=k_q)
+        step_diag = (math.sqrt(3.0) * a - a) / (cells // 2)
+        edges = [a + i * step_diag for i in range(cells // 2 + 1)]
+        edges += [-b + i * 2.0 * b / cells for i in range(cells + 1)]
+        special = [0.0, -0.0, math.inf, -math.inf, a, -a, math.sqrt(3.0) * a,
+                   -math.sqrt(3.0) * a, b, -b, 3.0 * a]
+        pool = np.array(special + edges + [-e for e in edges])
+        rng = substream(21, d)
+        w = rng.choice(pool, size=(4_000, d, d))
+        w[:1_000] = 2.0 * a * rng.standard_normal((1_000, d, d))
+        want = self.reference_matrix(w, a, b, cells)
+        before = w.copy()
+        fresh = quantize_W_matrix(w, params)
+        np.testing.assert_array_equal(bits(w), bits(before))
+        np.testing.assert_array_equal(bits(fresh.values), bits(want))
+        assert fresh.bits_realized == max(int(math.ceil(d * d * math.log2(cells))), 1)
+        aliased = quantize_W_matrix(w, params, out=w)
+        assert aliased.values is w
+        np.testing.assert_array_equal(bits(w), bits(want))
+        assert aliased.bits_realized == fresh.bits_realized
+
+    @pytest.mark.parametrize("k_q", [0.0] + K_Q)
+    def test_pareto_matches_the_written_out_map(self, k_q):
+        t, u = 1.7, 1.7 ** 4.0
+        cells = max(1, int(math.floor(2.0**k_q)))
+        step = (u - t) / cells
+        edges = [t + i * step for i in range(1, cells + 1)]
+        xs = np.array([np.nextafter(t, math.inf), u, np.nextafter(u, math.inf), 2.0 * u,
+                       math.inf, *edges, *substream(22, cells).uniform(t, 1.2 * u, 500)])
+        want = self.reference_pareto(xs, t, u, cells)
+        payload = quantize_pareto_value(xs, t, u, k_q)
+        np.testing.assert_array_equal(bits(payload.values), bits(want))
+        assert payload.bits_realized == (int(math.ceil(math.log2(cells))) if cells > 1 else 0)
+        for x in xs[:5]:
+            one = quantize_pareto_value(float(x), t, u, k_q).values
+            assert one.shape == () and bits(one) == bits(self.reference_pareto(x, t, u, cells))
+        # At or below t, infinities and zeros included, nothing is quantized.
+        for x in (t, 0.0, -0.0, -math.inf):
+            with pytest.raises(DomainError):
+                quantize_pareto_value(x, t, u, k_q)
 
 
 class TestAllocateBitsXVec:

@@ -287,3 +287,11 @@ class TestMaxMoments:
     def test_domain(self):
         with pytest.raises(ConfigurationError):
             max_normal_moments(1.0)
+
+    def test_block_limit(self):
+        # Up to 2^924 samples the window holds the mass and the variance keeps
+        # shrinking; past it the window's upper end no longer moves with it.
+        assert 0.0 < max_normal_moments(2.0**924).variance < max_normal_moments(2.0**900).variance
+        for n in (2.0**924 * (1.0 + 2.0**-52), 2.0**925, 2.0**1000, math.inf):
+            with pytest.raises(ConfigurationError, match="2 to 2\\^924 samples"):
+                max_normal_moments(n)
