@@ -16,24 +16,20 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .linalg import _transform_channels, invert
-from .sources import GaussianXVec, MarginalLaw
-from .statmath import (_max_block, geometric_entropy_inv, inverse_mills, max_normal_moments, phi,
-                       qfunc, qfunc_inv)
+from .linalg import invert
+from .statmath import (geometric_entropy_inv, inverse_mills, phi, qfunc, qfunc_inv,
+                       truncated_normal_moments)
 
 __all__ = [
     "TheoryReport",
     "zhang_berger_variance",
     "zhang_berger_optimal",
-    "fisher_scalar_given_x",
-    "fisher_threshold",
-    "fisher_max",
+    "fisher_scalar",
+    "crossing_variance",
     "exact_threshold_variance",
-    "exact_max_variance",
     "threshold_for_budget",
     "fisher_yvec",
     "crlb_yvec",
-    "yvec_sum_mse",
     "fisher_xvec",
     "crlb_xvec",
     "stopping_second_moment",
@@ -41,7 +37,6 @@ __all__ = [
     "quantization_loss_bound",
     "xvec_mse_bound",
     "unquantized_xvec_trace_bound",
-    "additive_exact_variance",
     "laplace_theory",
     "pareto_theory",
     "pareto_unquantized_floor",
@@ -111,28 +106,39 @@ def zhang_berger_optimal(rho: float, k: float) -> float:
     return (1.0 - rho * rho) / (2.0 * k * _LN2)
 
 
-def fisher_scalar_given_x(rho: float, x: float) -> float:
-    """Information about the correlation carried by Y when X is pinned at x."""
+def fisher_scalar(rho: float, x_second: float) -> float:
+    """Information about the correlation in (J, Y_J) when E[X_J^2] = ``x_second``.
+
+    Given X = x, Y is normal with mean rho x and variance 1 - rho^2; the
+    information is linear in x^2, so a selection rule enters only through
+    the second moment of the X it selects (x^2 for an X pinned at x).
+    """
     rho = _check_rho(rho)
     one = 1.0 - rho * rho
-    return (one * x * x + 2.0 * rho * rho) / (one * one)
+    return (one * x_second + 2.0 * rho * rho) / (one * one)
 
 
-def fisher_threshold(rho: float, t: float) -> float:
-    """Information in (J, Y_J) for the first-crossing scheme at threshold t."""
-    rho = _check_rho(rho)
-    s = inverse_mills(t)
-    second = 1.0 + t * s
-    one = 1.0 - rho * rho
-    return (one * second + 2.0 * rho * rho) / (one * one)
+def crossing_variance(rho, x_var: float, norm: float) -> float:
+    """Exact variance of Y_J / ``norm``, summed over the coordinates of ``rho``.
+
+    Every scalar-selection estimator divides the Y read at the selected
+    index J by a fixed normaliser, and every model it runs on has
+    E[Y | X] = rho X and Var(Y | X) = 1 - rho^2. Each coordinate's variance is
+    therefore (rho^2 Var(X_J) + 1 - rho^2) / norm^2, where ``x_var`` is
+    Var(X_J) under the selection rule.
+    """
+    total = 0.0
+    # Left to right on purpose: from Python 3.12 on, the built-in sum() of
+    # floats compensates, and the bytes would depend on the interpreter.
+    for r in np.asarray(rho, dtype=float).reshape(-1):
+        r = _check_rho(r)
+        total += (r * r * x_var + 1.0 - r * r) / (norm * norm)
+    return total
 
 
-def fisher_max(rho: float, k: int) -> float:
-    """Information in (J, Y_J) for the largest-of-2^k scheme."""
-    rho = _check_rho(rho)
-    second = max_normal_moments(_max_block(k)).second_moment
-    one = 1.0 - rho * rho
-    return (one * second + 2.0 * rho * rho) / (one * one)
+def _plan_variance(plan) -> float:
+    """:func:`crossing_variance` of a fixed-normaliser ``estimators.CrossingPlan``."""
+    return crossing_variance(plan.truth, plan.model.tail_variance(plan.t), plan.norm)
 
 
 def threshold_for_budget(k: float) -> float:
@@ -141,17 +147,9 @@ def threshold_for_budget(k: float) -> float:
 
 
 def exact_threshold_variance(rho: float, t: float) -> float:
-    """Exact variance of the first-crossing estimator at threshold t."""
-    rho = _check_rho(rho)
-    s = inverse_mills(t)
-    return (1.0 - rho * rho * (s - t) * s) / (s * s)
-
-
-def exact_max_variance(rho: float, k: int) -> float:
-    """Exact variance of the largest-of-2^k estimator."""
-    rho = _check_rho(rho)
-    mm = max_normal_moments(_max_block(k))
-    return (rho * rho * mm.variance + 1.0 - rho * rho) / (mm.mean * mm.mean)
+    """Exact variance of the Gaussian first-crossing estimator at threshold t."""
+    mom = truncated_normal_moments(t)
+    return crossing_variance(rho, mom.variance, mom.mean)
 
 
 # ---------------------------------------------------------------------------
@@ -187,21 +185,6 @@ def crlb_yvec(rho: np.ndarray, sigma_y: np.ndarray, exj2: float) -> np.ndarray:
     quad = float(rho @ nr)
     c = float(exj2) + quad
     return (noise - np.outer(rho, rho) / (float(exj2) + 2.0 * quad)) / c
-
-
-def yvec_sum_mse(rho: np.ndarray, t: float) -> float:
-    """Exact summed coordinate variance of the shared-index vector estimator.
-
-    Each coordinate behaves like the scalar scheme at its own correlation, so
-    the sum does not depend on the off-diagonal structure of Bob's covariance.
-    """
-    rho = np.asarray(rho, dtype=float).reshape(-1)
-    # Left to right on purpose: from Python 3.12 on, the built-in sum() of
-    # floats compensates, and the bytes would depend on the interpreter.
-    total = 0.0
-    for r in rho:
-        total += exact_threshold_variance(r, t)
-    return float(total)
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +279,6 @@ def unquantized_xvec_trace_bound(rho: np.ndarray, d: int, k_l: float) -> float:
 # Non-Gaussian additive schemes.
 
 
-def additive_exact_variance(x_law: MarginalLaw, rho: float, t: float) -> float:
-    """Exact variance of the tail-mean-normalized first-crossing estimator."""
-    rho = _check_rho(rho)
-    mean = float(x_law.tail_mean(t))
-    var = float(x_law.tail_variance(t))
-    return (rho * rho * var + 1.0 - rho * rho) / (mean * mean)
-
-
 def laplace_theory(rho: float, k: float) -> float:
     """Asymptotic variance of the first-crossing scheme under double-exponential X."""
     rho = _check_rho(rho)
@@ -339,13 +314,14 @@ def pareto_unquantized_floor(alpha: float, rho: float) -> float:
 # Linear-transform baseline.
 
 
-def linear_baseline_trace(model: GaussianXVec, budgets: tuple[float, float],
-                          m_transform: np.ndarray) -> float:
-    """Exact covariance trace of the transform-then-threshold baseline estimator."""
-    alphas, inv_mt = _transform_channels(m_transform, model.sigma_x.values, model.rho)
+def linear_baseline_trace(plan) -> float:
+    """Exact covariance trace of the transform baseline of an ``estimators.LinearPlan``.
+
+    The channels run on independent samples, so the trace is each channel's
+    crossing variance weighted by the squared norm of its inverse-transform
+    column.
+    """
     trace = 0.0
-    for i, k in enumerate(budgets):
-        t = threshold_for_budget(float(k))
-        var_i = exact_threshold_variance(float(alphas[i]), t)
-        trace += var_i * float(inv_mt[:, i] @ inv_mt[:, i])
+    for i, channel in enumerate(plan.channels):
+        trace += _plan_variance(channel) * float(plan.inv_mt[:, i] @ plan.inv_mt[:, i])
     return trace

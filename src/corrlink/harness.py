@@ -48,7 +48,7 @@ from .sources import (
     UnitLaplace,
     substream,
 )
-from .statmath import inverse_mills
+from .statmath import _max_block, max_normal_moments, truncated_normal_moments
 
 __all__ = [
     "CHUNK_TRIALS",
@@ -273,11 +273,15 @@ def _scalar_rho(config: ExperimentConfig, point: dict) -> float:
     return float(arr[0])
 
 
-def _scalar_report(config: ExperimentConfig, k: float, exact: float, fisher: float,
-                   asymptotic: float, bounds: tuple) -> analysis.TheoryReport:
+def _scalar_report(config: ExperimentConfig, k: float, rho: float, exact: float,
+                   x_second: float, bounds: tuple = ()) -> analysis.TheoryReport:
+    """A scalar selection cell: information from E[X_J^2], the zero-rate benchmark as asymptote."""
+    fisher = analysis.fisher_scalar(rho, x_second)
+    benchmark = analysis.zhang_berger_optimal(rho, k)
     return analysis.TheoryReport(
-        config.scheme, k, theory_exact=exact, theory_asymptotic=asymptotic,
-        crlb_trace=1.0 / fisher, fisher=np.array([[fisher]]), bounds=bounds,
+        config.scheme, k, theory_exact=exact, theory_asymptotic=benchmark,
+        crlb_trace=1.0 / fisher, fisher=np.array([[fisher]]),
+        bounds=bounds or (("benchmark-zero-rate", benchmark),),
     )
 
 
@@ -285,15 +289,12 @@ def _build_threshold(config: ExperimentConfig, point: dict):
     rho = _scalar_rho(config, point)
     k = float(point["k"])
     plan = threshold_plan(GaussianScalar(rho=rho), k, config.mode)
-    t = plan.t
 
     def batch_fn(rng, size):
         return crossing_trials(plan, rng, size)
 
-    benchmark = analysis.zhang_berger_optimal(rho, k)
-    theory = _scalar_report(config, k, analysis.exact_threshold_variance(rho, t),
-                            analysis.fisher_threshold(rho, t), benchmark,
-                            (("benchmark-zero-rate", benchmark),))
+    theory = _scalar_report(config, k, rho, analysis._plan_variance(plan),
+                            truncated_normal_moments(plan.t).second_moment)
     return batch_fn, _meta(1, k, (rho,)), theory
 
 
@@ -305,11 +306,10 @@ def _build_max(config: ExperimentConfig, point: dict):
     def batch_fn(rng, size):
         return max_trials(model, k, rng, size, mode=config.mode)
 
-    benchmark = analysis.zhang_berger_optimal(rho, k)
-    # The moments refuse a fractional budget or one past 924 bits.
-    theory = _scalar_report(config, k, analysis.exact_max_variance(rho, k),
-                            analysis.fisher_max(rho, k), benchmark,
-                            (("benchmark-zero-rate", benchmark),))
+    # The block refuses a fractional budget or one past 924 bits.
+    mm = max_normal_moments(_max_block(k))
+    theory = _scalar_report(config, k, rho, analysis.crossing_variance(rho, mm.variance, mm.mean),
+                            mm.second_moment)
     return batch_fn, _meta(1, k, (rho,)), theory
 
 
@@ -318,15 +318,14 @@ def _build_yvec(config: ExperimentConfig, point: dict):
     k = float(point["k"])
     sigma_y = CorrelationMatrix(np.outer(rho, rho) + np.diag(1.0 - rho * rho))
     plan = threshold_plan(GaussianYVec(rho=rho, sigma_y=sigma_y), k, config.mode)
-    t = plan.t
 
     def batch_fn(rng, size):
         return crossing_trials(plan, rng, size)
 
     asym = float(np.sum(1.0 - rho * rho)) / (2.0 * k * math.log(2.0))
-    exj2 = 1.0 + t * inverse_mills(t)
+    exj2 = truncated_normal_moments(plan.t).second_moment
     theory = analysis.TheoryReport(
-        config.scheme, k, theory_exact=analysis.yvec_sum_mse(rho, t), theory_asymptotic=asym,
+        config.scheme, k, theory_exact=analysis._plan_variance(plan), theory_asymptotic=asym,
         crlb_trace=float(np.trace(analysis.crlb_yvec(rho, sigma_y.values, exj2))),
         fisher=analysis.fisher_yvec(rho, sigma_y.values, exj2),
         bounds=(("per-coordinate-benchmark-sum", asym),),
@@ -403,10 +402,11 @@ def _build_clt(config: ExperimentConfig, point: dict):
     def batch_fn(rng, size):
         return crossing_trials(plan, rng, size)
 
-    exact = analysis.exact_threshold_variance(rho, t)
-    theory = _scalar_report(config, k, exact, analysis.fisher_threshold(rho, t),
-                            analysis.zhang_berger_optimal(rho, k),
-                            (("gaussian-limit-variance", exact),))
+    # Exact at every block size; the Gaussian limit is a labelled bound.
+    limit = analysis.exact_threshold_variance(rho, t)
+    theory = _scalar_report(config, k, rho, analysis._plan_variance(plan),
+                            truncated_normal_moments(t).second_moment,
+                            (("gaussian-limit-variance", limit),))
     return batch_fn, _meta(1, k, (rho,), m=model.m), theory
 
 
@@ -447,7 +447,6 @@ def _build_additive(config: ExperimentConfig, point: dict):
         raise ConfigurationError("model.alpha: only the pareto x_law reads a tail index")
     x_law = _LAW_FACTORIES[law_name](config)
     plan = threshold_plan(AdditiveNoise(rho=rho, x_law=x_law, z_law=StdNormal()), k, config.mode)
-    t = plan.t
 
     def batch_fn(rng, size):
         return crossing_trials(plan, rng, size)
@@ -461,7 +460,7 @@ def _build_additive(config: ExperimentConfig, point: dict):
     else:
         asym = analysis.zhang_berger_optimal(rho, k)
     theory = analysis.TheoryReport(
-        config.scheme, k, theory_exact=analysis.additive_exact_variance(x_law, rho, t),
+        config.scheme, k, theory_exact=analysis._plan_variance(plan),
         theory_asymptotic=asym, bounds=bounds,
     )
     return batch_fn, _meta(1, k, (rho,), alpha=getattr(x_law, "alpha", None)), theory
@@ -486,10 +485,8 @@ def _build_linear(config: ExperimentConfig, point: dict):
     def batch_fn(rng, size):
         return linear_plan_trials(plan, rng, size)
 
-    theory = analysis.TheoryReport(
-        config.scheme, k,
-        theory_exact=analysis.linear_baseline_trace(model, budgets, m_transform),
-    )
+    theory = analysis.TheoryReport(config.scheme, k,
+                                   theory_exact=analysis.linear_baseline_trace(plan))
     return batch_fn, _meta(2, k, rho), theory
 
 

@@ -296,8 +296,10 @@ class JointModel:
     X law has a closed-form upper tail also provide ``crossing_prob(t)``
     (Pr(X > t)), ``tail_x(t, p, rng, n)`` (draws of X | X > t, given
     p = Pr(X > t)) and ``y_given_x``, which together drive the first-crossing
-    shortcut; the rest report a crossing probability of None and can only be
-    walked literally (``walk_first_hit``). ``y_given_x`` never writes to x.
+    shortcut, and ``tail_variance(t)`` (Var(X | X > t)), which the exact
+    variance of a crossing estimator needs; the rest report a crossing
+    probability of None and can only be walked literally
+    (``walk_first_hit``). ``y_given_x`` never writes to x.
     """
 
     x_support_upper = math.inf
@@ -333,6 +335,9 @@ class _ScalarX(JointModel):
         u = _open_uniform(rng, n)
         u *= p
         return self.x_law.tail_quantile(u)
+
+    def tail_variance(self, t: float) -> float:
+        return self.x_law.tail_variance(t)
 
     def draw_pairs(self, rng: np.random.Generator, n: int):
         x = self.x_law.sample(rng, n)
@@ -565,6 +570,14 @@ class _BinaryBlock:
         b = bmin + np.searchsorted(cum, u, side="left")
         return (2.0 * b - m) / math.sqrt(m)
 
+    def tail_variance(self, t: float) -> float:
+        # X = (2 B - m)/sqrt(m), so Var(X | X > t) = 4 Var(B | B >= bmin)/m.
+        bmin = max(self._bmin(float(t)), 0)
+        pmf = np.diff(_binomial_upper_tail(self.m, bmin)[1], prepend=0.0)
+        b = np.arange(bmin, bmin + pmf.size)
+        dev = b - pmf @ b
+        return 4.0 * float(pmf @ (dev * dev)) / self.m
+
     def y_given_x(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         m = self.m
         sq = math.sqrt(m)
@@ -610,6 +623,9 @@ class BlockAveraged(JointModel):
 
     def tail_x(self, t: float, p: float, rng: np.random.Generator, n: int) -> np.ndarray:
         return self._block.tail_x(t, p, rng, n)
+
+    def tail_variance(self, t: float) -> float:
+        return self._block.tail_variance(t)
 
     def y_given_x(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return self._block.y_given_x(x, rng)

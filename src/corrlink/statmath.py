@@ -147,8 +147,8 @@ def truncated_normal_moments(t: float) -> ThresholdMoments:
     """Moments of Z | Z > t for standard normal Z.
 
     Uses the identities mean = s(t), E[Z^2 | Z > t] = 1 + t s(t), and
-    variance = 1 + t s(t) - s(t)^2. The variance expression loses all
-    precision by t ~ 1e2 (it is O(1/t^2) computed as a difference of O(t^2)
+    variance = 1 - s(t) (s(t) - t). The variance expression loses all
+    precision by t ~ 1e2 (it is O(1/t^2) computed as a difference of O(1)
     terms), so beyond that it switches to the two-term tail expansion
     1/t^2 - 6/t^4, whose relative error there is below 1e-7.
     """
@@ -158,7 +158,7 @@ def truncated_normal_moments(t: float) -> ThresholdMoments:
     if t >= 100.0:
         var = (1.0 - 6.0 / (t * t)) / (t * t)
     else:
-        var = second - s * s
+        var = 1.0 - s * (s - t)
     return ThresholdMoments(threshold=t, mean=s, second_moment=second, variance=var)
 
 

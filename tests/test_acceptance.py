@@ -24,24 +24,28 @@ from corrlink import (
     ParetoTwoSided,
     StdNormal,
     StoppingSetParams,
+    ExperimentConfig,
     UnitLaplace,
-    additive_exact_variance,
     clt_trials,
-    exact_max_variance,
+    crossing_variance,
     exact_threshold_variance,
-    fisher_threshold,
+    fisher_scalar,
     geometric_entropy_inv,
     inverse_mills,
     laplace_theory,
+    linear_baseline_plan,
     linear_baseline_trace,
+    max_normal_moments,
     max_trials,
     pareto_trials,
     pareto_unquantized_floor,
     quantization_loss_bound,
+    run_sweep,
     stopping_matrix_batch,
     substream,
     threshold_for_budget,
     threshold_trials,
+    truncated_normal_moments,
     xvec_paired_batch,
     xvec_trials,
     zhang_berger_optimal,
@@ -53,6 +57,10 @@ LN2 = math.log(2.0)
 RHO_GRID = (0.0, 0.3, -0.3, 0.6, -0.6, 0.9, -0.9)
 XVEC_RHO = np.array([0.95, 0.1])
 YVEC_RHO = np.array([0.9, 0.5, 0.1, -0.3])
+
+
+def _threshold_fisher(rho, t):
+    return fisher_scalar(rho, truncated_normal_moments(t).second_moment)
 
 
 def _mse_and_se(sq_errors):
@@ -110,7 +118,9 @@ def test_scaled_variance_ratio_tightens_with_budget():
         k * exact_threshold_variance(rho, threshold_for_budget(float(k))) * 2 * LN2 / unit
         for k in budgets
     ]
-    mx = [k * exact_max_variance(rho, k) * 2 * LN2 / unit for k in budgets]
+    moments = [max_normal_moments(2.0**k) for k in budgets]
+    mx = [k * crossing_variance(rho, mm.variance, mm.mean) * 2 * LN2 / unit
+          for k, mm in zip(budgets, moments)]
     for name, seq in (("threshold", thr), ("max", mx)):
         assert all(a >= b for a, b in zip(seq, seq[1:])), f"{name} ratios not monotone"
         assert seq[-1] <= 1.35, f"{name} ratio {seq[-1]:.4f} at k=80"
@@ -126,7 +136,7 @@ def test_efficiency_product_near_one_for_moderate_correlations():
 
     def product(rho, k):
         t = threshold_for_budget(k)
-        return exact_threshold_variance(rho, t) * fisher_threshold(rho, t)
+        return exact_threshold_variance(rho, t) * _threshold_fisher(rho, t)
 
     for rho in (0.0, 0.3, -0.3, 0.6, -0.6):
         value = product(rho, 40.0)
@@ -151,7 +161,7 @@ def test_efficiency_product_ceiling_across_full_correlation_grid():
     """Criterion 3 as stated: the [1, 1.25] window at k=40 over the whole grid."""
     t = threshold_for_budget(40.0)
     for rho in RHO_GRID:
-        value = exact_threshold_variance(rho, t) * fisher_threshold(rho, t)
+        value = exact_threshold_variance(rho, t) * _threshold_fisher(rho, t)
         assert 1.0 <= value <= 1.25, f"product {value:.6f} at rho={rho}"
 
 
@@ -309,6 +319,33 @@ def test_block_averaged_binary_approaches_gaussian_limit():
     )
 
 
+def test_block_averaged_binary_rows_match_their_exact_moments():
+    """Criterion 8 at finite block sizes: binary rows against the lattice's exact moments."""
+    k, rho = 10.0, 0.5
+    text = ("scheme = clt\nmodel.kind = binary\nmodel.p = 0.25\ngrid.k = 10\n"
+            f"grid.m = 16, 64, 256\ntrials = 1000000\nseed = {SEED}\n")
+    t = threshold_for_budget(k)
+    s = inverse_mills(t)
+    worst = 0.0
+    for row in run_sweep(ExperimentConfig.from_text(text), threads=2):
+        m = row.m
+        counts = np.arange(m + 1)
+        xbar = (2.0 * counts - m) / math.sqrt(m)
+        pmf = stats.binom.pmf(counts, m, 0.5)
+        sel = xbar > t
+        mean = float((xbar * pmf)[sel].sum()) / float(pmf[sel].sum())
+        bias = rho * (mean / s - 1.0)
+        var_z = (row.variance - row.theory_exact) / row.variance_se
+        bias_z = (row.bias - bias) / row.bias_se
+        assert abs(var_z) <= 4.0, f"m={m}: variance {var_z:.2f} sigma from theory_exact"
+        assert abs(bias_z) <= 4.0, f"m={m}: bias {bias_z:.2f} sigma from {bias:.5f}"
+        limit = exact_threshold_variance(rho, t)
+        assert row.theory_exact != limit
+        worst = max(worst, abs(var_z), abs(bias_z))
+    print(f"PASS binary block rows: variance and bias within {worst:.2f} sigma of the "
+          f"exact lattice moments at m = 16, 64, 256")
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="a 20-bit budget puts the crossing threshold beyond the reach of 16 binary "
@@ -357,7 +394,7 @@ def test_laplace_tail_scaled_mse_converges_to_theory():
     ratios = []
     for i, k in enumerate((20.0, 40.0, 80.0)):
         t = float(law.tail_quantile(geometric_entropy_inv(k)))
-        exact = additive_exact_variance(law, rho, t)
+        exact = crossing_variance(rho, law.tail_variance(t), law.tail_mean(t))
         batch = threshold_trials(model, k, substream(SEED, 160 + i), trials)
         mse, se = _mse_and_se((batch.estimates[:, 0] - rho) ** 2)
         assert mse == pytest.approx(exact, abs=4.0 * se), f"k={k}: {mse:.3e} vs {exact:.3e}"
@@ -380,8 +417,9 @@ def test_transform_baseline_grid_search_finds_wins_and_losses():
         for r2 in np.linspace(-0.99, 0.99, 23):
             try:
                 model = GaussianXVec(rho=np.array([r1, r2]), sigma_x=sigma)
-                naive = linear_baseline_trace(model, budgets, np.eye(2))
-                white = linear_baseline_trace(model, budgets, model.inv_sqrt_sigma_x)
+                naive = linear_baseline_trace(linear_baseline_plan(model, budgets, np.eye(2)))
+                white = linear_baseline_trace(
+                    linear_baseline_plan(model, budgets, model.inv_sqrt_sigma_x))
             except ConfigurationError:
                 skipped += 1
                 continue

@@ -11,14 +11,11 @@ from scipy import integrate, stats
 
 from corrlink.analysis import (
     TheoryReport,
-    additive_exact_variance,
     crlb_xvec,
     crlb_yvec,
-    exact_max_variance,
+    crossing_variance,
     exact_threshold_variance,
-    fisher_max,
-    fisher_scalar_given_x,
-    fisher_threshold,
+    fisher_scalar,
     fisher_xvec,
     fisher_yvec,
     laplace_theory,
@@ -31,11 +28,11 @@ from corrlink.analysis import (
     threshold_for_budget,
     unquantized_xvec_trace_bound,
     xvec_mse_bound,
-    yvec_sum_mse,
     zhang_berger_optimal,
     zhang_berger_variance,
 )
 from corrlink.errors import ConfigurationError, DomainError
+from corrlink.estimators import linear_baseline_plan
 from corrlink.harness import ExperimentConfig
 from corrlink.linalg import CorrelationMatrix
 from corrlink.sources import GaussianXVec, ParetoTwoSided, StdNormal, UnitLaplace
@@ -48,6 +45,20 @@ from corrlink.statmath import (
 )
 
 LN2 = math.log(2.0)
+
+
+def threshold_fisher(rho, t):
+    return fisher_scalar(rho, truncated_normal_moments(t).second_moment)
+
+
+def law_variance(law, rho, t):
+    """Exact variance of the first-crossing estimator normalised by the law's tail mean."""
+    return crossing_variance(rho, law.tail_variance(t), law.tail_mean(t))
+
+
+def max_variance(rho, k):
+    mm = max_normal_moments(2.0**k)
+    return crossing_variance(rho, mm.variance, mm.mean)
 
 
 def conditional_log_density(y, rho, x):
@@ -68,19 +79,19 @@ class TestScalarFisher:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             val, _ = integrate.quad(integrand, -40.0, 40.0, limit=200)
-        assert fisher_scalar_given_x(rho, x) == pytest.approx(val, rel=1e-5)
+        assert fisher_scalar(rho, x * x) == pytest.approx(val, rel=1e-5)
 
     def test_threshold_information_averages_the_conditional(self):
         rho, t = 0.5, 1.3
 
         def integrand(x):
-            return fisher_scalar_given_x(rho, x) * stats.norm.pdf(x)
+            return fisher_scalar(rho, x * x) * stats.norm.pdf(x)
 
         val, _ = integrate.quad(integrand, t, 60.0, limit=200)
-        assert fisher_threshold(rho, t) == pytest.approx(val / qfunc(t), rel=1e-8)
+        assert threshold_fisher(rho, t) == pytest.approx(val / qfunc(t), rel=1e-8)
 
     def test_threshold_information_frozen_value(self):
-        assert fisher_threshold(0.5, threshold_for_budget(20.0)) == pytest.approx(
+        assert threshold_fisher(0.5, threshold_for_budget(20.0)) == pytest.approx(
             31.14078683, abs=5e-7
         )
 
@@ -88,19 +99,22 @@ class TestScalarFisher:
         # The larger of two standard normals has second moment exactly 1.
         rho = 0.6
         one = 1.0 - rho * rho
-        assert max_normal_moments(2.0).second_moment == pytest.approx(1.0, rel=1e-9)
-        assert fisher_max(rho, 1) == pytest.approx((one + 2.0 * rho * rho) / one**2, rel=1e-9)
+        second = max_normal_moments(2.0).second_moment
+        assert second == pytest.approx(1.0, rel=1e-9)
+        assert fisher_scalar(rho, second) == pytest.approx((one + 2.0 * rho * rho) / one**2,
+                                                           rel=1e-9)
 
     def test_information_grows_with_budget(self):
         ts = [threshold_for_budget(k) for k in (5.0, 10.0, 20.0, 40.0)]
-        vals = [fisher_threshold(0.5, t) for t in ts]
+        vals = [threshold_fisher(0.5, t) for t in ts]
         assert all(a < b for a, b in zip(vals, vals[1:]))
-        maxvals = [fisher_max(0.5, k) for k in (2, 4, 8, 16)]
+        maxvals = [fisher_scalar(0.5, max_normal_moments(2.0**k).second_moment)
+                   for k in (2, 4, 8, 16)]
         assert all(a < b for a, b in zip(maxvals, maxvals[1:]))
 
     def test_rejects_degenerate_correlation(self):
         with pytest.raises(DomainError):
-            fisher_threshold(1.0, 2.0)
+            fisher_scalar(1.0, 2.0)
 
 
 class TestExactVariances:
@@ -120,18 +134,29 @@ class TestExactVariances:
     def test_max_variance_from_block_moments(self):
         mm = max_normal_moments(2.0**8)
         want = (0.49 * mm.variance + 0.51) / mm.mean**2
-        assert exact_max_variance(0.7, 8) == pytest.approx(want, rel=1e-12)
+        assert report("max", 8, rho=0.7).theory_exact == pytest.approx(want, rel=1e-12)
 
     @given(rho=st.floats(-0.95, 0.95), k=st.floats(5.0, 200.0))
     @settings(max_examples=120)
     def test_exact_variance_dominates_the_information_bound(self, rho, k):
         t = threshold_for_budget(k)
-        assert exact_threshold_variance(rho, t) >= (1.0 - 1e-12) / fisher_threshold(rho, t)
+        assert exact_threshold_variance(rho, t) >= (1.0 - 1e-12) / threshold_fisher(rho, t)
 
     @pytest.mark.parametrize("k", [1, 4, 9, 14])
     def test_max_variance_dominates_the_information_bound(self, k):
         for rho in (-0.8, 0.0, 0.6):
-            assert exact_max_variance(rho, k) >= (1.0 - 1e-12) / fisher_max(rho, k)
+            second = max_normal_moments(2.0**k).second_moment
+            assert max_variance(rho, k) >= (1.0 - 1e-12) / fisher_scalar(rho, second)
+
+    @pytest.mark.parametrize("rho", [-0.9, 0.0, 0.3])
+    def test_unselected_sample_has_unit_variance(self, rho):
+        # J = 1 with no selection: X_J is standard normal and Y_J / 1 has variance 1.
+        assert crossing_variance(rho, 1.0, 1.0) == 1.0
+
+    @pytest.mark.parametrize("rho", [1.0, -1.0, [0.5, 1.0], [-1.0, 0.2]])
+    def test_crossing_variance_refuses_unit_correlation(self, rho):
+        with pytest.raises(DomainError, match="strictly inside"):
+            crossing_variance(rho, 0.5, 2.0)
 
     def test_variance_decreases_with_budget(self):
         vals = [exact_threshold_variance(0.5, threshold_for_budget(k))
@@ -197,7 +222,7 @@ class TestYVecTheory:
         t = 2.0
         mom = truncated_normal_moments(t)
         f = fisher_yvec(np.array([0.5]), np.eye(1), mom.second_moment)
-        assert f[0, 0] == pytest.approx(fisher_threshold(0.5, t), rel=1e-12)
+        assert f[0, 0] == pytest.approx(threshold_fisher(0.5, t), rel=1e-12)
 
     def test_degenerate_noise_rejected(self):
         with pytest.raises(DomainError, match="positive definite"):
@@ -206,13 +231,14 @@ class TestYVecTheory:
     def test_sum_mse_is_the_scalar_sum(self):
         t = threshold_for_budget(20.0)
         want = sum(exact_threshold_variance(r, t) for r in self.RHO)
-        assert yvec_sum_mse(self.RHO, t) == pytest.approx(want, rel=1e-12)
+        rep = report("yvec", 20.0, rho=", ".join(map(str, self.RHO)))
+        assert rep.theory_exact == pytest.approx(want, rel=1e-12)
 
     def test_crlb_trace_below_sum_mse(self):
         t = threshold_for_budget(20.0)
         mom = truncated_normal_moments(t)
         c = crlb_yvec(self.RHO, self.SIGMA, mom.second_moment)
-        assert float(np.trace(c)) < yvec_sum_mse(self.RHO, t)
+        assert float(np.trace(c)) < crossing_variance(self.RHO, mom.variance, mom.mean)
 
 
     def test_sum_runs_left_to_right(self):
@@ -220,12 +246,13 @@ class TestYVecTheory:
         # Python 3.12 on, or fsum) rounds the last bit differently.
         rho = np.array([-0.382, 0.327, -0.571, 0.84, -0.256, -0.75])
         t = threshold_for_budget(10.0)
+        mom = truncated_normal_moments(t)
         terms = [exact_threshold_variance(float(r), t) for r in rho]
         want = 0.0
         for term in terms:
             want += term
         assert want != math.fsum(terms)
-        assert yvec_sum_mse(rho, t) == want
+        assert crossing_variance(rho, mom.variance, mom.mean) == want
 
 
 class TestXVecTheory:
@@ -311,17 +338,13 @@ class TestXVecTheory:
 class TestAdditiveTheory:
     @pytest.mark.parametrize("t", [0.3, 1.5, 3.0])
     def test_gaussian_marginal_reduces_to_the_threshold_formula(self, t):
-        assert additive_exact_variance(StdNormal(), 0.5, t) == pytest.approx(
-            exact_threshold_variance(0.5, t), rel=1e-12
-        )
+        assert law_variance(StdNormal(), 0.5, t) == exact_threshold_variance(0.5, t)
 
     def test_laplace_memorylessness_closes_the_formula(self):
         rho, t = 0.6, 2.0
         root2 = math.sqrt(2.0)
         want = (rho * rho * 0.5 + 1.0 - rho * rho) / (t + 1.0 / root2) ** 2
-        assert additive_exact_variance(UnitLaplace(), rho, t) == pytest.approx(
-            want, rel=1e-12
-        )
+        assert law_variance(UnitLaplace(), rho, t) == pytest.approx(want, rel=1e-12)
 
     def test_laplace_asymptote_is_approached_from_above(self):
         rho = 0.6
@@ -329,7 +352,7 @@ class TestAdditiveTheory:
 
         def ratio(k):
             t = float(law.tail_quantile(geometric_entropy_inv(k)))
-            return additive_exact_variance(law, rho, t) / laplace_theory(rho, k)
+            return law_variance(law, rho, t) / laplace_theory(rho, k)
 
         r200, r400, r800 = ratio(200.0), ratio(400.0), ratio(800.0)
         assert r200 > r400 > r800 > 1.0
@@ -351,7 +374,11 @@ class TestAdditiveTheory:
         # threshold, pinning the constant independently.
         law = ParetoTwoSided(4.0)
         assert pareto_unquantized_floor(4.0, 0.6) == pytest.approx(0.045, rel=1e-12)
-        assert additive_exact_variance(law, 0.6, 1e8) == pytest.approx(0.045, rel=1e-5)
+        assert law_variance(law, 0.6, 1e8) == pytest.approx(0.045, rel=1e-5)
+
+
+def linear_trace(model, budgets, m_transform):
+    return linear_baseline_trace(linear_baseline_plan(model, budgets, m_transform))
 
 
 class TestLinearBaselineTrace:
@@ -361,30 +388,30 @@ class TestLinearBaselineTrace:
         budgets = (20.0, 30.0)
         want = sum(exact_threshold_variance(r, threshold_for_budget(k))
                    for r, k in zip(model.rho, budgets))
-        got = linear_baseline_trace(model, budgets, np.eye(2))
+        got = linear_trace(model, budgets, np.eye(2))
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_whitening_helps_for_balanced_correlations(self):
         model = GaussianXVec(rho=np.array([0.4, -0.4]),
                              sigma_x=CorrelationMatrix.equicorrelated(2, 0.6))
         budgets = (20.0, 20.0)
-        naive = linear_baseline_trace(model, budgets, np.eye(2))
-        white = linear_baseline_trace(model, budgets, model.inv_sqrt_sigma_x)
+        naive = linear_trace(model, budgets, np.eye(2))
+        white = linear_trace(model, budgets, model.inv_sqrt_sigma_x)
         assert white < naive
 
     def test_whitening_hurts_for_lopsided_correlations(self):
         model = GaussianXVec(rho=np.array([0.99, 0.594]),
                              sigma_x=CorrelationMatrix.equicorrelated(2, 0.6))
         budgets = (20.0, 20.0)
-        naive = linear_baseline_trace(model, budgets, np.eye(2))
-        white = linear_baseline_trace(model, budgets, model.inv_sqrt_sigma_x)
+        naive = linear_trace(model, budgets, np.eye(2))
+        white = linear_trace(model, budgets, model.inv_sqrt_sigma_x)
         assert naive < white
 
     def test_rejects_other_dimensions(self):
         model = GaussianXVec(rho=np.array([0.3, 0.2, 0.1]),
                              sigma_x=CorrelationMatrix.identity(3))
         with pytest.raises(ConfigurationError):
-            linear_baseline_trace(model, (20.0, 20.0), np.eye(3))
+            linear_trace(model, (20.0, 20.0), np.eye(3))
 
 
 def report(scheme, k, **model):
@@ -398,7 +425,7 @@ class TestReports:
         rep = report("threshold", 20.0, rho=0.5)
         t = threshold_for_budget(20.0)
         assert rep.theory_exact == pytest.approx(exact_threshold_variance(0.5, t))
-        assert rep.crlb_trace == pytest.approx(1.0 / fisher_threshold(0.5, t))
+        assert rep.crlb_trace == pytest.approx(1.0 / threshold_fisher(0.5, t))
         assert rep.theory_exact >= rep.crlb_trace
         assert dict(rep.bounds)["benchmark-zero-rate"] == pytest.approx(
             zhang_berger_optimal(0.5, 20.0)
@@ -406,14 +433,14 @@ class TestReports:
 
     def test_max_report(self):
         rep = report("max", 10, rho=0.5)
-        assert rep.theory_exact == pytest.approx(exact_max_variance(0.5, 10))
+        assert rep.theory_exact == pytest.approx(max_variance(0.5, 10))
         assert rep.fisher.shape == (1, 1)
 
     def test_yvec_report_with_default_coupling(self):
         rho = np.array([0.7, -0.2])
         rep = report("yvec", 20.0, rho="0.7, -0.2")
         t = threshold_for_budget(20.0)
-        assert rep.theory_exact == pytest.approx(yvec_sum_mse(rho, t))
+        assert rep.theory_exact == pytest.approx(sum(exact_threshold_variance(r, t) for r in rho))
         assert rep.fisher.shape == (2, 2)
         assert rep.theory_exact >= rep.crlb_trace
 
@@ -442,6 +469,26 @@ class TestReports:
         assert dict(rep.bounds)["gaussian-limit-variance"] == pytest.approx(
             exact_threshold_variance(0.5, t)
         )
+        assert rep.theory_exact == dict(rep.bounds)["gaussian-limit-variance"]
+
+    @pytest.mark.parametrize("m", [16, 64, 256])
+    def test_binary_clt_report_is_exact_at_the_block_size(self, m):
+        # The block average lives on a binomial lattice; the estimator keeps
+        # the Gaussian normaliser s, so its variance is the lattice's
+        # (rho^2 Var(X_J) + 1 - rho^2) / s^2, not the Gaussian limit.
+        rep = report("clt", 10.0, kind="binary", p=0.25, m=m)
+        rho, t = 0.5, threshold_for_budget(10.0)
+        counts = np.arange(m + 1)
+        xbar = (2.0 * counts - m) / math.sqrt(m)
+        pmf = stats.binom.pmf(counts, m, 0.5)[xbar > t]
+        pmf /= pmf.sum()
+        x = xbar[xbar > t]
+        var = float(pmf @ (x - pmf @ x) ** 2)
+        want = (rho * rho * var + 1.0 - rho * rho) / inverse_mills(t) ** 2
+        assert rep.theory_exact == pytest.approx(want, rel=1e-10)
+        limit = dict(rep.bounds)["gaussian-limit-variance"]
+        assert limit == exact_threshold_variance(rho, t)
+        assert rep.theory_exact >= rep.crlb_trace
 
     def test_pareto_report(self):
         rep = report("pareto", 30.0, alpha=4.0, rho=0.6)

@@ -10,9 +10,8 @@ import pytest
 from scipy import integrate, special, stats
 
 from corrlink.analysis import (
-    additive_exact_variance,
     crlb_xvec,
-    exact_max_variance,
+    crossing_variance,
     exact_threshold_variance,
     linear_baseline_trace,
     quantization_loss_bound,
@@ -23,6 +22,7 @@ from corrlink.analysis import (
 from corrlink.errors import ConfigurationError, TrialFailureError
 from corrlink.estimators import (
     clt_trials,
+    linear_baseline_plan,
     linear_baseline_trials,
     max_trials,
     pareto_trials,
@@ -32,6 +32,7 @@ from corrlink.estimators import (
     xvec_trials,
     xvec_unquantized_trials,
 )
+from corrlink.harness import ExperimentConfig
 from corrlink.linalg import CorrelationMatrix, sym_sqrt
 from corrlink.protocol import (
     LedgerMode,
@@ -150,7 +151,8 @@ class TestMaxTrials:
     @pytest.mark.parametrize("rho,k", [(0.5, 10), (0.9, 6)])
     def test_variance_matches_closed_form(self, rho, k):
         batch = max_trials(GaussianScalar(rho), k, substream(SEED, 12), 200_000)
-        assert_variance_close(batch.estimates[:, 0], exact_max_variance(rho, k))
+        mm = max_normal_moments(2.0**k)
+        assert_variance_close(batch.estimates[:, 0], crossing_variance(rho, mm.variance, mm.mean))
 
     def test_degenerate_pair_variance_is_scaled_block_maximum(self):
         k = 10
@@ -183,7 +185,8 @@ class TestMaxTrials:
         with pytest.raises(ConfigurationError, match="integer budget of 1 to 924 bits"):
             max_trials(GaussianScalar(0.4), k, substream(SEED, 15), 10)
         with pytest.raises(ConfigurationError, match="integer budget of 1 to 924 bits"):
-            exact_max_variance(0.4, k)
+            ExperimentConfig.from_text(f"scheme = max\ngrid.k = {k}\ngrid.rho = 0.4\n"
+                                       "trials = 100\nseed = 0\n")
 
 
 class TestYVecTrials:
@@ -254,7 +257,7 @@ class TestAdditiveTrials:
         batch = threshold_trials(model, k, substream(SEED, 32), 200_000)
         t = float(x_law.tail_quantile(geometric_entropy_inv(k)))
         assert_variance_close(batch.estimates[:, 0],
-                              additive_exact_variance(x_law, 0.6, t))
+                              crossing_variance(0.6, x_law.tail_variance(t), x_law.tail_mean(t)))
 
     def test_budget_and_realized(self):
         model = AdditiveNoise(rho=0.2, x_law=UnitLaplace(), z_law=StdNormal())
@@ -685,7 +688,8 @@ class TestLinearBaseline:
         sq = np.sum(err * err, axis=1)
         trace = float(np.mean(sq))
         se = np.std(sq, ddof=1) / math.sqrt(sq.size)
-        assert abs(trace - linear_baseline_trace(model, budgets, m)) <= 4.0 * se
+        exact = linear_baseline_trace(linear_baseline_plan(model, budgets, m))
+        assert abs(trace - exact) <= 4.0 * se
 
     def test_budget_sums_both_channels(self):
         batch = linear_baseline_trials(self.model(), (12.0, 18.0), np.eye(2),

@@ -3,10 +3,13 @@
 Each config below runs about 2k trials per cell. The expected text in
 ``tests/golden/<name>.csv`` is the output of ``format_csv(run_sweep(cfg))``
 and must not change under refactoring: the same seeds, substream keys and
-draw order give the same bytes, at any thread count. To regenerate after a
-deliberate change of the output, run ``python tests/test_golden.py``.
+draw order give the same bytes, at any thread count. To regenerate a file
+after a deliberate change of its output, name it:
+``python tests/test_golden.py clt_binary``. With no names the script lists
+them and writes nothing.
 """
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,8 +50,32 @@ def test_sweep_bytes_match_golden(name, threads):
     assert format_csv(run_sweep(_config(name), threads=threads)) == want
 
 
+def test_regeneration_writes_only_the_named_files(tmp_path, monkeypatch):
+    monkeypatch.setitem(globals(), "GOLDEN_DIR", tmp_path)
+    assert main([]) == 0
+    assert main(["max", "no_such_file"]) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert main(["max"]) == 0
+    assert [path.name for path in tmp_path.iterdir()] == ["max.csv"]
+    assert (tmp_path / "max.csv").read_text(encoding="utf-8") == \
+        (Path(__file__).parent / "golden" / "max.csv").read_text(encoding="utf-8")
+
+
+def main(names: list[str]) -> int:
+    """Rewrite the named golden files; with no names, list them."""
+    if not names:
+        print("golden files: " + ", ".join(sorted(CONFIGS)))
+        return 0
+    unknown = sorted(set(names) - set(CONFIGS))
+    if unknown:
+        print(f"unknown golden file(s): {', '.join(unknown)}; known: "
+              + ", ".join(sorted(CONFIGS)), file=sys.stderr)
+        return 2
+    for name in names:
+        path = GOLDEN_DIR / f"{name}.csv"
+        path.write_text(format_csv(run_sweep(_config(name), threads=1)), encoding="utf-8")
+        print(f"wrote {path}")
+    return 0
+
 if __name__ == "__main__":
-    GOLDEN_DIR.mkdir(exist_ok=True)
-    for key in sorted(CONFIGS):
-        text = format_csv(run_sweep(_config(key), threads=1))
-        (GOLDEN_DIR / f"{key}.csv").write_text(text, encoding="utf-8")
+    sys.exit(main(sys.argv[1:]))

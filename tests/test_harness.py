@@ -17,10 +17,9 @@ from hypothesis import strategies as st
 
 from corrlink import harness
 from corrlink.analysis import (
-    exact_max_variance,
+    crossing_variance,
     exact_threshold_variance,
     threshold_for_budget,
-    yvec_sum_mse,
     zhang_berger_optimal,
 )
 from corrlink.cli import main
@@ -56,7 +55,7 @@ from corrlink.sources import (
     UnitLaplace,
     substream,
 )
-from corrlink.statmath import geometric_entropy_inv
+from corrlink.statmath import geometric_entropy_inv, max_normal_moments
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 THRESHOLD_TEXT = """
@@ -657,7 +656,7 @@ class TestRunSweep:
         t = threshold_for_budget(20.0)
         assert row.d == 4
         assert row.theory_exact == pytest.approx(
-            yvec_sum_mse(np.array([0.9, 0.5, 0.1, -0.3]), t))
+            sum(exact_threshold_variance(r, t) for r in (0.9, 0.5, 0.1, -0.3)))
         assert abs(row.variance - row.theory_exact) <= 4.0 * row.variance_se
         assert abs(row.bias) <= 5.0 * row.bias_se + 1e-12
 
@@ -1036,7 +1035,8 @@ class TestCli:
         assert exit_code("924") == 0
         captured = capsys.readouterr()
         assert captured.err == ""
-        exact = exact_max_variance(0.5, 924)
+        mm = max_normal_moments(2.0**924)
+        exact = crossing_variance(0.5, mm.variance, mm.mean)
         assert 0.0 < exact < 1e-3
         assert "%.10g" % exact in captured.out
         for k in ("925", "1000", "1024", "1e6"):

@@ -373,6 +373,28 @@ class TestModelQueries:
             t = (2.0 * bmin - m - 1.0) / math.sqrt(m)  # bmin is the smallest count above t
             assert model.crossing_prob(t) == p
 
+    def test_tail_variance_comes_from_the_x_law(self):
+        for model in (GaussianScalar(0.3), AdditiveNoise(0.3, UnitLaplace(), StdNormal()),
+                      BlockAveraged(GaussianScalar(0.3), 4)):
+            law = model.x_law if hasattr(model, "x_law") else StdNormal()
+            for t in (-1.0, 0.4, 2.5):
+                assert model.tail_variance(t) == law.tail_variance(t)
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 16, 64, 256, 1000])
+    def test_binary_block_tail_variance_matches_the_lattice(self, m):
+        model = BlockAveraged(DoublySymmetricBinary(0.2), m)
+        counts = np.arange(m + 1)
+        xbar = (2.0 * counts - m) / math.sqrt(m)
+        pmf = stats.binom.pmf(counts, m, 0.5)
+        for t in np.linspace(-math.sqrt(m) - 1.0, math.sqrt(m) - 0.5, 9):
+            sel = xbar > t
+            w = pmf[sel] / pmf[sel].sum()
+            x = xbar[sel]
+            want = float(w @ (x - w @ x) ** 2)
+            assert model.tail_variance(t) == pytest.approx(want, rel=1e-9, abs=1e-15)
+        # Below the support the whole block average is selected: unit variance.
+        assert model.tail_variance(-math.sqrt(m) - 1.0) == pytest.approx(1.0, rel=1e-12)
+
     def test_crossing_prob_unknown_cases(self):
         block = BlockAveraged(AdditiveNoise(0.2, UnitLaplace(), StdNormal()), 4)
         assert block.crossing_prob(0.5) is None

@@ -114,6 +114,13 @@ def test_gaussian_additive_cells_keep_their_digits():
         _assert_digits(exact, _additive_ref(law, point["rho"], _t(point["k"])), point)
 
 
+def test_gaussian_additive_cells_equal_threshold_cells():
+    # The same estimator on the same law: one formula gives the same bits.
+    additive = _cells("scheme = additive\nmodel.x_law = gaussian\n" + SCALAR_GRID)
+    threshold = _cells("scheme = threshold\n" + SCALAR_GRID)
+    assert additive == threshold
+
+
 @pytest.mark.parametrize("offdiag,transform", [
     (0.0, "identity"), (0.0, "whiten"), (0.3, "identity"), (0.3, "whiten"),
 ])
