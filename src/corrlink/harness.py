@@ -273,15 +273,11 @@ def _scalar_rho(config: ExperimentConfig, point: dict) -> float:
     return float(arr[0])
 
 
-def _scalar_report(config: ExperimentConfig, k: float, rho: float, exact: float,
-                   x_second: float, bounds: tuple = ()) -> analysis.TheoryReport:
-    """A scalar selection cell: information from E[X_J^2], the zero-rate benchmark as asymptote."""
-    fisher = analysis.fisher_scalar(rho, x_second)
-    benchmark = analysis.zhang_berger_optimal(rho, k)
+def _scalar_report(config: ExperimentConfig, k: float, exact: float, fisher: float,
+                   asymptotic: float, bounds: tuple) -> analysis.TheoryReport:
     return analysis.TheoryReport(
-        config.scheme, k, theory_exact=exact, theory_asymptotic=benchmark,
-        crlb_trace=1.0 / fisher, fisher=np.array([[fisher]]),
-        bounds=bounds or (("benchmark-zero-rate", benchmark),),
+        config.scheme, k, theory_exact=exact, theory_asymptotic=asymptotic,
+        crlb_trace=1.0 / fisher, fisher=np.array([[fisher]]), bounds=bounds,
     )
 
 
@@ -293,8 +289,11 @@ def _build_threshold(config: ExperimentConfig, point: dict):
     def batch_fn(rng, size):
         return crossing_trials(plan, rng, size)
 
-    theory = _scalar_report(config, k, rho, analysis._plan_variance(plan),
-                            truncated_normal_moments(plan.t).second_moment)
+    benchmark = analysis.zhang_berger_optimal(rho, k)
+    x_second = truncated_normal_moments(plan.t).second_moment
+    theory = _scalar_report(config, k, analysis._plan_variance(plan),
+                            analysis.fisher_scalar(rho, x_second), benchmark,
+                            (("benchmark-zero-rate", benchmark),))
     return batch_fn, _meta(1, k, (rho,)), theory
 
 
@@ -306,10 +305,12 @@ def _build_max(config: ExperimentConfig, point: dict):
     def batch_fn(rng, size):
         return max_trials(model, k, rng, size, mode=config.mode)
 
+    benchmark = analysis.zhang_berger_optimal(rho, k)
     # The block refuses a fractional budget or one past 924 bits.
     mm = max_normal_moments(_max_block(k))
-    theory = _scalar_report(config, k, rho, analysis.crossing_variance(rho, mm.variance, mm.mean),
-                            mm.second_moment)
+    theory = _scalar_report(config, k, analysis.crossing_variance(rho, mm.variance, mm.mean),
+                            analysis.fisher_scalar(rho, mm.second_moment), benchmark,
+                            (("benchmark-zero-rate", benchmark),))
     return batch_fn, _meta(1, k, (rho,)), theory
 
 
@@ -404,8 +405,9 @@ def _build_clt(config: ExperimentConfig, point: dict):
 
     # Exact at every block size; the Gaussian limit is a labelled bound.
     limit = analysis.exact_threshold_variance(rho, t)
-    theory = _scalar_report(config, k, rho, analysis._plan_variance(plan),
-                            truncated_normal_moments(t).second_moment,
+    theory = _scalar_report(config, k, analysis._plan_variance(plan),
+                            analysis.fisher_scalar(rho, truncated_normal_moments(t).second_moment),
+                            analysis.zhang_berger_optimal(rho, k),
                             (("gaussian-limit-variance", limit),))
     return batch_fn, _meta(1, k, (rho,), m=model.m), theory
 

@@ -93,7 +93,8 @@ def test_max_cells_keep_their_digits():
 @pytest.mark.parametrize("rho", RHOS)
 def test_yvec_cells_keep_their_digits(rho):
     vec = (rho, 0.5, -0.3)
-    for point, exact in _cells(f"scheme = yvec\nmodel.rho = {_grid(vec)}\ngrid.k = {_grid(BUDGETS)}\n"):
+    text = f"scheme = yvec\nmodel.rho = {_grid(vec)}\ngrid.k = {_grid(BUDGETS)}\n"
+    for point, exact in _cells(text):
         _assert_digits(exact, _yvec_ref(vec, _t(point["k"])), (vec, point))
 
 
