@@ -15,7 +15,7 @@ from __future__ import annotations
 import copy
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -28,12 +28,10 @@ from .protocol import (
     StoppingSetParams,
     _stopping_crossing_prob,
     allocate_bits_pareto,
-    allocate_bits_xvec,
     golomb_length_array,
     golomb_parameter,
     quantize_pareto_value,
     quantize_W_matrix,
-    stopping_params_from_body_budget,
 )
 from .sources import (
     AdditiveNoise,
@@ -42,6 +40,7 @@ from .sources import (
     GaussianXVec,
     JointModel,
     ParetoTwoSided,
+    _geometric_index,
     _open_uniform,
     draw_first_crossing,
     normal_from_uniform,
@@ -63,21 +62,15 @@ __all__ = [
     "CrossingPlan",
     "crossing_trials",
     "threshold_plan",
-    "threshold_trials",
     "max_trials",
     "stopping_matrix_batch",
     "xvec_core_batch",
-    "xvec_trials",
-    "xvec_unquantized_trials",
     "xvec_paired_batch",
     "clt_plan",
-    "clt_trials",
     "pareto_plan",
-    "pareto_trials",
     "LinearPlan",
     "linear_baseline_plan",
     "linear_plan_trials",
-    "linear_baseline_trials",
 ]
 
 
@@ -171,7 +164,11 @@ def crossing_trials(plan: CrossingPlan, rng: np.random.Generator, size: int) -> 
 
 def threshold_plan(model: JointModel, k: float, mode: LedgerMode = LedgerMode.EXPECTED
                    ) -> CrossingPlan:
-    """The plan behind :func:`threshold_trials`; each index is booked at H(p)."""
+    """First-crossing plan on any model with a scalar X law: estimate = Y_J / E[X|X>t].
+
+    t is the X law's upper quantile at the crossing probability p whose index
+    costs ``k`` bits, booked at H(p); a vector Y is read at the one shared index.
+    """
     x_law = getattr(model, "x_law", None)
     if x_law is None:
         raise ConfigurationError(
@@ -189,19 +186,6 @@ def threshold_plan(model: JointModel, k: float, mode: LedgerMode = LedgerMode.EX
             "continuous X law"
         )
     return _crossing_plan(model, t, p_t, p, x_law.tail_mean(t), mode)
-
-
-def threshold_trials(
-    model: JointModel, k: float, rng: np.random.Generator, size: int,
-    mode: LedgerMode = LedgerMode.EXPECTED,
-) -> TrialBatch:
-    """First-crossing scheme on any model with a scalar X law: estimate = Y_J / E[X|X>t].
-
-    The threshold t is the X law's upper quantile at the crossing probability
-    whose index costs ``k`` bits. Every coordinate of a vector Y is read at
-    the one shared index.
-    """
-    return crossing_trials(threshold_plan(model, k, mode), rng, size)
 
 
 def max_trials(
@@ -237,8 +221,11 @@ def max_trials(
 
 def clt_plan(model: BlockAveraged, k: float, mode: LedgerMode = LedgerMode.EXPECTED,
              cap: Optional[int] = None) -> CrossingPlan:
-    """The plan behind :func:`clt_trials`; without a closed-form crossing law it walks.
+    """Threshold plan on block averages, normalized as if the blocks were Gaussian.
 
+    Indices are booked at the entropy of the block average's actual crossing
+    probability, which tends to ``k`` only as the block size grows. Without a
+    closed-form crossing law it walks, and trials past ``cap`` rows fail.
     Rejects block sizes whose bounded support cannot reach the threshold.
     """
     if not isinstance(model, BlockAveraged):
@@ -271,23 +258,12 @@ def clt_plan(model: BlockAveraged, k: float, mode: LedgerMode = LedgerMode.EXPEC
                           walk_cap=4096 * 1024 if cap is None else cap)
 
 
-def clt_trials(
-    model: BlockAveraged, k: float, rng: np.random.Generator, size: int,
-    mode: LedgerMode = LedgerMode.EXPECTED,
-    cap: Optional[int] = None,
-) -> TrialBatch:
-    """Threshold scheme on block averages, normalized as if the blocks were Gaussian.
-
-    The reported expected bits are the entropy cost of the realized crossing
-    probability of the block-average process, which tends to the configured
-    budget as the block size grows but differs from it at finite block sizes.
-    """
-    return crossing_trials(clt_plan(model, k, mode, cap), rng, size)
-
-
 def pareto_plan(model: AdditiveNoise, k: float, mode: LedgerMode = LedgerMode.EXPECTED
                 ) -> CrossingPlan:
-    """The plan behind :func:`pareto_trials`; rejects models and budgets it cannot run."""
+    """Quantized-value plan for power-law X: estimate = Y_J / quantized X_J.
+
+    ``plan.alloc`` splits ``k`` between index and value bits.
+    """
     if not isinstance(model, AdditiveNoise) or not isinstance(model.x_law, ParetoTwoSided):
         raise ConfigurationError("the quantized heavy-tail scheme needs a power-law X marginal")
     alpha = model.x_law.alpha
@@ -298,15 +274,6 @@ def pareto_plan(model: AdditiveNoise, k: float, mode: LedgerMode = LedgerMode.EX
     alloc = allocate_bits_pareto(k, alpha)
     return _crossing_plan(model, alloc.t, model.crossing_prob(alloc.t),
                           geometric_entropy_inv(alloc.k_l), None, mode, alloc=alloc)
-
-
-def pareto_trials(
-    model: AdditiveNoise, k: float, rng: np.random.Generator, size: int,
-    mode: LedgerMode = LedgerMode.EXPECTED,
-) -> tuple[TrialBatch, ParetoAllocation]:
-    """Quantized-value threshold scheme for power-law X: estimate = Y_J / quantized X_J."""
-    plan = pareto_plan(model, k, mode)
-    return crossing_trials(plan, rng, size), plan.alloc
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +311,7 @@ def stopping_matrix_batch(
     signs -= 0.5
     np.copysign(mags, signs, out=np.einsum("nii->ni", w))
     del signs, mags
-    u_gap = _open_uniform(rng, (size, d))
-    np.log(u_gap, out=u_gap)
-    u_gap /= math.log1p(-p)
-    np.ceil(u_gap, out=u_gap)
-    gaps = np.maximum(u_gap, 1.0, out=u_gap)
-    return w, gaps
+    return w, _geometric_index(p, rng, (size, d))
 
 
 # numpy's bundled OpenBLAS serialises concurrent LU factorisations, with
@@ -384,10 +346,13 @@ def xvec_core_batch(
     params: StoppingSetParams,
     rng: np.random.Generator,
     size: int,
-    quantize: bool,
     mode: LedgerMode = LedgerMode.EXPECTED,
 ) -> TrialBatch:
-    """Stopping-set selection, optional matrix quantization, and reconstruction."""
+    """Stopping-set selection, matrix quantization when ``params.k_q`` > 0, and reconstruction.
+
+    :func:`allocate_bits_xvec` gives k_q > 0; :func:`stopping_params_from_body_budget`
+    gives k_q = 0, which sends the matrix exactly and books only the index bits.
+    """
     d = model.dim
     if params.d != d:
         raise ConfigurationError(f"params dimension {params.d} does not match model {d}")
@@ -403,7 +368,7 @@ def xvec_core_batch(
         realized = _row_sums(golomb_length_array(gaps.reshape(-1), m_code).reshape(size, d))
     samples = _row_sums(gaps)
     del gaps
-    if quantize:
+    if params.k_q > 0.0:
         # y is formed, so the exact selection matrices are no longer needed.
         q = quantize_W_matrix(w, params, out=w)
         bits_expected += q.bits_expected
@@ -420,38 +385,18 @@ def xvec_core_batch(
     )
 
 
-def xvec_trials(
-    model: GaussianXVec, k: float, rng: np.random.Generator, size: int,
-    b0: float = 0.3,
-    mode: LedgerMode = LedgerMode.EXPECTED,
-) -> TrialBatch:
-    """Full vector-X scheme under a total budget: allocation, selection, quantization."""
-    params = allocate_bits_xvec(k, model.dim, b0)
-    return xvec_core_batch(model, params, rng, size, quantize=True, mode=mode)
-
-
-def xvec_unquantized_trials(
-    model: GaussianXVec, k_l: float, rng: np.random.Generator, size: int,
-    b0: float = 0.3,
-    mode: LedgerMode = LedgerMode.EXPECTED,
-) -> TrialBatch:
-    """Diagnostic variant with the exact selection matrix (index bits only)."""
-    params = stopping_params_from_body_budget(k_l, model.dim, b0)
-    return xvec_core_batch(model, params, rng, size, quantize=False, mode=mode)
-
-
 def xvec_paired_batch(model: GaussianXVec, params: StoppingSetParams, rng: np.random.Generator,
                       size: int) -> tuple[TrialBatch, TrialBatch]:
     """Quantized and unquantized reconstructions of the same selection draws.
 
     Sharing the selection randomness turns the quantization-loss comparison
     into a paired design, which is what the additive loss bound speaks about.
-    Quantizing draws nothing, so the exact branch replays the quantized
-    branch's draws from a copy of ``rng``; ``rng`` itself advances once.
+    The exact branch runs at k_q = 0 on a copy of ``rng``, replaying the quantized
+    branch's draws (quantizing draws none), so ``rng`` itself advances once.
     """
     replay = copy.deepcopy(rng)
-    return (xvec_core_batch(model, params, rng, size, quantize=True),
-            xvec_core_batch(model, params, replay, size, quantize=False))
+    return (xvec_core_batch(model, params, rng, size),
+            xvec_core_batch(model, replace(params, k_q=0.0), replay, size))
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +417,11 @@ def linear_baseline_plan(
     m_transform: np.ndarray,
     mode: LedgerMode = LedgerMode.EXPECTED,
 ) -> LinearPlan:
-    """Transform channels and a threshold plan on each, at its own budget."""
+    """Transform channels and a threshold plan on each, at its own budget.
+
+    Each channel is a unit-variance Gaussian whose correlation with Y is the
+    transformed correlation vector.
+    """
     alphas, inv_mt = _transform_channels(m_transform, model.sigma_x.values, model.rho)
     channels = tuple(threshold_plan(GaussianScalar(rho=float(alpha)), k, mode)
                      for alpha, k in zip(alphas, budgets, strict=True))
@@ -480,7 +429,7 @@ def linear_baseline_plan(
 
 
 def linear_plan_trials(plan: LinearPlan, rng: np.random.Generator, size: int) -> TrialBatch:
-    """``size`` trials of the transform baseline: each channel's run in turn, then invert."""
+    """``size`` trials of the transform baseline: each channel on fresh samples, then invert."""
     alpha_hat = np.empty((size, len(plan.channels)))
     samples = np.zeros(size)
     bits_expected = 0.0
@@ -500,21 +449,3 @@ def linear_plan_trials(plan: LinearPlan, rng: np.random.Generator, size: int) ->
         samples=samples,
         failed=np.zeros(size, dtype=bool),
     )
-
-
-def linear_baseline_trials(
-    model: GaussianXVec,
-    budgets: tuple[float, float],
-    m_transform: np.ndarray,
-    rng: np.random.Generator,
-    size: int,
-    mode: LedgerMode = LedgerMode.EXPECTED,
-) -> TrialBatch:
-    """Two scalar threshold runs on linearly transformed coordinates, then invert.
-
-    Each transformed coordinate is a unit-variance Gaussian whose correlation
-    with Y is the transformed correlation vector; the two runs use fresh
-    independent samples and the estimates map back through the inverse
-    transform.
-    """
-    return linear_plan_trials(linear_baseline_plan(model, budgets, m_transform, mode), rng, size)

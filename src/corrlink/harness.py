@@ -357,7 +357,7 @@ def _build_xvec(config: ExperimentConfig, point: dict, quantize: bool):
         bound = ("trace-budget-bound", analysis.unquantized_xvec_trace_bound(rho, d, k))
 
     def batch_fn(rng, size):
-        return xvec_core_batch(model, params, rng, size, quantize=quantize, mode=config.mode)
+        return xvec_core_batch(model, params, rng, size, mode=config.mode)
 
     alpha = analysis.stopping_second_moment(params.a, params.b, d)
     sigma2 = max(model.noise_var, 1e-300)

@@ -657,11 +657,11 @@ class CrossingBatch:
     capped: np.ndarray
 
 
-def _geometric_index(p: float, rng: np.random.Generator, n: int) -> np.ndarray:
+def _geometric_index(p: float, rng: np.random.Generator, shape) -> np.ndarray:
     if p >= 1.0:
-        return np.ones(n)
+        return np.ones(shape)
     # First-success index: ceil(ln u / ln(1 - p)), always >= 1.
-    j = _open_uniform(rng, n)
+    j = _open_uniform(rng, shape)
     np.log(j, out=j)
     j /= math.log1p(-p)
     np.ceil(j, out=j)

@@ -26,7 +26,9 @@ from corrlink import (
     StoppingSetParams,
     ExperimentConfig,
     UnitLaplace,
-    clt_trials,
+    allocate_bits_xvec,
+    clt_plan,
+    crossing_trials,
     crossing_variance,
     exact_threshold_variance,
     fisher_scalar,
@@ -37,17 +39,17 @@ from corrlink import (
     linear_baseline_trace,
     max_normal_moments,
     max_trials,
-    pareto_trials,
+    pareto_plan,
     pareto_unquantized_floor,
     quantization_loss_bound,
     run_sweep,
     stopping_matrix_batch,
     substream,
     threshold_for_budget,
-    threshold_trials,
+    threshold_plan,
     truncated_normal_moments,
     xvec_paired_batch,
-    xvec_trials,
+    xvec_core_batch,
     zhang_berger_optimal,
 )
 
@@ -88,7 +90,8 @@ def test_threshold_monte_carlo_matches_exact_variance_grid():
     for cell, (k, rho) in enumerate(
         (k, rho) for k in (10.0, 20.0, 30.0) for rho in RHO_GRID
     ):
-        batch = threshold_trials(GaussianScalar(rho), k, substream(SEED, cell), trials)
+        plan = threshold_plan(GaussianScalar(rho), k)
+        batch = crossing_trials(plan, substream(SEED, cell), trials)
         est = batch.estimates[:, 0]
         se_mean = est.std(ddof=1) / math.sqrt(trials)
         bias_z = abs(est.mean() - rho) / se_mean
@@ -169,15 +172,15 @@ def test_shared_index_vector_run_beats_split_budget_scalars():
     """Criterion 4: one 40-bit vector run beats four 10-bit scalar runs by ~1/d."""
     trials = 100_000
     d = YVEC_RHO.size
-    batch = threshold_trials(_yvec_model(), 40.0, substream(SEED, 100), trials)
+    batch = crossing_trials(threshold_plan(_yvec_model(), 40.0), substream(SEED, 100), trials)
     sq = np.sum((batch.estimates - YVEC_RHO) ** 2, axis=1)
     vec_mse, vec_se = _mse_and_se(sq)
 
     naive_mse = 0.0
     naive_var = 0.0
     for l, rho in enumerate(YVEC_RHO):
-        scalar = threshold_trials(
-            GaussianScalar(float(rho)), 10.0, substream(SEED, 101 + l), trials
+        scalar = crossing_trials(
+            threshold_plan(GaussianScalar(float(rho)), 10.0), substream(SEED, 101 + l), trials
         )
         m, s = _mse_and_se((scalar.estimates[:, 0] - rho) ** 2)
         naive_mse += m
@@ -201,7 +204,7 @@ def test_vector_source_protocol_dominates_per_coordinate_scalars():
     unit = model.dim**2 * float(np.min(1.0 - XVEC_RHO**2)) / (2.0 * LN2)
     ratios = []
     for i, k in enumerate((200.0, 400.0)):
-        batch = xvec_trials(model, k, substream(SEED, 110 + i), trials)
+        batch = xvec_core_batch(model, allocate_bits_xvec(k, 2), substream(SEED, 110 + i), trials)
         fail_rate = float(batch.failed.mean())
         assert fail_rate < 1e-3, f"failure rate {fail_rate:.2e} at k={k}"
         est = batch.estimates[~batch.failed]
@@ -278,7 +281,7 @@ def test_block_averaged_binary_approaches_gaussian_limit():
     s = inverse_mills(t)
 
     with pytest.raises(ConfigurationError, match="block size is 21"):
-        clt_trials(BlockAveraged(inner, 16), k, substream(SEED, 140), 100)
+        crossing_trials(clt_plan(BlockAveraged(inner, 16), k), substream(SEED, 140), 100)
 
     def lattice_mse(m):
         # Independent oracle: the block average lives on a binomial lattice.
@@ -295,7 +298,8 @@ def test_block_averaged_binary_approaches_gaussian_limit():
 
     trials = 400_000
     for i, m in enumerate((64, 256)):
-        batch = clt_trials(BlockAveraged(inner, m), k, substream(SEED, 141 + i), trials)
+        plan = clt_plan(BlockAveraged(inner, m), k)
+        batch = crossing_trials(plan, substream(SEED, 141 + i), trials)
         mse, se = _mse_and_se((batch.estimates[:, 0] - rho) ** 2)
         exact = lattice_mse(m)
         assert mse == pytest.approx(exact, abs=4.0 * se), f"m={m}: {mse:.6f} vs {exact:.6f}"
@@ -307,8 +311,8 @@ def test_block_averaged_binary_approaches_gaussian_limit():
     benchmark = zhang_berger_optimal(rho, k)
     assert lattice_mse(256) <= 1.25 * benchmark
 
-    realized = clt_trials(
-        BlockAveraged(inner, 256), k, substream(SEED, 143), 10_000, mode=LedgerMode.REALIZED
+    realized = crossing_trials(
+        clt_plan(BlockAveraged(inner, 256), k, LedgerMode.REALIZED), substream(SEED, 143), 10_000
     )
     mean_bits = float(realized.bits_realized.mean())
     assert 0.9 * k <= mean_bits <= 1.1 * k, f"realized bits {mean_bits:.3f}"
@@ -357,7 +361,8 @@ def test_block_averaged_binary_mse_decreases_across_block_sizes():
     inner = DoublySymmetricBinary(0.25)
     mses = []
     for i, m in enumerate((16, 64, 256)):
-        batch = clt_trials(BlockAveraged(inner, m), 20.0, substream(SEED, 145 + i), 400_000)
+        plan = clt_plan(BlockAveraged(inner, m), 20.0)
+        batch = crossing_trials(plan, substream(SEED, 145 + i), 400_000)
         mses.append(float(np.mean((batch.estimates[:, 0] - 0.5) ** 2)))
     assert mses[0] > mses[1] > mses[2]
 
@@ -369,14 +374,14 @@ def test_heavy_tail_budget_exponent_and_unquantized_floor():
     budgets = np.array([30.0, 60.0, 90.0])
     logs = []
     for i, k in enumerate(budgets):
-        batch, _ = pareto_trials(model, float(k), substream(SEED, 150 + i), trials)
+        batch = crossing_trials(pareto_plan(model, float(k)), substream(SEED, 150 + i), trials)
         mse = float(np.mean((batch.estimates[:, 0] - 0.6) ** 2))
         logs.append(math.log2(mse))
     slope = float(np.polyfit(budgets, logs, 1)[0])
     assert -0.45 <= slope <= -0.20, f"log2-MSE slope {slope:.4f}"
 
     floor = pareto_unquantized_floor(4.0, 0.6)
-    batch = threshold_trials(model, 90.0, substream(SEED, 153), trials)
+    batch = crossing_trials(threshold_plan(model, 90.0), substream(SEED, 153), trials)
     mse_u = float(np.mean((batch.estimates[:, 0] - 0.6) ** 2))
     assert mse_u >= 0.5 * floor, f"unquantized MSE {mse_u:.4f} under half the floor {floor:.4f}"
     print(
@@ -395,7 +400,7 @@ def test_laplace_tail_scaled_mse_converges_to_theory():
     for i, k in enumerate((20.0, 40.0, 80.0)):
         t = float(law.tail_quantile(geometric_entropy_inv(k)))
         exact = crossing_variance(rho, law.tail_variance(t), law.tail_mean(t))
-        batch = threshold_trials(model, k, substream(SEED, 160 + i), trials)
+        batch = crossing_trials(threshold_plan(model, k), substream(SEED, 160 + i), trials)
         mse, se = _mse_and_se((batch.estimates[:, 0] - rho) ** 2)
         assert mse == pytest.approx(exact, abs=4.0 * se), f"k={k}: {mse:.3e} vs {exact:.3e}"
         ratios.append(exact / laplace_theory(rho, k))
@@ -445,9 +450,9 @@ def test_realized_bit_accounting_stays_within_one_bit():
     runs = [
         (
             "threshold",
-            threshold_trials(
-                GaussianScalar(0.5), 20.0, substream(SEED, 170), trials,
-                mode=LedgerMode.REALIZED,
+            crossing_trials(
+                threshold_plan(GaussianScalar(0.5), 20.0, LedgerMode.REALIZED),
+                substream(SEED, 170), trials,
             ),
         ),
         (
@@ -459,37 +464,38 @@ def test_realized_bit_accounting_stays_within_one_bit():
         ),
         (
             "yvec",
-            threshold_trials(
-                _yvec_model(), 40.0, substream(SEED, 172), trials,
-                mode=LedgerMode.REALIZED,
+            crossing_trials(
+                threshold_plan(_yvec_model(), 40.0, LedgerMode.REALIZED),
+                substream(SEED, 172), trials,
             ),
         ),
         (
             "xvec",
-            xvec_trials(
-                _xvec_model(), 60.0, substream(SEED, 173), trials,
+            xvec_core_batch(
+                _xvec_model(), allocate_bits_xvec(60.0, 2), substream(SEED, 173), trials,
                 mode=LedgerMode.REALIZED,
             ),
         ),
         (
             "additive",
-            threshold_trials(
-                laplace_model, 16.0, substream(SEED, 174), trials,
-                mode=LedgerMode.REALIZED,
+            crossing_trials(
+                threshold_plan(laplace_model, 16.0, LedgerMode.REALIZED),
+                substream(SEED, 174), trials,
             ),
         ),
         (
             "pareto",
-            pareto_trials(
-                pareto_model, 30.0, substream(SEED, 175), trials,
-                mode=LedgerMode.REALIZED,
-            )[0],
+            crossing_trials(
+                pareto_plan(pareto_model, 30.0, LedgerMode.REALIZED),
+                substream(SEED, 175), trials,
+            ),
         ),
         (
             "clt-binary",
-            clt_trials(
-                BlockAveraged(DoublySymmetricBinary(0.25), 256), 20.0,
-                substream(SEED, 176), trials, mode=LedgerMode.REALIZED,
+            crossing_trials(
+                clt_plan(BlockAveraged(DoublySymmetricBinary(0.25), 256), 20.0,
+                         LedgerMode.REALIZED),
+                substream(SEED, 176), trials,
             ),
         ),
     ]

@@ -4,6 +4,7 @@ import math
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,16 +22,16 @@ from corrlink.analysis import (
 )
 from corrlink.errors import ConfigurationError, TrialFailureError
 from corrlink.estimators import (
-    clt_trials,
+    clt_plan,
+    crossing_trials,
     linear_baseline_plan,
-    linear_baseline_trials,
+    linear_plan_trials,
     max_trials,
-    pareto_trials,
+    pareto_plan,
     stopping_matrix_batch,
-    threshold_trials,
+    threshold_plan,
+    xvec_core_batch,
     xvec_paired_batch,
-    xvec_trials,
-    xvec_unquantized_trials,
 )
 from corrlink.harness import ExperimentConfig
 from corrlink.linalg import CorrelationMatrix, sym_sqrt
@@ -38,6 +39,9 @@ from corrlink.protocol import (
     LedgerMode,
     StoppingSetParams,
     allocate_bits_pareto,
+    allocate_bits_xvec,
+    golomb_length_array,
+    golomb_parameter,
     quantize_W_matrix,
     stopping_params_from_body_budget,
 )
@@ -52,6 +56,7 @@ from corrlink.sources import (
     StdNormal,
     UnitLaplace,
     UnitUniform,
+    normal_from_uniform,
     substream,
 )
 from corrlink.statmath import (
@@ -86,7 +91,8 @@ def assert_variance_close(values, target, n_se=4.0):
 class TestThresholdTrials:
     @pytest.mark.parametrize("rho", [-0.9, -0.3, 0.0, 0.5, 0.95])
     def test_unbiased(self, rho):
-        batch = threshold_trials(GaussianScalar(rho), 20.0, substream(SEED, 1), 100_000)
+        plan = threshold_plan(GaussianScalar(rho), 20.0)
+        batch = crossing_trials(plan, substream(SEED, 1), 100_000)
         assert batch.estimates.shape == (100_000, 1)
         assert batch.truth == pytest.approx([rho])
         assert not batch.failed.any()
@@ -94,21 +100,21 @@ class TestThresholdTrials:
 
     @pytest.mark.parametrize("rho,k", [(0.5, 20.0), (-0.8, 10.0), (0.0, 40.0)])
     def test_variance_matches_closed_form(self, rho, k):
-        batch = threshold_trials(GaussianScalar(rho), k, substream(SEED, 2), 200_000)
+        plan = threshold_plan(GaussianScalar(rho), k)
+        batch = crossing_trials(plan, substream(SEED, 2), 200_000)
         t = threshold_for_budget(k)
         assert_variance_close(batch.estimates[:, 0], exact_threshold_variance(rho, t))
 
     @pytest.mark.parametrize("k", [10.0, 20.0, 40.0])
     def test_expected_bits_equal_budget(self, k):
-        batch = threshold_trials(GaussianScalar(0.3), k, substream(SEED, 3), 10)
+        batch = crossing_trials(threshold_plan(GaussianScalar(0.3), k), substream(SEED, 3), 10)
         assert batch.bits_expected == pytest.approx(k, abs=1e-6)
         assert batch.bits_realized is None
 
     def test_realized_bits_near_entropy(self):
         k = 12.0
-        batch = threshold_trials(
-            GaussianScalar(0.3), k, substream(SEED, 4), 20_000, mode=LedgerMode.REALIZED
-        )
+        plan = threshold_plan(GaussianScalar(0.3), k, LedgerMode.REALIZED)
+        batch = crossing_trials(plan, substream(SEED, 4), 20_000)
         mean_bits = batch.bits_realized.mean()
         assert k - 0.05 <= mean_bits <= k + 1.0
         assert np.issubdtype(batch.bits_realized.dtype, np.integer)
@@ -117,7 +123,8 @@ class TestThresholdTrials:
     def test_samples_mean_is_inverse_crossing_prob(self):
         k = 10.0
         p = geometric_entropy_inv(k)
-        batch = threshold_trials(GaussianScalar(0.0), k, substream(SEED, 5), 50_000)
+        plan = threshold_plan(GaussianScalar(0.0), k)
+        batch = crossing_trials(plan, substream(SEED, 5), 50_000)
         assert_mean_close(batch.samples, 1.0 / p, n_se=5.0)
 
     def test_rejects_wrong_model(self):
@@ -126,7 +133,7 @@ class TestThresholdTrials:
         blocks = BlockAveraged(GaussianScalar(0.5), 4)
         for model in (vector_x, blocks):
             with pytest.raises(ConfigurationError, match="scalar X law"):
-                threshold_trials(model, 20.0, substream(SEED, 6), 10)
+                threshold_plan(model, 20.0)
 
     @pytest.mark.parametrize("k,t,p_t", [(1.5, -1.0, 0.5), (3.0, 1.0, 0.0)])
     def test_rejects_an_x_law_with_atoms(self, k, t, p_t):
@@ -134,7 +141,7 @@ class TestThresholdTrials:
         # threshold gives the crossing probability an index of k bits needs.
         model = DoublySymmetricBinary(0.25)
         with pytest.raises(ConfigurationError) as err:
-            threshold_trials(model, k, substream(SEED, 7), 10)
+            threshold_plan(model, k)
         message = str(err.value)
         assert "rademacher X law" in message
         assert f"threshold {t!r} with probability {p_t!r}" in message
@@ -198,13 +205,14 @@ class TestYVecTrials:
     def test_single_coordinate_matches_scalar_run(self):
         k = 15.0
         vec = GaussianYVec(rho=np.array([0.5]), sigma_y=CorrelationMatrix.identity(1))
-        a = threshold_trials(vec, k, substream(SEED, 21), 500)
-        b = threshold_trials(GaussianScalar(0.5), k, substream(SEED, 21), 500)
+        a = crossing_trials(threshold_plan(vec, k), substream(SEED, 21), 500)
+        b = crossing_trials(threshold_plan(GaussianScalar(0.5), k), substream(SEED, 21), 500)
         np.testing.assert_array_equal(a.estimates[:, 0], b.estimates[:, 0])
         np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_unbiased_per_coordinate(self):
-        batch = threshold_trials(self.model(), 20.0, substream(SEED, 22), 200_000)
+        plan = threshold_plan(self.model(), 20.0)
+        batch = crossing_trials(plan, substream(SEED, 22), 200_000)
         assert batch.estimates.shape == (200_000, 3)
         for col in range(3):
             assert_mean_close(batch.estimates[:, col], self.RHO[col])
@@ -213,7 +221,7 @@ class TestYVecTrials:
         # Marginally each coordinate runs the scalar scheme at its own
         # correlation; the Y-side coupling moves only the cross terms.
         k = 20.0
-        batch = threshold_trials(self.model(), k, substream(SEED, 23), 200_000)
+        batch = crossing_trials(threshold_plan(self.model(), k), substream(SEED, 23), 200_000)
         t = threshold_for_budget(k)
         for col in range(3):
             assert_variance_close(batch.estimates[:, col],
@@ -222,7 +230,7 @@ class TestYVecTrials:
     def test_error_cross_covariance(self):
         k = 20.0
         n = 400_000
-        batch = threshold_trials(self.model(), k, substream(SEED, 24), n)
+        batch = crossing_trials(threshold_plan(self.model(), k), substream(SEED, 24), n)
         t = threshold_for_budget(k)
         s = inverse_mills(t)
         tvar = truncated_normal_moments(t).variance
@@ -235,8 +243,8 @@ class TestYVecTrials:
             assert abs(got - want) <= 5.0 * se
 
     def test_single_index_bit_charge(self):
-        batch = threshold_trials(self.model(), 20.0, substream(SEED, 25), 5_000,
-                                 mode=LedgerMode.REALIZED)
+        plan = threshold_plan(self.model(), 20.0, LedgerMode.REALIZED)
+        batch = crossing_trials(plan, substream(SEED, 25), 5_000)
         assert batch.bits_expected == pytest.approx(20.0, abs=1e-6)
         assert 19.95 <= batch.bits_realized.mean() <= 21.0
 
@@ -246,7 +254,7 @@ class TestAdditiveTrials:
                              ids=["laplace", "uniform", "pareto"])
     def test_unbiased(self, x_law):
         model = AdditiveNoise(rho=0.6, x_law=x_law, z_law=StdNormal())
-        batch = threshold_trials(model, 16.0, substream(SEED, 31), 100_000)
+        batch = crossing_trials(threshold_plan(model, 16.0), substream(SEED, 31), 100_000)
         assert_mean_close(batch.estimates[:, 0], 0.6)
 
     @pytest.mark.parametrize("x_law", [UnitLaplace(), UnitUniform()],
@@ -254,23 +262,24 @@ class TestAdditiveTrials:
     def test_variance_matches_closed_form(self, x_law):
         model = AdditiveNoise(rho=0.6, x_law=x_law, z_law=StdNormal())
         k = 16.0
-        batch = threshold_trials(model, k, substream(SEED, 32), 200_000)
+        batch = crossing_trials(threshold_plan(model, k), substream(SEED, 32), 200_000)
         t = float(x_law.tail_quantile(geometric_entropy_inv(k)))
         assert_variance_close(batch.estimates[:, 0],
                               crossing_variance(0.6, x_law.tail_variance(t), x_law.tail_mean(t)))
 
     def test_budget_and_realized(self):
         model = AdditiveNoise(rho=0.2, x_law=UnitLaplace(), z_law=StdNormal())
-        batch = threshold_trials(model, 14.0, substream(SEED, 33), 20_000,
-                                 mode=LedgerMode.REALIZED)
+        plan = threshold_plan(model, 14.0, LedgerMode.REALIZED)
+        batch = crossing_trials(plan, substream(SEED, 33), 20_000)
         assert batch.bits_expected == pytest.approx(14.0, abs=1e-6)
         assert batch.bits_realized.mean() <= 15.0
 
     @pytest.mark.parametrize("mode", list(LedgerMode))
     def test_gaussian_x_is_the_scalar_gaussian_run_bit_for_bit(self, mode):
         additive = AdditiveNoise(rho=0.5, x_law=StdNormal(), z_law=StdNormal())
-        a = threshold_trials(additive, 18.0, substream(SEED, 35), 5_000, mode=mode)
-        b = threshold_trials(GaussianScalar(0.5), 18.0, substream(SEED, 35), 5_000, mode=mode)
+        a = crossing_trials(threshold_plan(additive, 18.0, mode), substream(SEED, 35), 5_000)
+        b = crossing_trials(threshold_plan(GaussianScalar(0.5), 18.0, mode), substream(SEED, 35),
+                            5_000)
         np.testing.assert_array_equal(a.estimates, b.estimates)
         np.testing.assert_array_equal(a.samples, b.samples)
         assert a.bits_expected == b.bits_expected
@@ -282,7 +291,7 @@ class TestAdditiveTrials:
     def test_gaussian_x_reduces_to_threshold_scheme(self):
         model = AdditiveNoise(rho=0.5, x_law=StdNormal(), z_law=StdNormal())
         k = 18.0
-        batch = threshold_trials(model, k, substream(SEED, 34), 200_000)
+        batch = crossing_trials(threshold_plan(model, k), substream(SEED, 34), 200_000)
         t = threshold_for_budget(k)
         assert_variance_close(batch.estimates[:, 0], exact_threshold_variance(0.5, t))
 
@@ -305,14 +314,14 @@ class TestCltTrials:
 
     def test_small_block_cannot_cross(self):
         with pytest.raises(ConfigurationError, match="smallest workable block size is 21"):
-            clt_trials(self.binary_block(16), 20.0, substream(SEED, 41), 10)
+            clt_plan(self.binary_block(16), 20.0)
 
     def test_binary_block_closed_form_path(self):
         k, m = 20.0, 64
         t = threshold_for_budget(k)
         s = inverse_mills(t)
         p, cond_mean, cond_var = self.binary_conditional(m, t)
-        batch = clt_trials(self.binary_block(m), k, substream(SEED, 42), 30_000)
+        batch = crossing_trials(clt_plan(self.binary_block(m), k), substream(SEED, 42), 30_000)
         rho = 1.0 - 2.0 * self.FLIP
         # The Gaussian normalization is only asymptotically correct, so the
         # honest target mean is rho E[Xbar | crossing] / s, not rho itself.
@@ -325,13 +334,13 @@ class TestCltTrials:
         # The lattice makes the realizable crossing cost overshoot the
         # configured budget; the overshoot shrinks as the block grows.
         coarse_gap = abs(batch.bits_expected - k)
-        finer = clt_trials(self.binary_block(256), k, substream(SEED, 48), 5)
+        finer = crossing_trials(clt_plan(self.binary_block(256), k), substream(SEED, 48), 5)
         assert abs(finer.bits_expected - k) < coarse_gap < 2.0
 
     def test_gaussian_block_is_exact_at_any_size(self):
         k = 20.0
-        batch = clt_trials(BlockAveraged(GaussianScalar(0.5), 4), k,
-                           substream(SEED, 43), 100_000)
+        plan = clt_plan(BlockAveraged(GaussianScalar(0.5), 4), k)
+        batch = crossing_trials(plan, substream(SEED, 43), 100_000)
         t = threshold_for_budget(k)
         assert batch.bits_expected == pytest.approx(k, abs=1e-6)
         assert_mean_close(batch.estimates[:, 0], 0.5)
@@ -346,7 +355,7 @@ class TestCltTrials:
         model = self.literal_model()
         t = threshold_for_budget(k)
         s = inverse_mills(t)
-        batch = clt_trials(model, k, substream(SEED, 44), 800, cap=4096)
+        batch = crossing_trials(clt_plan(model, k, cap=4096), substream(SEED, 44), 800)
         assert math.isnan(batch.bits_expected)
         assert batch.bits_realized is None
         assert not batch.failed.any()
@@ -361,19 +370,19 @@ class TestCltTrials:
         assert_mean_close(batch.samples, 1.0 / tail_p, n_se=5.0)
 
     def test_literal_scan_cap_marks_failures(self):
-        batch = clt_trials(self.literal_model(), 6.0, substream(SEED, 45), 400, cap=8)
+        plan = clt_plan(self.literal_model(), 6.0, cap=8)
+        batch = crossing_trials(plan, substream(SEED, 45), 400)
         assert batch.failed.any()
         assert np.isnan(batch.estimates[batch.failed, 0]).all()
         assert np.all(batch.samples[batch.failed] == 8)
 
     def test_literal_scan_refuses_realized_accounting(self):
         with pytest.raises(ConfigurationError, match="realized accounting"):
-            clt_trials(self.literal_model(), 6.0, substream(SEED, 46), 10,
-                       mode=LedgerMode.REALIZED)
+            clt_plan(self.literal_model(), 6.0, LedgerMode.REALIZED)
 
     def test_requires_block_model(self):
         with pytest.raises(ConfigurationError):
-            clt_trials(GaussianScalar(0.5), 20.0, substream(SEED, 47), 10)
+            clt_plan(GaussianScalar(0.5), 20.0)
 
 
 class TestParetoTrials:
@@ -382,13 +391,16 @@ class TestParetoTrials:
 
     def test_allocation_passthrough_and_budget(self):
         k = 30.0
-        batch, alloc = pareto_trials(self.model(), k, substream(SEED, 51), 100)
-        assert alloc == allocate_bits_pareto(k, 4.0)
+        plan = pareto_plan(self.model(), k)
+        batch = crossing_trials(plan, substream(SEED, 51), 100)
+        assert plan.alloc == allocate_bits_pareto(k, 4.0)
         assert batch.bits_expected == pytest.approx(k, abs=1e-6)
 
     def test_mean_within_quantization_bias(self):
         k = 30.0
-        batch, alloc = pareto_trials(self.model(), k, substream(SEED, 52), 100_000)
+        plan = pareto_plan(self.model(), k)
+        batch = crossing_trials(plan, substream(SEED, 52), 100_000)
+        alloc = plan.alloc
         cells = max(1, int(math.floor(2.0**alloc.k_q)))
         step = (alloc.u - alloc.t) / cells
         # Midpoint cells keep |X / Xhat - 1| below step / (2 t); saturation
@@ -398,20 +410,21 @@ class TestParetoTrials:
 
     def test_realized_is_index_code_plus_payload(self):
         k = 30.0
-        batch, alloc = pareto_trials(self.model(), k, substream(SEED, 53), 20_000,
-                                     mode=LedgerMode.REALIZED)
+        plan = pareto_plan(self.model(), k, LedgerMode.REALIZED)
+        batch = crossing_trials(plan, substream(SEED, 53), 20_000)
+        alloc = plan.alloc
         payload = math.ceil(math.log2(max(1, int(math.floor(2.0**alloc.k_q)))))
         assert batch.bits_realized.min() >= 1 + payload
         assert batch.bits_realized.mean() <= alloc.k_l + 1.0 + payload
 
     def test_rejects_light_tail_exponent(self):
         with pytest.raises(ConfigurationError, match="exponent > 3"):
-            pareto_trials(self.model(alpha=2.5), 30.0, substream(SEED, 54), 10)
+            pareto_plan(self.model(alpha=2.5), 30.0)
 
     def test_rejects_non_power_law_marginal(self):
         model = AdditiveNoise(rho=0.6, x_law=UnitLaplace(), z_law=StdNormal())
         with pytest.raises(ConfigurationError, match="power-law"):
-            pareto_trials(model, 30.0, substream(SEED, 55), 10)
+            pareto_plan(model, 30.0)
 
 
 class TestStoppingMatrixBatch:
@@ -524,7 +537,8 @@ class TestXVecTrials:
         return GaussianXVec(rho=self.RHO, sigma_x=CorrelationMatrix.identity(2))
 
     def test_unquantized_unbiased_and_never_degenerate(self):
-        batch = xvec_unquantized_trials(self.model(), 40.0, substream(SEED, 71), 100_000)
+        params = stopping_params_from_body_budget(40.0, 2, 0.3)
+        batch = xvec_core_batch(self.model(), params, substream(SEED, 71), 100_000)
         assert not batch.failed.any()
         for col in range(2):
             assert_mean_close(batch.estimates[:, col], self.RHO[col])
@@ -532,8 +546,8 @@ class TestXVecTrials:
     def test_unquantized_trace_against_bound_pair(self):
         model = self.model()
         k_l = 40.0
-        batch = xvec_unquantized_trials(model, k_l, substream(SEED, 72), 100_000)
         params = stopping_params_from_body_budget(k_l, 2, 0.3)
+        batch = xvec_core_batch(model, params, substream(SEED, 72), 100_000)
         alpha = stopping_second_moment(params.a, params.b, params.d)
         bound = crlb_xvec(self.RHO, np.eye(2), alpha, model.noise_var, 2)
         err = batch.estimates - self.RHO[None, :]
@@ -544,7 +558,8 @@ class TestXVecTrials:
 
     def test_quantized_mean_and_budget(self):
         k = 200.0
-        batch = xvec_trials(self.model(), k, substream(SEED, 73), 100_000)
+        params = allocate_bits_xvec(k, 2)
+        batch = xvec_core_batch(self.model(), params, substream(SEED, 73), 100_000)
         assert batch.bits_expected == pytest.approx(k, abs=1e-6)
         assert not batch.failed.any()
         for col in range(2):
@@ -552,8 +567,8 @@ class TestXVecTrials:
 
     def test_realized_accounting(self):
         k = 60.0
-        batch = xvec_trials(self.model(), k, substream(SEED, 75), 5_000,
-                            mode=LedgerMode.REALIZED)
+        batch = xvec_core_batch(self.model(), allocate_bits_xvec(k, 2), substream(SEED, 75), 5_000,
+                                mode=LedgerMode.REALIZED)
         assert np.issubdtype(batch.bits_realized.dtype, np.integer)
         # Two index codes each at most one bit over entropy, plus the integer
         # round-up of the matrix payload.
@@ -564,8 +579,32 @@ class TestXVecTrials:
         # A 200-bit budget drives crossing indices beyond 2^53, where exact
         # codeword lengths can no longer be attributed trial by trial.
         with pytest.raises(ConfigurationError, match="exact float64 integer range"):
-            xvec_trials(self.model(), 200.0, substream(SEED, 78), 100,
-                        mode=LedgerMode.REALIZED)
+            xvec_core_batch(self.model(), allocate_bits_xvec(200.0, 2), substream(SEED, 78), 100,
+                            mode=LedgerMode.REALIZED)
+
+    @pytest.mark.parametrize("params", [stopping_params_from_body_budget(20.0, 2, 0.3),
+                                        allocate_bits_xvec(60.0, 2)], ids=["exact", "allocated"])
+    def test_quantization_follows_k_q(self, params):
+        # k_q = 0 sends the selection matrix exactly and books only the index
+        # codes; k_q > 0 quantizes it and adds d^2 k_q expected bits.
+        model, n = self.model(), 2_000
+        batch = xvec_core_batch(model, params, substream(SEED, 74), n, mode=LedgerMode.REALIZED)
+        rng = substream(SEED, 74)
+        w, gaps = stopping_matrix_batch(2, params.a, params.b, rng, n)
+        y = normal_from_uniform(rng, (n, 2)) * math.sqrt(model.noise_var)
+        y += np.einsum("j,njl->nl", model.whitened_rho, w)
+        p = params.crossing_prob
+        index_bits = golomb_length_array(gaps.reshape(-1), golomb_parameter(p)).reshape(n, 2)
+        realized = index_bits.sum(axis=1)
+        if params.k_q > 0.0:
+            payload = quantize_W_matrix(w, params)
+            w = payload.values
+            realized = realized + payload.bits_realized
+        expected = np.einsum("nl,nlk,km->nm", y, np.linalg.inv(w), model.sqrt_sigma_x)
+        np.testing.assert_allclose(batch.estimates, expected, rtol=0.0, atol=1e-12)
+        assert batch.bits_expected == pytest.approx(2 * geometric_entropy(p) + 4 * params.k_q,
+                                                    rel=1e-12)
+        np.testing.assert_array_equal(batch.bits_realized, realized)
 
     def test_paired_quantization_loss_within_bound(self):
         params = StoppingSetParams(a=6.0, b=0.5, d=2, k_l=30.0, k_q=8.0)
@@ -613,18 +652,16 @@ class TestXVecTrials:
         np.testing.assert_array_equal(est[~failed], ok_est)
 
     def test_paired_branches_match_core_batches(self):
-        # Each branch is the core batch on the same substream, and the caller's
-        # generator advances by one batch's draws, not two.
-        from corrlink.estimators import xvec_core_batch
-
+        # Each branch is the core batch on the same substream, the exact one at
+        # k_q = 0, and the caller's generator advances by one batch's draws, not two.
         model = GaussianXVec(rho=np.array([0.3, 0.2, 0.4]),
                              sigma_x=CorrelationMatrix.equicorrelated(3, 0.2))
         params = StoppingSetParams(a=6.0, b=0.5, d=3, k_l=30.0, k_q=3.0)
         rng = substream(SEED, 79)
         paired = xvec_paired_batch(model, params, rng, 3_000)
-        for pair, quantize in zip(paired, (True, False)):
+        for pair, branch in zip(paired, (params, replace(params, k_q=0.0))):
             core_rng = substream(SEED, 79)
-            core = xvec_core_batch(model, params, core_rng, 3_000, quantize=quantize)
+            core = xvec_core_batch(model, branch, core_rng, 3_000)
             np.testing.assert_array_equal(pair.estimates, core.estimates)
             np.testing.assert_array_equal(pair.samples, core.samples)
             np.testing.assert_array_equal(pair.failed, core.failed)
@@ -632,18 +669,16 @@ class TestXVecTrials:
             assert pair.bits_realized is None
         np.testing.assert_array_equal(rng.random(64), core_rng.random(64))
 
-    @pytest.mark.parametrize("quantize", [True, False])
-    def test_concurrent_batches_match_serial_calls(self, quantize):
+    @pytest.mark.parametrize("k_q", [2.0, 0.0])
+    def test_concurrent_batches_match_serial_calls(self, k_q):
         # Two workers share the solve lock; each batch must still be exactly
         # the serial call on its own substream.
-        from corrlink.estimators import xvec_core_batch
-
         model = GaussianXVec(rho=np.array([0.3, 0.2, 0.1, 0.4]),
                              sigma_x=CorrelationMatrix.equicorrelated(4, 0.2))
-        params = StoppingSetParams(a=9.0, b=0.5, d=4, k_l=30.0, k_q=2.0)
+        params = StoppingSetParams(a=9.0, b=0.5, d=4, k_l=30.0, k_q=k_q)
 
         def run(idx):
-            return xvec_core_batch(model, params, substream(SEED, 80 + idx), 4_096, quantize)
+            return xvec_core_batch(model, params, substream(SEED, 80 + idx), 4_096)
 
         serial = [run(idx) for idx in range(4)]
         switch = sys.getswitchinterval()
@@ -664,11 +699,9 @@ class TestXVecTrials:
             stopping_params_from_body_budget(1.0, 2, 0.3)
 
     def test_dimension_mismatch_is_rejected(self):
-        from corrlink.estimators import xvec_core_batch
-
         params = StoppingSetParams(a=6.0, b=0.5, d=3, k_l=30.0, k_q=8.0)
         with pytest.raises(ConfigurationError, match="does not match"):
-            xvec_core_batch(self.model(), params, substream(SEED, 77), 10, quantize=True)
+            xvec_core_batch(self.model(), params, substream(SEED, 77), 10)
 
 
 class TestLinearBaseline:
@@ -681,38 +714,33 @@ class TestLinearBaseline:
         model = self.model()
         m = np.eye(2) if transform == "identity" else model.inv_sqrt_sigma_x
         budgets = (20.0, 20.0)
-        batch = linear_baseline_trials(model, budgets, m, substream(SEED, 81), 100_000)
+        plan = linear_baseline_plan(model, budgets, m)
+        batch = linear_plan_trials(plan, substream(SEED, 81), 100_000)
         for col in range(2):
             assert_mean_close(batch.estimates[:, col], model.rho[col])
         err = batch.estimates - model.rho[None, :]
         sq = np.sum(err * err, axis=1)
         trace = float(np.mean(sq))
         se = np.std(sq, ddof=1) / math.sqrt(sq.size)
-        exact = linear_baseline_trace(linear_baseline_plan(model, budgets, m))
+        exact = linear_baseline_trace(plan)
         assert abs(trace - exact) <= 4.0 * se
 
     def test_budget_sums_both_channels(self):
-        batch = linear_baseline_trials(self.model(), (12.0, 18.0), np.eye(2),
-                                       substream(SEED, 82), 2_000,
-                                       mode=LedgerMode.REALIZED)
+        plan = linear_baseline_plan(self.model(), (12.0, 18.0), np.eye(2), LedgerMode.REALIZED)
+        batch = linear_plan_trials(plan, substream(SEED, 82), 2_000)
         assert batch.bits_expected == pytest.approx(30.0, abs=2e-6)
         assert batch.bits_realized.mean() <= 32.0
 
     def test_rejects_singular_transform(self):
         with pytest.raises(ConfigurationError, match="singular"):
-            linear_baseline_trials(self.model(), (20.0, 20.0),
-                                   np.array([[1.0, 1.0], [1.0, 1.0]]),
-                                   substream(SEED, 83), 10)
+            linear_baseline_plan(self.model(), (20.0, 20.0), np.array([[1.0, 1.0], [1.0, 1.0]]))
 
     def test_rejects_zero_row(self):
         with pytest.raises(ConfigurationError, match="positive variance"):
-            linear_baseline_trials(self.model(), (20.0, 20.0),
-                                   np.array([[0.0, 0.0], [1.0, 0.0]]),
-                                   substream(SEED, 84), 10)
+            linear_baseline_plan(self.model(), (20.0, 20.0), np.array([[0.0, 0.0], [1.0, 0.0]]))
 
     def test_rejects_other_dimensions(self):
         model = GaussianXVec(rho=np.array([0.3, 0.2, 0.1]),
                              sigma_x=CorrelationMatrix.identity(3))
         with pytest.raises(ConfigurationError, match="two coordinates"):
-            linear_baseline_trials(model, (20.0, 20.0), np.eye(3),
-                                   substream(SEED, 85), 10)
+            linear_baseline_plan(model, (20.0, 20.0), np.eye(3))

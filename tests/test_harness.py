@@ -25,11 +25,14 @@ from corrlink.analysis import (
 from corrlink.cli import main
 from corrlink.errors import ConfigurationError, TrialFailureError
 from corrlink.estimators import (
+    LinearPlan,
     TrialBatch,
-    clt_trials,
-    linear_baseline_trials,
-    pareto_trials,
-    threshold_trials,
+    clt_plan,
+    crossing_trials,
+    linear_baseline_plan,
+    linear_plan_trials,
+    pareto_plan,
+    threshold_plan,
 )
 from corrlink.harness import (
     CHUNK_TRIALS,
@@ -284,55 +287,55 @@ def batch_bits(batch: TrialBatch) -> tuple:
     return tuple(a.tobytes() for a in arrays) + (float(batch.bits_expected).hex(), realized)
 
 
-def _linear_trials(rng, size, mode):
+def _linear_plan(mode):
     model = GaussianXVec(rho=[0.5, 0.3], sigma_x=CorrelationMatrix.equicorrelated(2, 0.3))
-    return linear_baseline_trials(model, (10.0, 10.0), model.inv_sqrt_sigma_x, rng, size, mode)
+    return linear_baseline_plan(model, (10.0, 10.0), model.inv_sqrt_sigma_x, mode)
 
 
-# One config per crossing scheme, and the public trial function its cell must match.
+# One config per crossing scheme, and the public plan its cell must match.
 PLAN_CASES = {
     "threshold": ("scheme = threshold\ngrid.k = 10\ngrid.rho = 0.5\n",
-                  lambda rng, n, mode: threshold_trials(GaussianScalar(0.5), 10.0, rng, n, mode)),
+                  lambda mode: threshold_plan(GaussianScalar(0.5), 10.0, mode)),
     "yvec": ("scheme = yvec\nmodel.rho = 0.5, 0.2\ngrid.k = 10\n",
-             lambda rng, n, mode: threshold_trials(
+             lambda mode: threshold_plan(
                  GaussianYVec(rho=[0.5, 0.2], sigma_y=CorrelationMatrix(
-                     [[1.0, 0.1], [0.1, 1.0]])), 10.0, rng, n, mode)),
+                     [[1.0, 0.1], [0.1, 1.0]])), 10.0, mode)),
     "additive-laplace": ("scheme = additive\nmodel.x_law = laplace\ngrid.k = 10\ngrid.rho = 0.5\n",
-                         lambda rng, n, mode: threshold_trials(
-                             AdditiveNoise(0.5, UnitLaplace(), StdNormal()), 10.0, rng, n, mode)),
+                         lambda mode: threshold_plan(
+                             AdditiveNoise(0.5, UnitLaplace(), StdNormal()), 10.0, mode)),
     "additive-gaussian": ("scheme = additive\nmodel.x_law = gaussian\ngrid.k = 10\n"
                           "grid.rho = 0.5\n",
-                          lambda rng, n, mode: threshold_trials(
-                              AdditiveNoise(0.5, StdNormal(), StdNormal()), 10.0, rng, n, mode)),
+                          lambda mode: threshold_plan(
+                              AdditiveNoise(0.5, StdNormal(), StdNormal()), 10.0, mode)),
     "additive-pareto": ("scheme = additive\nmodel.x_law = pareto\nmodel.alpha = 5\ngrid.k = 10\n"
                         "grid.rho = 0.5\n",
-                        lambda rng, n, mode: threshold_trials(
-                            AdditiveNoise(0.5, ParetoTwoSided(5.0), StdNormal()), 10.0, rng, n,
-                            mode)),
+                        lambda mode: threshold_plan(
+                            AdditiveNoise(0.5, ParetoTwoSided(5.0), StdNormal()), 10.0, mode)),
     "clt-gaussian": ("scheme = clt\ngrid.k = 10\ngrid.m = 4\ngrid.rho = 0.5\n",
-                     lambda rng, n, mode: clt_trials(BlockAveraged(GaussianScalar(0.5), 4), 10.0,
-                                                     rng, n, mode)),
+                     lambda mode: clt_plan(BlockAveraged(GaussianScalar(0.5), 4), 10.0, mode)),
     "clt-binary": ("scheme = clt\nmodel.kind = binary\nmodel.p = 0.25\ngrid.k = 10\ngrid.m = 16\n",
-                   lambda rng, n, mode: clt_trials(BlockAveraged(DoublySymmetricBinary(0.25), 16),
-                                                   10.0, rng, n, mode)),
+                   lambda mode: clt_plan(BlockAveraged(DoublySymmetricBinary(0.25), 16), 10.0,
+                                         mode)),
     "pareto": ("scheme = pareto\ngrid.k = 20\ngrid.rho = 0.5\nmodel.alpha = 4\n",
-               lambda rng, n, mode: pareto_trials(
-                   AdditiveNoise(0.5, ParetoTwoSided(4.0), StdNormal()), 20.0, rng, n, mode)[0]),
+               lambda mode: pareto_plan(
+                   AdditiveNoise(0.5, ParetoTwoSided(4.0), StdNormal()), 20.0, mode)),
     "linear": ("scheme = linear\nmodel.rho = 0.5, 0.3\nmodel.sigma_offdiag = 0.3\ngrid.k = 20\n",
-               _linear_trials),
+               _linear_plan),
 }
 
 
 class TestCrossingPlans:
-    """A cell's plan, derived once at validation, draws what the public trial function does."""
+    """A cell's plan, derived once at validation, draws what the public plan and its runner do."""
 
     @pytest.mark.parametrize("mode", ["expected", "realized"])
     @pytest.mark.parametrize("name", sorted(PLAN_CASES))
     def test_cell_matches_its_trial_function(self, name, mode):
-        text, trials = PLAN_CASES[name]
+        text, plan_of = PLAN_CASES[name]
         config = ExperimentConfig.from_text(f"{text}mode = {mode}\ntrials = 1000\nseed = 3\n")
         (batch_fn, _, _), = config._cells
-        want = trials(substream(3, 9), 3000, config.mode)
+        plan = plan_of(config.mode)
+        run = linear_plan_trials if isinstance(plan, LinearPlan) else crossing_trials
+        want = run(plan, substream(3, 9), 3000)
         # The plan is shared by every chunk: a second draw must not see the first.
         batch_fn(substream(3, 8), 3000)
         got = batch_fn(substream(3, 9), 3000)
@@ -560,6 +563,15 @@ class TestExperimentConfig:
         assert blocks
         for block in blocks:
             assert ExperimentConfig.from_text(block).points()
+
+    def test_readme_library_example_runs(self, capsys):
+        # Every name the example imports must still exist, and it must run.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+        assert blocks
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), {})
+        assert re.fullmatch(r"MC \d\.\d{6} vs exact \d\.\d{6}\n", capsys.readouterr().out)
 
 
 class TestRunSweep:

@@ -14,11 +14,13 @@ from scipy import stats
 from corrlink.analysis import threshold_for_budget
 from corrlink.errors import ConfigurationError, DomainError
 from corrlink.estimators import (
-    clt_trials,
-    linear_baseline_trials,
+    clt_plan,
+    crossing_trials,
+    linear_baseline_plan,
+    linear_plan_trials,
     max_trials,
     stopping_matrix_batch,
-    threshold_trials,
+    threshold_plan,
     xvec_core_batch,
 )
 from corrlink.linalg import CorrelationMatrix
@@ -193,13 +195,15 @@ class TestBitLedger:
         # realized mode adds their codewords trial by trial.
         model = GaussianXVec(rho=np.array([0.4, -0.2]), sigma_x=CorrelationMatrix.identity(2))
         budgets = (6.0, 9.0)
-        expected = linear_baseline_trials(model, budgets, np.eye(2), substream(5, 0), 200)
+        plan = linear_baseline_plan(model, budgets, np.eye(2))
+        expected = linear_plan_trials(plan, substream(5, 0), 200)
         assert expected.bits_expected == pytest.approx(15.0, abs=1e-6)
         assert expected.bits_realized is None
-        realized = linear_baseline_trials(model, budgets, np.eye(2), substream(5, 0), 200,
-                                          mode=LedgerMode.REALIZED)
+        plan = linear_baseline_plan(model, budgets, np.eye(2), LedgerMode.REALIZED)
+        realized = linear_plan_trials(plan, substream(5, 0), 200)
         rng = substream(5, 0)
-        runs = [threshold_trials(GaussianScalar(float(r)), k, rng, 200, mode=LedgerMode.REALIZED)
+        runs = [crossing_trials(threshold_plan(GaussianScalar(float(r)), k, LedgerMode.REALIZED),
+                                rng, 200)
                 for r, k in zip(model.rho, budgets)]
         np.testing.assert_array_equal(realized.bits_realized,
                                       runs[0].bits_realized + runs[1].bits_realized)
@@ -214,12 +218,12 @@ class TestBitLedger:
             with pytest.raises(ConfigurationError):
                 allocate_bits_pareto(k, 4.0)
             with pytest.raises(DomainError):
-                threshold_trials(GaussianScalar(0.3), k, substream(0, 0), 4)
+                threshold_plan(GaussianScalar(0.3), k)
 
     def test_nan_charge_allowed(self):
         # The literal walk has no closed-form index cost: it books NaN
         # expected bits, and that alone fails no trial.
-        batch = clt_trials(laplace_block(), 4.0, substream(3, 0), 50)
+        batch = crossing_trials(clt_plan(laplace_block(), 4.0), substream(3, 0), 50)
         assert math.isnan(batch.bits_expected)
         assert not batch.failed.any()
         assert np.isfinite(batch.estimates).all()
@@ -229,11 +233,12 @@ class TestBitLedger:
         # bit; expected mode books none.
         fixed = max_trials(GaussianScalar(0.3), 6, substream(7, 0), 100, mode=LedgerMode.REALIZED)
         assert np.all(fixed.bits_realized == 6)
-        batch = threshold_trials(GaussianScalar(0.3), 6.0, substream(7, 1), 100,
-                                 mode=LedgerMode.REALIZED)
+        plan = threshold_plan(GaussianScalar(0.3), 6.0, LedgerMode.REALIZED)
+        batch = crossing_trials(plan, substream(7, 1), 100)
         assert np.issubdtype(batch.bits_realized.dtype, np.integer)
         assert batch.bits_realized.min() >= 1
-        assert threshold_trials(GaussianScalar(0.3), 6.0, substream(7, 1), 100).bits_realized is None
+        plan = threshold_plan(GaussianScalar(0.3), 6.0)
+        assert crossing_trials(plan, substream(7, 1), 100).bits_realized is None
 
 
 class TestTranscript:
@@ -251,13 +256,13 @@ class TestTranscript:
     def test_samples_cover_last_index(self):
         # A trial's sample count is the index of its last selection: the sum
         # of the stopping-set gaps, drawn first from the same substream.
-        params = StoppingSetParams(a=2.7, b=0.3, d=2, k_l=10.0, k_q=4.0)
-        batch = xvec_core_batch(xvec_model(2), params, substream(33, 0), 500, quantize=False)
+        params = StoppingSetParams(a=2.7, b=0.3, d=2, k_l=10.0, k_q=0.0)
+        batch = xvec_core_batch(xvec_model(2), params, substream(33, 0), 500)
         _, gaps = stopping_matrix_batch(2, params.a, params.b, substream(33, 0), 500)
         np.testing.assert_array_equal(batch.samples, gaps.sum(axis=1))
         # A crossing trial stops reading at its index.
         model, k = GaussianScalar(0.3), 8.0
-        batch = threshold_trials(model, k, substream(33, 1), 500)
+        batch = crossing_trials(threshold_plan(model, k), substream(33, 1), 500)
         crossing = draw_first_crossing(model, threshold_for_budget(k), substream(33, 1), 500)
         np.testing.assert_array_equal(batch.samples, crossing.index)
 
@@ -316,7 +321,7 @@ class TestSelectThresholdIndex:
         # A 2-bit budget is crossing probability 1/2: threshold 0, and on
         # average two rows read.
         assert geometric_entropy_inv(2.0) == pytest.approx(0.5, abs=1e-12)
-        batch = threshold_trials(GaussianScalar(0.0), 2.0, substream(5, 0), 20_000)
+        batch = crossing_trials(threshold_plan(GaussianScalar(0.0), 2.0), substream(5, 0), 20_000)
         assert batch.bits_expected == pytest.approx(2.0)
         se = math.sqrt(2.0 / batch.n)
         assert abs(batch.samples.mean() - 2.0) < 5 * se
@@ -327,15 +332,15 @@ class TestSelectThresholdIndex:
         t = qfunc_inv(geometric_entropy_inv(20.0))
         model = GaussianScalar(0.0)
         assert geometric_entropy(model.crossing_prob(t)) == pytest.approx(20.0, abs=1e-6)
-        batch = threshold_trials(model, 20.0, substream(5, 1), 10)
+        batch = crossing_trials(threshold_plan(model, 20.0), substream(5, 1), 10)
         assert batch.bits_expected == pytest.approx(20.0, abs=1e-6)
 
     def test_realized_mode_charges_codeword(self):
         p = 0.1
         k = geometric_entropy(p)
         m = golomb_parameter(geometric_entropy_inv(k))
-        batch = threshold_trials(GaussianScalar(0.0), k, substream(1000, 0), 300,
-                                 mode=LedgerMode.REALIZED)
+        plan = threshold_plan(GaussianScalar(0.0), k, LedgerMode.REALIZED)
+        batch = crossing_trials(plan, substream(1000, 0), 300)
         want = [golomb_length(int(j), m) for j in batch.samples]
         assert batch.bits_realized.tolist() == want
         assert geometric_entropy(p) - 0.5 < batch.bits_realized.mean() < geometric_entropy(p) + 1.0
@@ -374,20 +379,21 @@ class TestSelectThresholdIndex:
 
     def test_realized_needs_crossing_prob(self):
         with pytest.raises(ConfigurationError, match="closed-form crossing probability"):
-            clt_trials(laplace_block(), 4.0, substream(3, 1), 10, mode=LedgerMode.REALIZED)
+            clt_plan(laplace_block(), 4.0, LedgerMode.REALIZED)
 
     def test_no_closed_form_charges_nan(self):
         block = laplace_block()
         assert block.crossing_prob(threshold_for_budget(4.0)) is None
-        batch = clt_trials(block, 4.0, substream(3, 2), 20, cap=4096)
+        batch = crossing_trials(clt_plan(block, 4.0, cap=4096), substream(3, 2), 20)
         assert math.isnan(batch.bits_expected)
         assert batch.bits_realized is None
 
     def test_default_wait_cap(self):
         # Without a cap the walk reads up to 4096 * 1024 rows a trial, far
         # beyond any trial at this budget.
-        default = clt_trials(laplace_block(), 4.0, substream(9, 0), 200)
-        explicit = clt_trials(laplace_block(), 4.0, substream(9, 0), 200, cap=4096 * 1024)
+        default = crossing_trials(clt_plan(laplace_block(), 4.0), substream(9, 0), 200)
+        plan = clt_plan(laplace_block(), 4.0, cap=4096 * 1024)
+        explicit = crossing_trials(plan, substream(9, 0), 200)
         assert not default.failed.any()
         np.testing.assert_array_equal(default.samples, explicit.samples)
         np.testing.assert_array_equal(default.estimates, explicit.estimates)
@@ -433,16 +439,16 @@ class TestSelectStoppingSets:
                     assert np.all(np.abs(w[:, j, ell]) < params.b)
 
     def test_expected_bits(self):
-        params = StoppingSetParams(a=2.7, b=0.3, d=2, k_l=10.0, k_q=4.0)
-        batch = xvec_core_batch(xvec_model(2), params, substream(33, 2), 50, quantize=False)
+        params = StoppingSetParams(a=2.7, b=0.3, d=2, k_l=10.0, k_q=0.0)
+        batch = xvec_core_batch(xvec_model(2), params, substream(33, 2), 50)
         h = geometric_entropy(params.crossing_prob)
         assert batch.bits_expected == pytest.approx(2 * h)
         assert batch.bits_realized is None
 
     def test_realized_charges_gap_codewords(self):
-        params = StoppingSetParams(a=2.7, b=0.3, d=2, k_l=10.0, k_q=4.0)
+        params = StoppingSetParams(a=2.7, b=0.3, d=2, k_l=10.0, k_q=0.0)
         batch = xvec_core_batch(xvec_model(2), params, substream(35, 0), 300,
-                                quantize=False, mode=LedgerMode.REALIZED)
+                                mode=LedgerMode.REALIZED)
         _, gaps = stopping_matrix_batch(2, params.a, params.b, substream(35, 0), 300)
         m = golomb_parameter(params.crossing_prob)
         want = golomb_length_array(gaps.reshape(-1), m).reshape(300, 2).sum(axis=1)
@@ -471,7 +477,7 @@ class TestSelectStoppingSets:
     def test_dimension_mismatch(self):
         params = StoppingSetParams(a=2.7, b=0.3, d=2, k_l=10.0, k_q=4.0)
         with pytest.raises(ConfigurationError):
-            xvec_core_batch(xvec_model(3), params, substream(1, 0), 4, quantize=False)
+            xvec_core_batch(xvec_model(3), params, substream(1, 0), 4)
 
     def test_wait_cap(self):
         a, b, cap = 5.0, 0.3, 64
