@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import copy
 import math
-import threading
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
@@ -314,14 +313,53 @@ def stopping_matrix_batch(
     return w, _geometric_index(p, rng, (size, d))
 
 
-# numpy's bundled OpenBLAS serialises concurrent LU factorisations, with
-# contention on top: two threads each solving a chunk's (n, d, d) stack run
-# slower together than one alone. One solve at a time turns that contention
-# into a clean hand-off while the other workers sample, quantize and screen.
-# The cost: under a BLAS whose LU does run concurrently, this lock holds the
-# solve (about a quarter of a one-thread chunk) to one core. The results do
-# not depend on it; every solve is the same call on the same stack.
-_SOLVE_LOCK = threading.Lock()
+# Trials per elimination block. Each step of the solve is one numpy op over
+# this many contiguous values, and a block's buffers stay cache-sized.
+_SOLVE_BLOCK = 4096
+
+
+def _left_solve(w: np.ndarray, y: np.ndarray, failed: np.ndarray) -> np.ndarray:
+    """Rows x with x W = y for a (n, d, d) stack, solving with I where ``failed`` is set.
+
+    Gaussian elimination without pivoting on W^T x = y, over blocks of
+    ``_SOLVE_BLOCK`` trials copied to a trials-last (d, d + 1, block) buffer
+    whose last column is y. No pivot is needed: every matrix that passes
+    ``singular_value_lower_bound`` has nonsingular leading minors, so no pivot
+    is zero, and the selection matrices (a > d(b + 1)) and their midpoint
+    quantizations are diagonally dominant by rows and by columns, where
+    elimination without pivoting is stable with growth factor <= 2 and
+    partial pivoting would never swap rows.
+    """
+    n, d = y.shape
+    x = np.empty((n, d))
+    buf = np.empty((d, d + 1, min(n, _SOLVE_BLOCK)))
+    tmp = np.empty((d, buf.shape[-1]))
+    eye = np.eye(d)[:, :, None]
+    for start in range(0, n, _SOLVE_BLOCK):
+        stop = min(start + _SOLVE_BLOCK, n)
+        a = buf[..., : stop - start]
+        np.copyto(a[:, :d], w[start:stop].transpose(2, 1, 0))
+        np.copyto(a[:, d], y[start:stop].T)
+        bad = failed[start:stop]
+        if bad.any():
+            a[:, :d, bad] = eye
+        # Forward elimination; column k below the pivot keeps the multipliers.
+        for k in range(d - 1):
+            np.divide(a[k + 1:, k], a[k, k], out=a[k + 1:, k])
+            t = tmp[: d - k, : stop - start]
+            for i in range(k + 1, d):
+                np.multiply(a[i, k], a[k, k + 1:], out=t)
+                a[i, k + 1:] -= t
+        # Back substitution, column by column, in the y column.
+        xb = a[:, d]
+        for k in range(d - 1, -1, -1):
+            xb[k] /= a[k, k]
+            if k:
+                t = tmp[:k, : stop - start]
+                np.multiply(a[:k, k], xb[k], out=t)
+                xb[:k] -= t
+        x[start:stop] = xb.T
+    return x
 
 
 def _xvec_reconstruct(w_used: np.ndarray, y: np.ndarray, recon: np.ndarray):
@@ -329,15 +367,8 @@ def _xvec_reconstruct(w_used: np.ndarray, y: np.ndarray, recon: np.ndarray):
     # Deterministic screen: diagonal dominance gives a positive lower bound on
     # the smallest singular value for every valid parameter set.
     failed = ~(singular_value_lower_bound(w_used) > 0.0)
-    any_failed = bool(failed.any())
-    if any_failed:
-        w_used = np.where(failed[:, None, None], np.eye(w_used.shape[-1])[None, :, :], w_used)
-    # y W^-1 is the solution x of W^T x = y.
-    with _SOLVE_LOCK:
-        x = np.linalg.solve(np.swapaxes(w_used, -1, -2), y[..., None])
-    est = x[..., 0] @ recon
-    if any_failed:
-        est[failed] = np.nan
+    est = _left_solve(w_used, y, failed) @ recon
+    est[failed] = np.nan
     return est, failed
 
 

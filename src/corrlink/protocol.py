@@ -172,6 +172,8 @@ class StoppingSetParams:
             raise ConfigurationError(f"dimension must be >= 1, got {self.d!r}")
         if self.b < 0.0:
             raise ConfigurationError(f"weak-coordinate bound must be >= 0, got {self.b!r}")
+        if not self.k_q >= 0.0:
+            raise ConfigurationError(f"matrix entry budget k_q must be >= 0, got {self.k_q!r}")
         if not self.a > self.d * (self.b + 1.0):
             raise ConfigurationError(
                 f"need a > d(b+1) for the quantization-loss guarantee: "

@@ -34,7 +34,7 @@ from corrlink.estimators import (
     xvec_paired_batch,
 )
 from corrlink.harness import ExperimentConfig
-from corrlink.linalg import CorrelationMatrix, sym_sqrt
+from corrlink.linalg import CorrelationMatrix, singular_value_lower_bound, sym_sqrt
 from corrlink.protocol import (
     LedgerMode,
     StoppingSetParams,
@@ -671,8 +671,8 @@ class TestXVecTrials:
 
     @pytest.mark.parametrize("k_q", [2.0, 0.0])
     def test_concurrent_batches_match_serial_calls(self, k_q):
-        # Two workers share the solve lock; each batch must still be exactly
-        # the serial call on its own substream.
+        # Two workers solve at once; each batch must still be exactly the
+        # serial call on its own substream.
         model = GaussianXVec(rho=np.array([0.3, 0.2, 0.1, 0.4]),
                              sigma_x=CorrelationMatrix.equicorrelated(4, 0.2))
         params = StoppingSetParams(a=9.0, b=0.5, d=4, k_l=30.0, k_q=k_q)
@@ -702,6 +702,75 @@ class TestXVecTrials:
         params = StoppingSetParams(a=6.0, b=0.5, d=3, k_l=30.0, k_q=8.0)
         with pytest.raises(ConfigurationError, match="does not match"):
             xvec_core_batch(self.model(), params, substream(SEED, 77), 10)
+
+
+class TestLeftSolve:
+    """The blocked elimination behind every xvec reconstruction, against LAPACK."""
+
+    @staticmethod
+    def lapack(w, y):
+        return np.linalg.solve(np.swapaxes(w, -1, -2), y[..., None])[..., 0]
+
+    @staticmethod
+    def assert_within_8_ulps(x, ref):
+        # Elimination order differs from LAPACK's, so rows agree to a few
+        # rounding steps of their largest entry, not bit for bit.
+        tol = 8.0 * np.spacing(np.abs(ref).max(axis=1, keepdims=True))
+        assert np.all(np.abs(x - ref) <= tol)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 9])
+    @pytest.mark.parametrize("quantized", [False, True], ids=["exact", "quantized"])
+    def test_matches_lapack(self, d, quantized):
+        from corrlink.estimators import _SOLVE_BLOCK, _left_solve
+
+        params = StoppingSetParams(a=d * 1.3 + 1.0, b=0.3, d=d, k_l=20.0, k_q=3.0)
+        w, _ = stopping_matrix_batch(d, params.a, params.b, substream(SEED, 110 + d), 16_384)
+        if quantized:
+            w = quantize_W_matrix(w, params).values
+        y = substream(SEED, 120 + d).standard_normal((w.shape[0], d))
+        for n in (1, _SOLVE_BLOCK - 1, _SOLVE_BLOCK, _SOLVE_BLOCK + 1, 16_384):
+            x = _left_solve(w[:n], y[:n], np.zeros(n, dtype=bool))
+            assert x.shape == (n, d)
+            self.assert_within_8_ulps(x, self.lapack(w[:n], y[:n]))
+
+    def test_block_boundaries_do_not_matter(self):
+        from corrlink.estimators import _SOLVE_BLOCK as block
+        from corrlink.estimators import _left_solve
+
+        d, n = 3, 2 * block + 5
+        params = StoppingSetParams(a=5.0, b=0.3, d=d, k_l=20.0, k_q=3.0)
+        w, _ = stopping_matrix_batch(d, params.a, params.b, substream(SEED, 130), n)
+        y = substream(SEED, 131).standard_normal((n, d))
+        failed = np.zeros(n, dtype=bool)
+        failed[[0, block - 1, block, 2 * block]] = True
+        full = _left_solve(w, y, failed)
+        # A failed trial solves against the identity, which leaves y as it is.
+        np.testing.assert_array_equal(full[failed], y[failed])
+        self.assert_within_8_ulps(full[~failed], self.lapack(w[~failed], y[~failed]))
+        for m in (1, block - 1, block, block + 1, 2 * block + 1):
+            np.testing.assert_array_equal(_left_solve(w[:m], y[:m], failed[:m]), full[:m])
+
+    def test_averaged_bound_stack_without_row_dominance(self):
+        # Row 0 and column 1 outweigh their diagonal entries, so no matrix is
+        # dominant by rows or by columns, yet the averaged row/column bound of
+        # the screen stays positive and every leading minor is nonsingular.
+        from corrlink.estimators import _xvec_reconstruct
+
+        rng = substream(SEED, 132)
+        n, d = 5_000, 3
+        pattern = np.array([[3.0, 2.0, 1.9], [0.1, 3.0, 0.1], [0.1, 2.0, 3.0]])
+        scale = rng.uniform(0.8, 1.0, (n, d, d))
+        scale[:, range(d), range(d)] = 1.0
+        w = pattern * scale * np.where(rng.random((n, d, d)) < 0.5, -1.0, 1.0)
+        diag = np.abs(np.diagonal(w, axis1=1, axis2=2))
+        assert np.all((np.abs(w).sum(axis=2) - diag >= diag).any(axis=1))
+        assert np.all((np.abs(w).sum(axis=1) - diag >= diag).any(axis=1))
+        assert np.all(singular_value_lower_bound(w) > 0.0)
+        y = rng.standard_normal((n, d))
+        est, failed = _xvec_reconstruct(w, y, np.eye(d))
+        assert not failed.any()
+        assert np.isfinite(est).all()
+        self.assert_within_8_ulps(est, self.lapack(w, y))
 
 
 class TestLinearBaseline:

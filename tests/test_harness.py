@@ -630,6 +630,16 @@ class TestRunSweep:
         csv_many = format_csv(run_sweep(config, threads=8))
         assert csv_one == csv_many
 
+    def test_xvec_d4_bytes_do_not_depend_on_threads(self):
+        # Full chunks at d = 4: workers run their blocked solves at the same time.
+        config = ExperimentConfig.from_text(
+            "scheme = xvec\ngrid.k = 160, 200\nmodel.rho = 0.3, 0.2, 0.1, 0.4\n"
+            f"trials = {3 * CHUNK_TRIALS}\nseed = 3\n"
+        )
+        serial = format_csv(run_sweep(config, threads=1))
+        for threads in (2, 3):
+            assert format_csv(run_sweep(config, threads=threads)) == serial
+
     @settings(max_examples=25, deadline=None)
     @given(scheme=st.sampled_from(sorted(harness._SCHEMES)), threads=st.sampled_from([1, 2, 3]),
            chunk=st.integers(min_value=40, max_value=400))

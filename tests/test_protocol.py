@@ -417,6 +417,15 @@ class TestStoppingSetParams:
         with pytest.raises(ConfigurationError):
             StoppingSetParams(a=3.0, b=0.4, d=0, k_l=10.0, k_q=4.0)
 
+    @pytest.mark.parametrize("k_q", [-1.0, math.nan], ids=["negative", "nan"])
+    def test_matrix_entry_budget_must_be_non_negative(self, k_q):
+        with pytest.raises(ConfigurationError, match="k_q"):
+            StoppingSetParams(a=6.0, b=0.5, d=2, k_l=30.0, k_q=k_q)
+
+    def test_allocated_and_exact_matrix_budgets_are_accepted(self):
+        assert stopping_params_from_body_budget(20.0, 2, 0.3).k_q == 0.0
+        assert allocate_bits_xvec(60.0, 2).k_q > 0.0
+
     def test_degenerate_crossing_prob(self):
         # b = 0 in dimension 2 leaves no room for the weak coordinates.
         with pytest.raises(ConfigurationError):
