@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .linalg import invert
-from .statmath import (geometric_entropy_inv, inverse_mills, phi, qfunc, qfunc_inv,
-                       truncated_normal_moments)
+from .statmath import inverse_mills, phi, qfunc, truncated_normal_moments
 
 __all__ = [
     "TheoryReport",
@@ -27,7 +26,6 @@ __all__ = [
     "fisher_scalar",
     "crossing_variance",
     "exact_threshold_variance",
-    "threshold_for_budget",
     "fisher_yvec",
     "crlb_yvec",
     "fisher_xvec",
@@ -139,11 +137,6 @@ def crossing_variance(rho, x_var: float, norm: float) -> float:
 def _plan_variance(plan) -> float:
     """:func:`crossing_variance` of a fixed-normaliser ``estimators.CrossingPlan``."""
     return crossing_variance(plan.truth, plan.model.tail_variance(plan.t), plan.norm)
-
-
-def threshold_for_budget(k: float) -> float:
-    """Crossing threshold whose index entropy equals the bit budget."""
-    return qfunc_inv(geometric_entropy_inv(k))
 
 
 def exact_threshold_variance(rho: float, t: float) -> float:

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .linalg import _row_sums, _transform_channels, singular_value_lower_bound
+from .linalg import _row_sums, _transform_channels
 from .protocol import (
     LedgerMode,
     ParetoAllocation,
@@ -53,7 +53,7 @@ from .statmath import (
     inverse_mills,
     max_normal_moments,
     qfunc,
-    qfunc_inv,
+    threshold_for_budget,
 )
 
 __all__ = [
@@ -230,7 +230,7 @@ def clt_plan(model: BlockAveraged, k: float, mode: LedgerMode = LedgerMode.EXPEC
     if not isinstance(model, BlockAveraged):
         raise ConfigurationError("CLT trials need a block-averaged model")
     # The Gaussian threshold whose crossing index costs k bits.
-    t = qfunc_inv(geometric_entropy_inv(k))
+    t = threshold_for_budget(k)
     xsup = model.x_support_upper
     if math.isfinite(xsup) and t >= xsup:
         inner_sup = model.inner.x_support_upper
@@ -318,31 +318,27 @@ def stopping_matrix_batch(
 _SOLVE_BLOCK = 4096
 
 
-def _left_solve(w: np.ndarray, y: np.ndarray, failed: np.ndarray) -> np.ndarray:
-    """Rows x with x W = y for a (n, d, d) stack, solving with I where ``failed`` is set.
+def _left_solve(w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Rows x with x W = y for a (n, d, d) stack.
 
     Gaussian elimination without pivoting on W^T x = y, over blocks of
     ``_SOLVE_BLOCK`` trials copied to a trials-last (d, d + 1, block) buffer
-    whose last column is y. No pivot is needed: every matrix that passes
-    ``singular_value_lower_bound`` has nonsingular leading minors, so no pivot
-    is zero, and the selection matrices (a > d(b + 1)) and their midpoint
-    quantizations are diagonally dominant by rows and by columns, where
-    elimination without pivoting is stable with growth factor <= 2 and
-    partial pivoting would never swap rows.
+    whose last column is y. No pivot is needed: every :class:`StoppingSetParams`
+    has a > d(b + 1), so each selection matrix (|W_ii| > a, |W_ij| < b) and its
+    midpoint quantization (diagonal magnitudes in (a, sqrt(3) a), off-diagonals
+    in (-b, b)) is strictly diagonally dominant by rows and by columns. There
+    every leading minor is nonsingular, elimination without pivoting is
+    stable with growth factor <= 2, and partial pivoting would never swap rows.
     """
     n, d = y.shape
     x = np.empty((n, d))
     buf = np.empty((d, d + 1, min(n, _SOLVE_BLOCK)))
     tmp = np.empty((d, buf.shape[-1]))
-    eye = np.eye(d)[:, :, None]
     for start in range(0, n, _SOLVE_BLOCK):
         stop = min(start + _SOLVE_BLOCK, n)
         a = buf[..., : stop - start]
         np.copyto(a[:, :d], w[start:stop].transpose(2, 1, 0))
         np.copyto(a[:, d], y[start:stop].T)
-        bad = failed[start:stop]
-        if bad.any():
-            a[:, :d, bad] = eye
         # Forward elimination; column k below the pivot keeps the multipliers.
         for k in range(d - 1):
             np.divide(a[k + 1:, k], a[k, k], out=a[k + 1:, k])
@@ -360,16 +356,6 @@ def _left_solve(w: np.ndarray, y: np.ndarray, failed: np.ndarray) -> np.ndarray:
                 xb[:k] -= t
         x[start:stop] = xb.T
     return x
-
-
-def _xvec_reconstruct(w_used: np.ndarray, y: np.ndarray, recon: np.ndarray):
-    """Estimates y W^-1 recon per trial, NaN where the screen rejects W; returns (est, failed)."""
-    # Deterministic screen: diagonal dominance gives a positive lower bound on
-    # the smallest singular value for every valid parameter set.
-    failed = ~(singular_value_lower_bound(w_used) > 0.0)
-    est = _left_solve(w_used, y, failed) @ recon
-    est[failed] = np.nan
-    return est, failed
 
 
 def xvec_core_batch(
@@ -405,14 +391,13 @@ def xvec_core_batch(
         bits_expected += q.bits_expected
         if realized is not None:
             realized = realized + q.bits_realized
-    est, failed = _xvec_reconstruct(w, y, model.sqrt_sigma_x)
     return TrialBatch(
-        estimates=est,
+        estimates=_left_solve(w, y) @ model.sqrt_sigma_x,
         truth=model.true_correlations(),
         bits_expected=bits_expected,
         bits_realized=realized,
         samples=samples,
-        failed=failed,
+        failed=np.zeros(size, dtype=bool),
     )
 
 

@@ -674,9 +674,12 @@ def _default_threads() -> int:
     env = os.environ.get("CORRLINK_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError as exc:
             raise ConfigurationError(f"CORRLINK_THREADS: expected an integer, got {env!r}") from exc
+        if threads < 1:
+            raise ConfigurationError(f"CORRLINK_THREADS: must be at least 1, got {env!r}")
+        return threads
     try:
         available = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform

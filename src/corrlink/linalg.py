@@ -19,7 +19,6 @@ __all__ = [
     "sym_sqrt",
     "sym_inv_sqrt",
     "invert",
-    "singular_value_lower_bound",
 ]
 
 # Eigenvalues below this floor count as a degenerate correlation structure.
@@ -142,46 +141,6 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     for j in range(1, d):
         total += a[..., j]
     return total
-
-
-def singular_value_lower_bound(m: np.ndarray):
-    """Deterministic lower bound on the smallest singular value.
-
-    For a square matrix returns
-    min_i ( |m_ii| - (row_i off-diagonal sum + column_i off-diagonal sum) / 2 ),
-    which bounds sigma_min from below whenever it is positive. Used to screen
-    nearly singular selection matrices without an SVD per trial. A stack of
-    shape (..., d, d) gives an array of bounds of shape (...); a single
-    matrix gives a float.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ConfigurationError(f"bound needs square matrices, got shape {m.shape}")
-    # |m| is taken one row slab (..., d) at a time rather than for the whole
-    # stack. Summing rows in order as whole slabs, and each slab with
-    # _row_sums, repeats np.abs(m).sum(axis=-2) and .sum(axis=-1) bit for bit.
-    d = m.shape[-1]
-    slab = np.empty(m.shape[:-1])
-    col_off = np.abs(m[..., 0, :])
-    for i in range(1, d):
-        col_off += np.abs(m[..., i, :], out=slab)
-    # Column i of col_off becomes row i's bound term once its sum is used.
-    for i in range(d):
-        np.abs(m[..., i, :], out=slab)
-        diag = slab[..., i]
-        row_off = _row_sums(slab)
-        row_off -= diag
-        col_i = col_off[..., i]
-        col_i -= diag
-        row_off += col_i
-        row_off *= 0.5
-        np.subtract(diag, row_off, out=col_i)
-    # A minimum chain over the columns, like _row_sums, in place of a
-    # reduction that runs row by row.
-    bound = col_off[..., 0].copy()
-    for i in range(1, d):
-        np.minimum(bound, col_off[..., i], out=bound)
-    return float(bound) if bound.ndim == 0 else bound
 
 
 def _transform_channels(transform, sigma_x: np.ndarray, rho: np.ndarray):

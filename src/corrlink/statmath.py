@@ -28,6 +28,7 @@ __all__ = [
     "truncated_normal_moments",
     "geometric_entropy",
     "geometric_entropy_inv",
+    "threshold_for_budget",
     "MaxMoments",
     "max_normal_moments",
 ]
@@ -290,6 +291,11 @@ def _geometric_entropy_inv_cached(k: float) -> float:
         slope = math.log1p(-p) / (_LN2 * p)
         u -= (geometric_entropy(p) - k) / slope
     return math.exp(u)
+
+
+def threshold_for_budget(k: float) -> float:
+    """Crossing threshold whose index entropy equals the bit budget."""
+    return qfunc_inv(geometric_entropy_inv(k))
 
 
 class MaxMoments(NamedTuple):

@@ -25,7 +25,6 @@ from corrlink.analysis import (
     quantization_loss_bound,
     stopping_moment_bracket,
     stopping_second_moment,
-    threshold_for_budget,
     unquantized_xvec_trace_bound,
     xvec_mse_bound,
     zhang_berger_optimal,
@@ -41,6 +40,7 @@ from corrlink.statmath import (
     inverse_mills,
     max_normal_moments,
     qfunc,
+    threshold_for_budget,
     truncated_normal_moments,
 )
 

@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from corrlink.analysis import (
@@ -18,7 +20,6 @@ from corrlink.analysis import (
     quantization_loss_bound,
     stopping_moment_bracket,
     stopping_second_moment,
-    threshold_for_budget,
 )
 from corrlink.errors import ConfigurationError, TrialFailureError
 from corrlink.estimators import (
@@ -34,7 +35,7 @@ from corrlink.estimators import (
     xvec_paired_batch,
 )
 from corrlink.harness import ExperimentConfig
-from corrlink.linalg import CorrelationMatrix, singular_value_lower_bound, sym_sqrt
+from corrlink.linalg import CorrelationMatrix, sym_sqrt
 from corrlink.protocol import (
     LedgerMode,
     StoppingSetParams,
@@ -65,6 +66,7 @@ from corrlink.statmath import (
     inverse_mills,
     max_normal_moments,
     qfunc,
+    threshold_for_budget,
     truncated_normal_moments,
 )
 
@@ -530,6 +532,48 @@ class TestStoppingMatrixBatch:
             np.testing.assert_array_equal(q[i], quantize_W_matrix(w[i], params).values)
 
 
+@st.composite
+def stopping_params(draw):
+    """Parameters from across the accepted space, a at its lower edge included."""
+    d = draw(st.integers(1, 9))
+    b = draw(st.floats(1e-3, 2.0))
+    if d == 1:
+        b = draw(st.sampled_from([0.0, b]))
+    a_lo = d * (b + 1.0) * (1.0 + 1e-12)
+    a = draw(st.one_of(st.just(a_lo), st.floats(a_lo, max(30.0, a_lo))))
+    k_q = draw(st.sampled_from([0.0, 0.5, 1.0, 2.7, 8.0, 53.0]))
+    return StoppingSetParams(a=a, b=b, d=d, k_l=20.0, k_q=k_q)
+
+
+class TestSelectionDominance:
+    """a > d(b + 1) alone keeps every selection matrix, exact or quantized,
+    strictly diagonally dominant by rows and by columns: the xvec solve needs
+    no pivoting and no per-trial screen."""
+
+    @staticmethod
+    def assert_dominant(w, a, b):
+        absw = np.abs(w)
+        diag = np.einsum("nii->ni", absw).copy()
+        np.einsum("nii->ni", absw)[...] = 0.0
+        assert diag.min() >= a * (1.0 - 1e-12)
+        assert absw.max() <= b * (1.0 + 1e-12)
+        assert np.all(absw.sum(axis=2) < diag)
+        assert np.all(absw.sum(axis=1) < diag)
+
+    @given(params=stopping_params(), idx=st.integers(0, 2**32))
+    def test_exact_and_quantized_matrices_are_dominant(self, params, idx):
+        a, b, d = params.a, params.b, params.d
+        w, _ = stopping_matrix_batch(d, a, b, substream(SEED, idx), 256)
+        self.assert_dominant(w, a, b)
+        self.assert_dominant(quantize_W_matrix(w, params).values, a, b)
+        # The edges of the exact law, which rounding in the sampler can reach:
+        # diagonals at a and far beyond sqrt(3) a, off-diagonals at -b and b.
+        edge = np.full((4, d, d), b)
+        edge[1::2] = -b
+        np.einsum("nii->ni", edge)[...] = np.array([[a], [-a], [10.0 * a], [-10.0 * a]])
+        self.assert_dominant(quantize_W_matrix(edge, params).values, a, b)
+
+
 class TestXVecTrials:
     RHO = np.array([0.95, 0.1])
 
@@ -617,7 +661,7 @@ class TestXVecTrials:
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("quantized", [False, True])
     def test_reconstruction_matches_refined_inverse(self, d, quantized):
-        from corrlink.estimators import _xvec_reconstruct
+        from corrlink.estimators import _left_solve
 
         params = StoppingSetParams(a=d * 1.3 + 1.0, b=0.3, d=d, k_l=20.0, k_q=3.0)
         w, _ = stopping_matrix_batch(d, params.a, params.b, substream(SEED, 90 + d), 4_000)
@@ -626,30 +670,11 @@ class TestXVecTrials:
         rng = substream(SEED, 95 + d)
         y = rng.standard_normal((w.shape[0], d))
         recon = sym_sqrt(CorrelationMatrix.equicorrelated(d, 0.4).values)
-        est, failed = _xvec_reconstruct(w, y, recon)
-        assert not failed.any()
+        est = _left_solve(w, y) @ recon
         inv = np.linalg.inv(w)
         inv = inv + inv @ (np.eye(d) - w @ inv)
         expected = np.einsum("nl,nlk,km->nm", y, inv, recon)
         np.testing.assert_allclose(est, expected, rtol=0.0, atol=1e-12)
-
-    def test_reconstruction_marks_screen_failures(self):
-        from corrlink.estimators import _xvec_reconstruct
-
-        d = 3
-        params = StoppingSetParams(a=d * 1.3 + 1.0, b=0.3, d=d, k_l=20.0, k_q=3.0)
-        w, _ = stopping_matrix_batch(d, params.a, params.b, substream(SEED, 97), 500)
-        w[[3, 40, 41]] = 0.5  # all-equal entries: no diagonal dominance
-        before = w.copy()
-        y = substream(SEED, 98).standard_normal((w.shape[0], d))
-        recon = sym_sqrt(CorrelationMatrix.equicorrelated(d, 0.4).values)
-        est, failed = _xvec_reconstruct(w, y, recon)
-        np.testing.assert_array_equal(w, before)
-        np.testing.assert_array_equal(np.flatnonzero(failed), [3, 40, 41])
-        assert np.isnan(est[failed]).all()
-        ok_est, ok_failed = _xvec_reconstruct(w[~failed], y[~failed], recon)
-        assert not ok_failed.any()
-        np.testing.assert_array_equal(est[~failed], ok_est)
 
     def test_paired_branches_match_core_batches(self):
         # Each branch is the core batch on the same substream, the exact one at
@@ -729,7 +754,7 @@ class TestLeftSolve:
             w = quantize_W_matrix(w, params).values
         y = substream(SEED, 120 + d).standard_normal((w.shape[0], d))
         for n in (1, _SOLVE_BLOCK - 1, _SOLVE_BLOCK, _SOLVE_BLOCK + 1, 16_384):
-            x = _left_solve(w[:n], y[:n], np.zeros(n, dtype=bool))
+            x = _left_solve(w[:n], y[:n])
             assert x.shape == (n, d)
             self.assert_within_8_ulps(x, self.lapack(w[:n], y[:n]))
 
@@ -741,20 +766,16 @@ class TestLeftSolve:
         params = StoppingSetParams(a=5.0, b=0.3, d=d, k_l=20.0, k_q=3.0)
         w, _ = stopping_matrix_batch(d, params.a, params.b, substream(SEED, 130), n)
         y = substream(SEED, 131).standard_normal((n, d))
-        failed = np.zeros(n, dtype=bool)
-        failed[[0, block - 1, block, 2 * block]] = True
-        full = _left_solve(w, y, failed)
-        # A failed trial solves against the identity, which leaves y as it is.
-        np.testing.assert_array_equal(full[failed], y[failed])
-        self.assert_within_8_ulps(full[~failed], self.lapack(w[~failed], y[~failed]))
+        full = _left_solve(w, y)
+        self.assert_within_8_ulps(full, self.lapack(w, y))
         for m in (1, block - 1, block, block + 1, 2 * block + 1):
-            np.testing.assert_array_equal(_left_solve(w[:m], y[:m], failed[:m]), full[:m])
+            np.testing.assert_array_equal(_left_solve(w[:m], y[:m]), full[:m])
 
     def test_averaged_bound_stack_without_row_dominance(self):
         # Row 0 and column 1 outweigh their diagonal entries, so no matrix is
-        # dominant by rows or by columns, yet the averaged row/column bound of
-        # the screen stays positive and every leading minor is nonsingular.
-        from corrlink.estimators import _xvec_reconstruct
+        # dominant by rows or by columns, yet every leading minor is
+        # nonsingular, which is all elimination without pivoting needs.
+        from corrlink.estimators import _left_solve
 
         rng = substream(SEED, 132)
         n, d = 5_000, 3
@@ -765,10 +786,11 @@ class TestLeftSolve:
         diag = np.abs(np.diagonal(w, axis1=1, axis2=2))
         assert np.all((np.abs(w).sum(axis=2) - diag >= diag).any(axis=1))
         assert np.all((np.abs(w).sum(axis=1) - diag >= diag).any(axis=1))
-        assert np.all(singular_value_lower_bound(w) > 0.0)
+        # Every leading principal minor stays well away from zero.
+        for k in range(1, d + 1):
+            assert np.all(np.abs(np.linalg.det(w[:, :k, :k])) >= 1.0)
         y = rng.standard_normal((n, d))
-        est, failed = _xvec_reconstruct(w, y, np.eye(d))
-        assert not failed.any()
+        est = _left_solve(w, y)
         assert np.isfinite(est).all()
         self.assert_within_8_ulps(est, self.lapack(w, y))
 

@@ -19,7 +19,6 @@ from corrlink import harness
 from corrlink.analysis import (
     crossing_variance,
     exact_threshold_variance,
-    threshold_for_budget,
     zhang_berger_optimal,
 )
 from corrlink.cli import main
@@ -58,7 +57,7 @@ from corrlink.sources import (
     UnitLaplace,
     substream,
 )
-from corrlink.statmath import geometric_entropy_inv, max_normal_moments
+from corrlink.statmath import geometric_entropy_inv, max_normal_moments, threshold_for_budget
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 THRESHOLD_TEXT = """
@@ -773,9 +772,11 @@ class TestDefaultThreads:
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setenv("CORRLINK_THREADS", "12")
         assert harness._default_threads() == 12
-        monkeypatch.setenv("CORRLINK_THREADS", "many")
-        with pytest.raises(ConfigurationError, match="CORRLINK_THREADS"):
-            harness._default_threads()
+        # As with --threads 0, a count below 1 is an error, not one worker.
+        for value in ("many", "0", "-2"):
+            monkeypatch.setenv("CORRLINK_THREADS", value)
+            with pytest.raises(ConfigurationError, match="CORRLINK_THREADS"):
+                harness._default_threads()
 
 
 # Six cells of four chunks each (1000, 1000, 1000, 500) once CHUNK_TRIALS is 1000.

@@ -2,26 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from corrlink.errors import ConfigurationError, SingularMatrixError
 from corrlink.linalg import (
     CorrelationMatrix,
     _row_sums,
     invert,
-    singular_value_lower_bound,
     sym_inv_sqrt,
     sym_sqrt,
 )
-
-
-def reference_bound(m):
-    """The screen's formula on whole stacks, with numpy's reductions."""
-    absm = np.abs(m)
-    diag = np.diagonal(absm, axis1=-2, axis2=-1)
-    row_off = absm.sum(axis=-1) - diag
-    col_off = absm.sum(axis=-2) - diag
-    return (diag - 0.5 * (row_off + col_off)).min(axis=-1)
 
 
 def random_correlation(rng, d):
@@ -122,80 +111,6 @@ class TestInvert:
         with pytest.raises(SingularMatrixError) as exc_info:
             invert(a)
         assert exc_info.value.condition_estimate > 1e12
-
-
-class TestSingularValueLowerBound:
-    @given(
-        hnp.arrays(
-            np.float64,
-            (3, 3),
-            elements=st.floats(min_value=-0.4, max_value=0.4),
-        )
-    )
-    def test_bound_below_true_smin_dominant(self, off):
-        m = off + 4.0 * np.eye(3)
-        bound = singular_value_lower_bound(m)
-        smin = np.linalg.svd(m, compute_uv=False).min()
-        assert bound <= smin + 1e-12
-        assert bound > 0.0
-
-    @given(
-        hnp.arrays(
-            np.float64,
-            (4, 4),
-            elements=st.floats(min_value=-2.0, max_value=2.0),
-        )
-    )
-    def test_bound_never_exceeds_smin(self, m):
-        bound = singular_value_lower_bound(m)
-        if bound > 0.0:
-            smin = np.linalg.svd(m, compute_uv=False).min()
-            assert bound <= smin + 1e-9
-
-    def test_diagonal_exact(self):
-        m = np.diag([3.0, 5.0, 2.0])
-        assert singular_value_lower_bound(m) == pytest.approx(2.0)
-
-    def test_stack_matches_each_matrix(self):
-        rng = np.random.default_rng(3)
-        stack = rng.standard_normal((7, 3, 3)) + 4.0 * np.eye(3)
-        bounds = singular_value_lower_bound(stack)
-        assert bounds.shape == (7,)
-        for i in range(7):
-            assert bounds[i] == singular_value_lower_bound(stack[i])
-
-    @pytest.mark.parametrize("shape", [(9,), (1,), (), (2, 3)])
-    @pytest.mark.parametrize("d", range(1, 10))
-    def test_matches_whole_stack_formula(self, d, shape):
-        # Magnitudes spread over 2^±30 so any change of summation order shows.
-        rng = np.random.default_rng(d)
-        m = rng.standard_normal(shape + (d, d)) * np.exp2(rng.integers(-30, 30, shape + (d, d)))
-        m += 1e9 * np.eye(d)
-        want = reference_bound(m)
-        before = m.copy()
-        got = singular_value_lower_bound(m)
-        np.testing.assert_array_equal(m, before)
-        if shape:
-            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-        else:
-            assert isinstance(got, float)
-            assert np.float64(got).view(np.uint64) == want.view(np.uint64)
-
-    @pytest.mark.parametrize("d", range(1, 10))
-    def test_nan_row_gives_nan_bound(self, d):
-        rng = np.random.default_rng(50 + d)
-        stack = rng.standard_normal((5, d, d)) + 4.0 * d * np.eye(d)
-        stack[2, d // 2, 0] = np.nan
-        got = singular_value_lower_bound(stack)
-        np.testing.assert_array_equal(np.isnan(got), [False, False, True, False, False])
-        np.testing.assert_array_equal(got, reference_bound(stack))
-        assert np.isnan(singular_value_lower_bound(stack[2]))
-        assert singular_value_lower_bound(stack[0]) == reference_bound(stack[0])
-
-    def test_tight_symmetric_case(self):
-        m = np.array([[3.0, 1.0], [1.0, 3.0]])
-        assert singular_value_lower_bound(m) == pytest.approx(2.0)
-        assert np.linalg.svd(m, compute_uv=False).min() == pytest.approx(2.0)
 
 
 class TestRowSums:

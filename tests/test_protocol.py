@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from corrlink.analysis import threshold_for_budget
 from corrlink.errors import ConfigurationError, DomainError
 from corrlink.estimators import (
     clt_plan,
@@ -56,6 +55,7 @@ from corrlink.statmath import (
     max_normal_moments,
     qfunc,
     qfunc_inv,
+    threshold_for_budget,
 )
 from test_oracles import max_oracle, stopping_set_oracle, threshold_oracle
 
