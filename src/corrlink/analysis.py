@@ -21,7 +21,6 @@ from .statmath import inverse_mills, phi, qfunc, truncated_normal_moments
 
 __all__ = [
     "TheoryReport",
-    "zhang_berger_variance",
     "zhang_berger_optimal",
     "fisher_scalar",
     "crossing_variance",
@@ -84,16 +83,6 @@ def _check_rho(rho: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Scalar benchmark and scalar schemes.
-
-
-def zhang_berger_variance(rho: float, k: float, rate: float) -> float:
-    """Random-coding benchmark variance at a given per-sample rate (vanishing term dropped)."""
-    rho = float(rho)
-    if not rate > 0.0:
-        raise DomainError(f"rate must be positive, got {rate!r}")
-    if not k > 0.0:
-        raise DomainError(f"bit budget must be positive, got {k!r}")
-    return (rate / k) * (1.0 + rho * rho + (1.0 - rho * rho) / (2.0 ** (2.0 * rate) - 1.0))
 
 
 def zhang_berger_optimal(rho: float, k: float) -> float:

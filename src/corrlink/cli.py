@@ -7,6 +7,7 @@ trials above the tolerated rate, or selftest failures), 3 output I/O error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional
 
@@ -118,7 +119,7 @@ def _cmd_theory(args) -> int:
 def _selftest_checks():
     from .estimators import TrialBatch
     from .harness import _chunk_partial, _reduce_cell
-    from .protocol import golomb_decode, golomb_encode, golomb_length
+    from .protocol import golomb_length_array
     from .statmath import geometric_entropy, geometric_entropy_inv, qfunc, qfunc_inv
 
     def check_roundtrips():
@@ -130,12 +131,13 @@ def _selftest_checks():
             assert abs(geometric_entropy(p) - k) <= 1e-8 * k, f"entropy roundtrip failed at {k}"
 
     def check_golomb():
-        for m in (1, 3, 8, 37):
-            for j in list(range(1, 200)) + [1000, 12345]:
-                word = golomb_encode(j, m)
-                assert len(word) == golomb_length(j, m), f"length mismatch at {j}, {m}"
-                decoded, used = golomb_decode(word, m)
-                assert decoded == j and used == len(word), f"roundtrip failed at {j}, {m}"
+        # Over the first 20 quotients a complete prefix code has Kraft sum
+        # exactly 1 - 2^-20; lengths never shrink and grow one bit per quotient.
+        for m in (1, 2, 3, 8, 37, 1000):
+            length = golomb_length_array(np.arange(1.0, 20 * m + 1), m)
+            assert math.fsum(2.0 ** -length) == 1.0 - 2.0**-20, f"Kraft sum incomplete at {m}"
+            assert np.all(np.diff(length) >= 0), f"lengths decrease at {m}"
+            assert np.array_equal(length[m:], length[:-m] + 1), f"quotient step off at {m}"
 
     def check_moments():
         # The sweep reducer on uneven chunks against two-pass moments.
@@ -175,7 +177,7 @@ def _selftest_checks():
 
     return [
         ("tail and entropy roundtrips", check_roundtrips),
-        ("index code roundtrip", check_golomb),
+        ("index code lengths", check_golomb),
         ("streaming moments", check_moments),
         ("thread determinism", check_determinism),
         ("monte carlo vs exact variance", check_monte_carlo),

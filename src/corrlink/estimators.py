@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .linalg import _row_sums, _transform_channels
+from .linalg import _row_sums
 from .protocol import (
     LedgerMode,
     ParetoAllocation,
@@ -425,6 +425,26 @@ class LinearPlan(NamedTuple):
     channels: tuple
     inv_mt: np.ndarray
     truth: np.ndarray
+
+
+def _transform_channels(transform, sigma_x: np.ndarray, rho: np.ndarray):
+    """Channels of the two-coordinate transform baseline: (correlations, inverse transform).
+
+    Each row of ``transform`` is rescaled so its coordinate of X has unit
+    variance under ``sigma_x``. Returns each transformed coordinate's
+    correlation with Y (clipped to [-1, 1]) and the inverse of the
+    normalized transform, which maps channel estimates back.
+    """
+    if len(rho) != 2:
+        raise ConfigurationError("the transform baseline is defined for two coordinates")
+    m = np.asarray(transform, dtype=float)
+    row_vars = np.einsum("ij,jk,ik->i", m, sigma_x, m)
+    if np.any(row_vars <= 0.0):
+        raise ConfigurationError("transform rows must have positive variance")
+    m = m / np.sqrt(row_vars)[:, None]
+    if abs(float(np.linalg.det(m))) < 1e-12:
+        raise ConfigurationError("transform matrix is singular after row normalization")
+    return np.clip(m @ rho, -1.0, 1.0), np.linalg.inv(m)
 
 
 def linear_baseline_plan(

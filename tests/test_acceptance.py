@@ -443,7 +443,7 @@ def test_transform_baseline_grid_search_finds_wins_and_losses():
 
 
 def test_realized_bit_accounting_stays_within_one_bit():
-    """Criterion 12: realized codeword lengths average at most one bit over plan."""
+    """Criterion 12: realized codeword lengths average within one bit of plan, either way."""
     trials = 10_000
     pareto_model = AdditiveNoise(rho=0.6, x_law=ParetoTwoSided(4.0), z_law=StdNormal())
     laplace_model = AdditiveNoise(rho=0.6, x_law=UnitLaplace(), z_law=StdNormal())
@@ -503,10 +503,32 @@ def test_realized_bit_accounting_stays_within_one_bit():
     for name, batch in runs:
         mean_bits = float(batch.bits_realized.mean())
         over = mean_bits - batch.bits_expected
-        assert over <= 1.0, f"{name}: realized {mean_bits:.4f} vs expected {batch.bits_expected:.4f}"
+        assert abs(over) <= 1.0, (
+            f"{name}: realized {mean_bits:.4f} vs expected {batch.bits_expected:.4f}"
+        )
         overages[name] = over
     worst = max(overages, key=overages.get)
     print(
-        f"PASS realized accounting: all 7 schemes within +1 bit of plan "
-        f"(worst {worst} at +{overages[worst]:.3f})"
+        f"PASS realized accounting: all 7 schemes within 1 bit of plan "
+        f"(largest gap {worst} at {overages[worst]:+.3f})"
     )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="quantize_W_matrix books d^2 k_q matrix bits but sends ceil(d^2 log2 cells), so "
+    "realized xvec falls short of plan by 6.9 bits at d = 3, k = 80, and by 7.3 and "
+    "10.3 bits at d = 4, k = 160 and 200 (ROADMAP item 8)",
+)
+def test_realized_xvec_bits_within_one_bit_at_higher_dimension():
+    """Criterion 12 for the quantized vector-X scheme at d = 3 and 4."""
+    rho = np.array([0.3, 0.2, 0.1, 0.4])
+    gaps = {}
+    for i, (d, k) in enumerate([(3, 80.0), (4, 160.0), (4, 200.0)]):
+        model = GaussianXVec(rho=rho[:d], sigma_x=CorrelationMatrix.identity(d))
+        batch = xvec_core_batch(
+            model, allocate_bits_xvec(k, d), substream(SEED, 177 + i), 10_000,
+            mode=LedgerMode.REALIZED,
+        )
+        gaps[(d, k)] = float(batch.bits_realized.mean()) - batch.bits_expected
+    assert all(abs(gap) <= 1.0 for gap in gaps.values()), gaps

@@ -28,7 +28,6 @@ from corrlink.analysis import (
     unquantized_xvec_trace_bound,
     xvec_mse_bound,
     zhang_berger_optimal,
-    zhang_berger_variance,
 )
 from corrlink.errors import ConfigurationError, DomainError
 from corrlink.estimators import linear_baseline_plan
@@ -173,29 +172,7 @@ class TestBenchmark:
             0.07213475204444816, rel=1e-12
         )
 
-    def test_small_rate_approaches_the_limit(self):
-        assert zhang_berger_variance(0.3, 10.0, 1e-9) == pytest.approx(
-            zhang_berger_optimal(0.3, 10.0), rel=1e-6
-        )
-
-    @given(rho=st.floats(-0.95, 0.95), rate=st.floats(0.01, 5.0),
-           k=st.floats(1.0, 500.0))
-    @settings(max_examples=150)
-    def test_positive_rates_never_beat_the_limit(self, rho, rate, k):
-        assert zhang_berger_variance(rho, k, rate) >= zhang_berger_optimal(rho, k) * (
-            1.0 - 1e-9
-        )
-
-    def test_rate_scan_minimum_sits_at_the_low_end(self):
-        rates = np.linspace(0.05, 4.0, 200)
-        vals = [zhang_berger_variance(0.5, 20.0, r) for r in rates]
-        assert vals[0] == min(vals)
-
     def test_guards(self):
-        with pytest.raises(DomainError):
-            zhang_berger_variance(0.5, 20.0, 0.0)
-        with pytest.raises(DomainError):
-            zhang_berger_variance(0.5, 0.0, 1.0)
         with pytest.raises(DomainError):
             zhang_berger_optimal(0.5, 0.0)
 

@@ -1113,3 +1113,26 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "all 5 checks passed" in out
+
+    @staticmethod
+    def lengths_threshold_off_by_one(indices, m):
+        q, r = np.divmod(np.asarray(indices, dtype=np.int64) - 1, m)
+        b = (m - 1).bit_length()
+        return q + 1 + np.where(r < (1 << b) - m + 1, b - 1, b)
+
+    @staticmethod
+    def lengths_short_and_long_swapped(indices, m):
+        q, r = np.divmod(np.asarray(indices, dtype=np.int64) - 1, m)
+        b = (m - 1).bit_length()
+        return q + 1 + np.where(r < (1 << b) - m, b, b - 1)
+
+    @pytest.mark.parametrize("mutant", ["lengths_threshold_off_by_one",
+                                        "lengths_short_and_long_swapped"])
+    def test_selftest_catches_a_wrong_golomb_length(self, mutant, monkeypatch, capsys):
+        # The selftest reads the lengths from corrlink.protocol when it runs.
+        monkeypatch.setattr("corrlink.protocol.golomb_length_array", getattr(self, mutant))
+        code = main(["selftest"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "selftest FAIL index code lengths" in err
+        assert "1 of 5 checks failed" in err

@@ -28,9 +28,6 @@ from corrlink.protocol import (
     StoppingSetParams,
     allocate_bits_pareto,
     allocate_bits_xvec,
-    golomb_decode,
-    golomb_encode,
-    golomb_length,
     golomb_length_array,
     golomb_parameter,
     quantize_pareto_value,
@@ -58,6 +55,74 @@ from corrlink.statmath import (
     threshold_for_budget,
 )
 from test_oracles import max_oracle, stopping_set_oracle, threshold_oracle
+
+
+# The scalar Golomb coder: the oracle for ``golomb_length_array``. Integer
+# arithmetic keeps its lengths exact at every quotient up to 2^53.
+
+
+def _trunc_binary_width(m: int) -> int:
+    return (m - 1).bit_length()
+
+
+def golomb_length(j: int, m: int) -> int:
+    """Codeword length in bits for 1-based index ``j`` under divisor ``m``."""
+    j = int(j)
+    m = int(m)
+    if j < 1 or m < 1:
+        raise DomainError(f"need index >= 1 and divisor >= 1, got j={j!r} m={m!r}")
+    q, r = divmod(j - 1, m)
+    b = _trunc_binary_width(m)
+    thr = (1 << b) - m
+    return q + 1 + (b - 1 if r < thr else b)
+
+
+def golomb_encode(j: int, m: int) -> str:
+    """Encode index ``j`` as a '0'/'1' string: unary quotient, truncated-binary remainder."""
+    j = int(j)
+    m = int(m)
+    if j < 1 or m < 1:
+        raise DomainError(f"need index >= 1 and divisor >= 1, got j={j!r} m={m!r}")
+    q, r = divmod(j - 1, m)
+    b = _trunc_binary_width(m)
+    thr = (1 << b) - m
+    prefix = "1" * q + "0"
+    if b == 0:
+        return prefix
+    if r < thr:
+        # Short codewords drop the leading bit; width b-1 (possibly zero).
+        return prefix + format(r, "b").zfill(b - 1) if b > 1 else prefix
+    return prefix + format(r + thr, "b").zfill(b)
+
+
+def golomb_decode(bits: str, m: int) -> tuple[int, int]:
+    """Decode one codeword from the front of ``bits``; returns (index, bits consumed)."""
+    m = int(m)
+    q = 0
+    pos = 0
+    while pos < len(bits) and bits[pos] == "1":
+        q += 1
+        pos += 1
+    if pos >= len(bits):
+        raise DomainError("truncated codeword: unary part has no terminator")
+    pos += 1
+    b = _trunc_binary_width(m)
+    thr = (1 << b) - m
+    if b == 0:
+        r = 0
+    else:
+        if pos + b - 1 > len(bits):
+            raise DomainError("truncated codeword: remainder bits missing")
+        head = int(bits[pos : pos + b - 1], 2) if b > 1 else 0
+        if head < thr:
+            r = head
+            pos += b - 1
+        else:
+            if pos + b > len(bits):
+                raise DomainError("truncated codeword: remainder bits missing")
+            r = int(bits[pos : pos + b], 2) - thr
+            pos += b
+    return q * m + r + 1, pos
 
 
 class FixedDraw:

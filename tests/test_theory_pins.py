@@ -12,7 +12,8 @@ import pytest
 
 from corrlink.errors import ConfigurationError
 from corrlink.harness import ExperimentConfig
-from corrlink.linalg import _transform_channels, sym_inv_sqrt
+from corrlink.estimators import _transform_channels
+from corrlink.linalg import sym_inv_sqrt
 from corrlink.sources import ParetoTwoSided, StdNormal, UnitLaplace
 from corrlink.statmath import geometric_entropy_inv, inverse_mills, max_normal_moments, qfunc_inv
 
