@@ -36,4 +36,4 @@ class SingularMatrixError(CorrlinkError, ArithmeticError):
 
 
 class TrialFailureError(CorrlinkError, RuntimeError):
-    """Too many trials in a sweep failed to produce an estimate."""
+    """A trial could not produce an estimate: a walked crossing reached its cap."""

@@ -5,9 +5,9 @@ selected samples from the exact conditional laws of the selection events
 (geometric index, tail-conditioned values) rather than scanning sample by
 sample. The two are distribution-identical; the tests check each shortcut
 against the literal walk ``sources.walk_first_hit``, which is also the
-sampler for block averages without a closed-form crossing law. Each batch
-reports estimates, per-trial sample consumption, bit costs, and failure
-flags; nothing is ever silently dropped.
+sampler for block averages without a closed-form crossing law. Every trial
+yields an estimate, its sample consumption and its bit cost; a walk that
+reaches its cap raises ``TrialFailureError`` rather than dropping the trial.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, TrialFailureError
 from .linalg import _row_sums
 from .protocol import (
     LedgerMode,
@@ -82,7 +82,6 @@ class TrialBatch:
     bits_expected: float
     bits_realized: Optional[np.ndarray]
     samples: np.ndarray
-    failed: np.ndarray
 
     @property
     def n(self) -> int:
@@ -95,7 +94,7 @@ class CrossingPlan:
 
     Indices and tail values are drawn at ``p_cross`` = Pr(X > t) with the
     shortcut, or, when ``walk_cap`` is set, by the literal walk, whose slabs
-    ``p_cross`` (then an approximation) sizes and which flags trials past the
+    ``p_cross`` (then an approximation) sizes and which raises past the
     cap. ``bits`` books each index: the entropy of the crossing probability
     its code assumes, NaN for walked crossings. In realized mode ``golomb_m``
     is that code's divisor, and None otherwise. Y_J / ``norm`` is the
@@ -126,7 +125,7 @@ def _crossing_plan(model: JointModel, t: float, p_cross: float, p: Optional[floa
 def crossing_trials(plan: CrossingPlan, rng: np.random.Generator, size: int) -> TrialBatch:
     """``size`` first-crossing trials of ``plan``'s cell: draw, then estimate Y_J / norm.
 
-    Capped walks fail. A quantized crossing value adds its payload bits.
+    A walk past the cap raises. A quantized crossing value adds its payload bits.
     """
     if plan.walk_cap is None:
         batch = draw_first_crossing(plan.model, plan.t, rng, size, p=plan.p_cross)
@@ -134,6 +133,9 @@ def crossing_trials(plan: CrossingPlan, rng: np.random.Generator, size: int) -> 
         t = plan.t
         batch = walk_first_hit(plan.model.draw_pairs, lambda x: x > t, plan.p_cross, rng, size,
                                plan.walk_cap)
+        if batch.capped.any():
+            raise TrialFailureError(f"a walk found no crossing of threshold {t:.6g} within "
+                                    f"its cap of {plan.walk_cap} rows")
     bits = plan.bits
     realized = None
     if plan.golomb_m is not None:
@@ -153,7 +155,6 @@ def crossing_trials(plan: CrossingPlan, rng: np.random.Generator, size: int) -> 
         bits_expected=bits,
         bits_realized=realized,
         samples=batch.index,
-        failed=batch.capped,
     )
 
 
@@ -214,17 +215,20 @@ def max_trials(
         bits_expected=float(k),
         bits_realized=realized,
         samples=np.full(size, n_samples),
-        failed=np.zeros(size, dtype=bool),
     )
 
 
-def clt_plan(model: BlockAveraged, k: float, mode: LedgerMode = LedgerMode.EXPECTED,
-             cap: Optional[int] = None) -> CrossingPlan:
+# Rows a walked crossing reads before it raises; walks read 1/p rows on average.
+_WALK_CAP = 4096 * 1024
+
+
+def clt_plan(model: BlockAveraged, k: float, mode: LedgerMode = LedgerMode.EXPECTED
+             ) -> CrossingPlan:
     """Threshold plan on block averages, normalized as if the blocks were Gaussian.
 
     Indices are booked at the entropy of the block average's actual crossing
     probability, which tends to ``k`` only as the block size grows. Without a
-    closed-form crossing law it walks, and trials past ``cap`` rows fail.
+    closed-form crossing law it walks, and a trial past ``_WALK_CAP`` rows raises.
     Rejects block sizes whose bounded support cannot reach the threshold.
     """
     if not isinstance(model, BlockAveraged):
@@ -248,13 +252,12 @@ def clt_plan(model: BlockAveraged, k: float, mode: LedgerMode = LedgerMode.EXPEC
         return _crossing_plan(model, t, p, p, inverse_mills(t), mode)
     # No closed-form crossing probability: walk the block stream literally,
     # with slabs sized by the Gaussian limit of the crossing probability.
-    # Capped trials carry NaN payloads, so their estimates are NaN too.
     if mode is LedgerMode.REALIZED:
         raise ConfigurationError(
             "realized accounting needs a closed-form crossing probability for the index code"
         )
     return _crossing_plan(model, t, float(qfunc(t)), None, inverse_mills(t), mode,
-                          walk_cap=4096 * 1024 if cap is None else cap)
+                          walk_cap=_WALK_CAP)
 
 
 def pareto_plan(model: AdditiveNoise, k: float, mode: LedgerMode = LedgerMode.EXPECTED
@@ -397,7 +400,6 @@ def xvec_core_batch(
         bits_expected=bits_expected,
         bits_realized=realized,
         samples=samples,
-        failed=np.zeros(size, dtype=bool),
     )
 
 
@@ -483,5 +485,4 @@ def linear_plan_trials(plan: LinearPlan, rng: np.random.Generator, size: int) ->
         bits_expected=bits_expected,
         bits_realized=realized,
         samples=samples,
-        failed=np.zeros(size, dtype=bool),
     )

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import analysis
-from .errors import ConfigurationError, CorrlinkError, TrialFailureError
+from .errors import ConfigurationError, CorrlinkError
 from .estimators import (
     TrialBatch,
     clt_plan,
@@ -523,7 +523,7 @@ class SweepRow:
     m: Optional[int]
     b0: Optional[float]
     trials: int
-    failures: int
+    failures: int  # always 0, as every trial yields an estimate; kept for the CSV bytes
     bias: float
     bias_se: float
     variance: float
@@ -540,8 +540,6 @@ class SweepRow:
     def __post_init__(self):
         if self.variance < 0.0:
             raise ConfigurationError("aggregated variance cannot be negative")
-        if self.failures > self.trials:
-            raise ConfigurationError("failure count cannot exceed the trial count")
 
 
 def _chunk_partial(batch: TrialBatch) -> dict:
@@ -550,9 +548,7 @@ def _chunk_partial(batch: TrialBatch) -> dict:
     The per-coordinate sums s1..s4 are lists of floats; t1, t2 are the sums of
     each trial's summed error and its square, q1, q2 those of its squared norm.
     """
-    fail = int(np.count_nonzero(batch.failed))
-    estimates = batch.estimates[~batch.failed] if fail else batch.estimates
-    err = estimates - batch.truth
+    err = batch.estimates - batch.truth
     e2 = err * err
     s1 = err.sum(axis=0)
     s2 = e2.sum(axis=0)
@@ -575,8 +571,7 @@ def _chunk_partial(batch: TrialBatch) -> dict:
         q1 = float(norm2.sum())
         q2 = float(np.square(norm2).sum())
     partial = {
-        "n": int(batch.failed.shape[0]),
-        "fail": fail,
+        "n": batch.n,
         "s1": s1.tolist(),
         "s2": s2.tolist(),
         "s3": s3.tolist(),
@@ -608,11 +603,7 @@ def _reduce_cell(partials: list[dict], meta: dict, theory: tuple, scheme: str) -
     The two sums over coordinates stay numpy's, whose order changes from
     d = 8 on.
     """
-    n_total = sum(p["n"] for p in partials)
-    failures = sum(p["fail"] for p in partials)
-    n = n_total - failures
-    if n <= 1:
-        raise TrialFailureError(f"grid point {meta}: no successful trials to aggregate")
+    n = sum(p["n"] for p in partials)
     d = meta["d"]
     m2 = []
     var_of_var = []
@@ -644,7 +635,7 @@ def _reduce_cell(partials: list[dict], meta: dict, theory: tuple, scheme: str) -
     bits_expected = partials[0]["bits_expected"]
     bits_realized = None
     if all("bits_realized" in p for p in partials):
-        bits_realized = math.fsum(p["bits_realized"] for p in partials) / n_total
+        bits_realized = math.fsum(p["bits_realized"] for p in partials) / n
     return SweepRow(
         scheme=scheme,
         d=d,
@@ -653,8 +644,8 @@ def _reduce_cell(partials: list[dict], meta: dict, theory: tuple, scheme: str) -
         alpha=meta["alpha"],
         m=meta["m"],
         b0=meta["b0"],
-        trials=n_total,
-        failures=failures,
+        trials=n,
+        failures=0,
         bias=bias,
         bias_se=bias_se,
         variance=variance,
@@ -666,7 +657,7 @@ def _reduce_cell(partials: list[dict], meta: dict, theory: tuple, scheme: str) -
         bits_expected_mean=bits_expected,
         mse_se=mse_se,
         bits_realized_mean=bits_realized,
-        samples_mean=samples / n_total,
+        samples_mean=samples / n,
     )
 
 
@@ -723,13 +714,7 @@ def run_sweep(config: ExperimentConfig, threads: Optional[int] = None) -> list[S
                         pending.append(pool.submit(run_chunk, *job))
                     partials.append(pending.popleft().result())
                 columns = (theory.theory_exact, theory.theory_asymptotic, theory.theory_bound)
-                row = _reduce_cell(partials, meta, columns, config.scheme)
-                if row.failures > 0.10 * row.trials:
-                    raise TrialFailureError(
-                        f"grid point {meta}: {row.failures} of {row.trials} trials failed "
-                        "(more than 10%)"
-                    )
-                rows.append(row)
+                rows.append(_reduce_cell(partials, meta, columns, config.scheme))
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise

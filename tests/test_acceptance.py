@@ -205,10 +205,7 @@ def test_vector_source_protocol_dominates_per_coordinate_scalars():
     ratios = []
     for i, k in enumerate((200.0, 400.0)):
         batch = xvec_core_batch(model, allocate_bits_xvec(k, 2), substream(SEED, 110 + i), trials)
-        fail_rate = float(batch.failed.mean())
-        assert fail_rate < 1e-3, f"failure rate {fail_rate:.2e} at k={k}"
-        est = batch.estimates[~batch.failed]
-        mse, _ = _mse_and_se(np.sum((est - XVEC_RHO) ** 2, axis=1))
+        mse, _ = _mse_and_se(np.sum((batch.estimates - XVEC_RHO) ** 2, axis=1))
 
         naive = sum(
             exact_threshold_variance(float(r), threshold_for_budget(k / 2))

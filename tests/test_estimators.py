@@ -97,7 +97,6 @@ class TestThresholdTrials:
         batch = crossing_trials(plan, substream(SEED, 1), 100_000)
         assert batch.estimates.shape == (100_000, 1)
         assert batch.truth == pytest.approx([rho])
-        assert not batch.failed.any()
         assert_mean_close(batch.estimates[:, 0], rho)
 
     @pytest.mark.parametrize("rho,k", [(0.5, 20.0), (-0.8, 10.0), (0.0, 40.0)])
@@ -155,7 +154,6 @@ class TestMaxTrials:
     def test_unbiased(self, rho):
         batch = max_trials(GaussianScalar(rho), 10, substream(SEED, 11), 100_000)
         assert_mean_close(batch.estimates[:, 0], rho)
-        assert not batch.failed.any()
 
     @pytest.mark.parametrize("rho,k", [(0.5, 10), (0.9, 6)])
     def test_variance_matches_closed_form(self, rho, k):
@@ -357,10 +355,9 @@ class TestCltTrials:
         model = self.literal_model()
         t = threshold_for_budget(k)
         s = inverse_mills(t)
-        batch = crossing_trials(clt_plan(model, k, cap=4096), substream(SEED, 44), 800)
+        batch = crossing_trials(clt_plan(model, k), substream(SEED, 44), 800)
         assert math.isnan(batch.bits_expected)
         assert batch.bits_realized is None
-        assert not batch.failed.any()
         # Sum of two unit-variance uniforms is triangular; integrate its tail
         # to get the exact conditional mean of the block average.
         half = 2.0 * math.sqrt(3.0)
@@ -371,12 +368,13 @@ class TestCltTrials:
         assert_mean_close(batch.estimates[:, 0], 0.6 * cond_mean / s, n_se=5.0)
         assert_mean_close(batch.samples, 1.0 / tail_p, n_se=5.0)
 
-    def test_literal_scan_cap_marks_failures(self):
-        plan = clt_plan(self.literal_model(), 6.0, cap=8)
-        batch = crossing_trials(plan, substream(SEED, 45), 400)
-        assert batch.failed.any()
-        assert np.isnan(batch.estimates[batch.failed, 0]).all()
-        assert np.all(batch.samples[batch.failed] == 8)
+    def test_capped_walk_raises(self):
+        # A trial never drops out of the batch: a walk past its cap stops the run.
+        block = BlockAveraged(AdditiveNoise(0.2, UnitLaplace(), StdNormal()), 4)
+        plan = replace(clt_plan(block, 6.0), walk_cap=2)
+        t = threshold_for_budget(6.0)
+        with pytest.raises(TrialFailureError, match=f"threshold {t:.6g} within its cap of 2 rows"):
+            crossing_trials(plan, substream(SEED, 45), 400)
 
     def test_literal_scan_refuses_realized_accounting(self):
         with pytest.raises(ConfigurationError, match="realized accounting"):
@@ -583,7 +581,6 @@ class TestXVecTrials:
     def test_unquantized_unbiased_and_never_degenerate(self):
         params = stopping_params_from_body_budget(40.0, 2, 0.3)
         batch = xvec_core_batch(self.model(), params, substream(SEED, 71), 100_000)
-        assert not batch.failed.any()
         for col in range(2):
             assert_mean_close(batch.estimates[:, col], self.RHO[col])
 
@@ -605,7 +602,6 @@ class TestXVecTrials:
         params = allocate_bits_xvec(k, 2)
         batch = xvec_core_batch(self.model(), params, substream(SEED, 73), 100_000)
         assert batch.bits_expected == pytest.approx(k, abs=1e-6)
-        assert not batch.failed.any()
         for col in range(2):
             assert_mean_close(batch.estimates[:, col], self.RHO[col], extra=5e-3)
 
@@ -689,7 +685,6 @@ class TestXVecTrials:
             core = xvec_core_batch(model, branch, core_rng, 3_000)
             np.testing.assert_array_equal(pair.estimates, core.estimates)
             np.testing.assert_array_equal(pair.samples, core.samples)
-            np.testing.assert_array_equal(pair.failed, core.failed)
             assert pair.bits_expected == core.bits_expected
             assert pair.bits_realized is None
         np.testing.assert_array_equal(rng.random(64), core_rng.random(64))
@@ -716,7 +711,6 @@ class TestXVecTrials:
             sys.setswitchinterval(switch)
         for one, other in zip(serial, threaded):
             np.testing.assert_array_equal(one.estimates, other.estimates)
-            np.testing.assert_array_equal(one.failed, other.failed)
             np.testing.assert_array_equal(one.samples, other.samples)
 
     def test_tiny_body_budget_is_rejected(self):

@@ -101,7 +101,6 @@ def reduce_chunks(chunks: list) -> SweepRow:
         harness._chunk_partial(TrialBatch(
             estimates=np.asarray(c, dtype=float)[:, None], truth=np.zeros(1),
             bits_expected=0.0, bits_realized=None, samples=np.ones(len(c)),
-            failed=np.zeros(len(c), dtype=bool),
         ))
         for c in chunks
     ]
@@ -127,22 +126,15 @@ class TestStreamingMoments:
         assert row.bias == pytest.approx(3.7, rel=1e-15)
         assert row.variance == 0.0
 
-    def test_empty_accumulator_rejected(self):
-        with pytest.raises(TrialFailureError, match="no successful trials"):
-            reduce_chunks([])
-
 
 def reference_chunk_partial(batch: TrialBatch) -> dict:
     """The chunk reducer as it was on numpy arrays throughout: the oracle for the fast one."""
-    fail = int(np.count_nonzero(batch.failed))
-    estimates = batch.estimates[~batch.failed] if fail else batch.estimates
-    err = estimates - batch.truth[None, :]
+    err = batch.estimates - batch.truth[None, :]
     row_sum = _row_sums(err)
     e2 = err * err
     norm2 = _row_sums(e2)
     partial = {
-        "n": int(batch.failed.shape[0]),
-        "fail": fail,
+        "n": batch.n,
         "s1": err.sum(axis=0),
         "s2": e2.sum(axis=0),
         "s3": (e2 * err).sum(axis=0),
@@ -160,9 +152,7 @@ def reference_chunk_partial(batch: TrialBatch) -> dict:
 
 
 def reference_reduce_cell(partials: list[dict], meta: dict, theory: tuple, scheme: str) -> SweepRow:
-    n_total = sum(p["n"] for p in partials)
-    failures = sum(p["fail"] for p in partials)
-    n = n_total - failures
+    n = sum(p["n"] for p in partials)
     d = meta["d"]
     s1 = np.array([math.fsum(float(p["s1"][j]) for p in partials) for j in range(d)])
     s2 = np.array([math.fsum(float(p["s2"][j]) for p in partials) for j in range(d)])
@@ -187,14 +177,14 @@ def reference_reduce_cell(partials: list[dict], meta: dict, theory: tuple, schem
     mse_se = math.sqrt(max(q2 / n - mse * mse, 0.0) / n)
     bits_realized = None
     if all("bits_realized" in p for p in partials):
-        bits_realized = math.fsum(p["bits_realized"] for p in partials) / n_total
+        bits_realized = math.fsum(p["bits_realized"] for p in partials) / n
     return SweepRow(
         scheme=scheme, d=d, k=meta["k"], rho_spec=tuple(meta["rho_spec"]), alpha=meta["alpha"],
-        m=meta["m"], b0=meta["b0"], trials=n_total, failures=failures, bias=bias,
+        m=meta["m"], b0=meta["b0"], trials=n, failures=0, bias=bias,
         bias_se=bias_se, variance=variance, variance_se=variance_se, mse=mse,
         theory_exact=theory[0], theory_asymptotic=theory[1], theory_bound=theory[2],
         bits_expected_mean=partials[0]["bits_expected"], mse_se=mse_se,
-        bits_realized_mean=bits_realized, samples_mean=samples / n_total,
+        bits_realized_mean=bits_realized, samples_mean=samples / n,
     )
 
 
@@ -210,12 +200,13 @@ def row_bits(row: SweepRow) -> tuple:
 class TestReducerOracle:
     """The sweep reducer against its plain numpy form, bit for bit."""
 
-    @pytest.mark.parametrize("realized", [False, True])
-    @pytest.mark.parametrize("with_failures", [False, True])
+    # The "False-" in each id is where a failed-trials axis used to be: the ids,
+    # seeds and data of the cases without failed trials stay as they were.
+    @pytest.mark.parametrize("realized", [False, True], ids=["False-False", "False-True"])
     @pytest.mark.parametrize("n_chunks", [1, 2, 6])
     @pytest.mark.parametrize("d", [1, 2, 4, 8, 9])
-    def test_rows_match_the_numpy_reducer(self, d, n_chunks, with_failures, realized):
-        rng = np.random.default_rng(1000 * d + 10 * n_chunks + 2 * with_failures + realized)
+    def test_rows_match_the_numpy_reducer(self, d, n_chunks, realized):
+        rng = np.random.default_rng(1000 * d + 10 * n_chunks + realized)
         truth = rng.uniform(-0.9, 0.9, d)
         meta = {"d": d, "k": 12.5, "rho_spec": tuple(truth), "alpha": None, "m": None,
                 "b0": None}
@@ -229,14 +220,10 @@ class TestReducerOracle:
                 est = np.broadcast_to(truth + scale, (size, d)).copy()
             else:
                 est = truth + scale * rng.standard_t(3 + c, (size, d))
-            failed = np.zeros(size, dtype=bool)
-            if with_failures and size > 2:
-                failed[rng.random(size) < 0.1] = True
-                est[failed] = np.nan
             bits = rng.integers(1, 40, size) if realized else None
             batches.append(TrialBatch(
                 estimates=est, truth=truth, bits_expected=12.5, bits_realized=bits,
-                samples=np.ceil(rng.exponential(100.0, size)), failed=failed,
+                samples=np.ceil(rng.exponential(100.0, size)),
             ))
         theory = (0.25, 0.125, None)
         fast = harness._reduce_cell([harness._chunk_partial(b) for b in batches], meta, theory, "x")
@@ -255,7 +242,7 @@ class TestReducerOracle:
         if case == "nan":
             est[17, 0] = np.nan
         batch = TrialBatch(estimates=est, truth=truth, bits_expected=3.0, bits_realized=None,
-                           samples=np.ones(999), failed=np.zeros(999, dtype=bool))
+                           samples=np.ones(999))
         meta = {"d": d, "k": 3.0, "rho_spec": tuple(truth), "alpha": None, "m": None, "b0": None}
         fast = harness._reduce_cell([harness._chunk_partial(batch)], meta, (None,) * 3, "x")
         slow = reference_reduce_cell([reference_chunk_partial(batch)], meta, (None,) * 3, "x")
@@ -281,7 +268,7 @@ class TestReducerOracle:
 
 
 def batch_bits(batch: TrialBatch) -> tuple:
-    arrays = (batch.estimates, batch.truth, batch.samples, batch.failed)
+    arrays = (batch.estimates, batch.truth, batch.samples)
     realized = None if batch.bits_realized is None else batch.bits_realized.tobytes()
     return tuple(a.tobytes() for a in arrays) + (float(batch.bits_expected).hex(), realized)
 
@@ -689,57 +676,6 @@ class TestRunSweep:
         assert row.bits_expected_mean == pytest.approx(40.0, abs=2e-6)
         assert abs(row.mse - row.theory_exact) <= 4.0 * row.mse_se
 
-    def test_failure_rate_above_ten_percent_aborts(self, monkeypatch):
-        spec = harness._SCHEMES["threshold"]
-
-        def flaky(config, point):
-            batch_fn, meta, theory = spec.build(config, point)
-
-            def wrapped(rng, size):
-                batch = batch_fn(rng, size)
-                failed = batch.failed.copy()
-                failed[: size // 5] = True
-                return TrialBatch(
-                    estimates=batch.estimates, truth=batch.truth,
-                    bits_expected=batch.bits_expected,
-                    bits_realized=batch.bits_realized,
-                    samples=batch.samples, failed=failed,
-                )
-            return wrapped, meta, theory
-
-        monkeypatch.setitem(harness._SCHEMES, "threshold", spec._replace(build=flaky))
-        config = ExperimentConfig.from_text(THRESHOLD_TEXT, trials=1000)
-        with pytest.raises(TrialFailureError, match="more than 10%"):
-            run_sweep(config, threads=1)
-
-    def test_small_failure_rate_is_excluded_from_aggregates(self, monkeypatch):
-        spec = harness._SCHEMES["threshold"]
-
-        def flaky(config, point):
-            batch_fn, meta, theory = spec.build(config, point)
-
-            def wrapped(rng, size):
-                batch = batch_fn(rng, size)
-                failed = batch.failed.copy()
-                failed[: size // 20] = True
-                est = batch.estimates.copy()
-                est[failed] = np.nan
-                return TrialBatch(
-                    estimates=est, truth=batch.truth,
-                    bits_expected=batch.bits_expected,
-                    bits_realized=batch.bits_realized,
-                    samples=batch.samples, failed=failed,
-                )
-            return wrapped, meta, theory
-
-        monkeypatch.setitem(harness._SCHEMES, "threshold", spec._replace(build=flaky))
-        config = ExperimentConfig.from_text(THRESHOLD_TEXT, trials=10_000)
-        rows = run_sweep(config, threads=2)
-        for row in rows:
-            assert row.failures == pytest.approx(0.05 * row.trials, rel=0.05)
-            assert math.isfinite(row.variance)
-            assert abs(row.variance - row.theory_exact) <= 5.0 * row.variance_se
-
     def test_invalid_thread_count(self):
         config = ExperimentConfig.from_text(THRESHOLD_TEXT, trials=200)
         with pytest.raises(ConfigurationError, match="threads"):
@@ -791,7 +727,7 @@ class TestChunkPipeline:
         monkeypatch.setattr(harness, "CHUNK_TRIALS", 1000)
 
     def flaky(self, monkeypatch, calls, raising_cell=None, hold=None):
-        """Cell 0 fails 20% of its trials; ``raising_cell``'s chunks raise.
+        """Cell 0's last chunk raises as a capped walk does; ``raising_cell``'s chunks raise.
 
         Every chunk call is appended to ``calls`` when it starts. With a
         ``hold`` event, cell 1's chunks then wait for it (at most 1 s).
@@ -808,12 +744,10 @@ class TestChunkPipeline:
                     hold.wait(timeout=1.0)
                 if cell == raising_cell:
                     raise RuntimeError(f"chunk of cell {cell} broke")
-                batch = batch_fn(rng, size)
-                if cell != 0:
-                    return batch
-                failed = batch.failed.copy()
-                failed[: size // 5] = True
-                return dataclasses.replace(batch, failed=failed)
+                # The last chunk is the only one of 500 trials.
+                if cell == 0 and size == 500:
+                    raise TrialFailureError(f"cell {cell}: a walk reached its cap")
+                return batch_fn(rng, size)
             return wrapped, meta, theory
 
         monkeypatch.setitem(harness._SCHEMES, "threshold", spec._replace(build=build))
@@ -838,8 +772,7 @@ class TestChunkPipeline:
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_first_failing_cell_in_grid_order_raises(self, monkeypatch, threads):
         config = self.flaky(monkeypatch, [], raising_cell=1)
-        with pytest.raises(TrialFailureError,
-                           match=r"'k': 6.0, 'rho_spec': \(0.0,\).*more than 10%"):
+        with pytest.raises(TrialFailureError, match="cell 0: a walk reached its cap"):
             run_sweep(config, threads=threads)
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -847,7 +780,7 @@ class TestChunkPipeline:
                                                                         threads):
         calls = []
         config = self.flaky(monkeypatch, calls)
-        with pytest.raises(TrialFailureError, match="more than 10%"):
+        with pytest.raises(TrialFailureError, match="cell 0: a walk reached its cap"):
             run_sweep(config, threads=threads)
         assert calls.count(0) == PIPELINE_CHUNKS
         assert len(calls) <= PIPELINE_CHUNKS + 2 * threads + 1
@@ -858,7 +791,7 @@ class TestChunkPipeline:
         # the two chunks queued behind it must never start.
         calls = []
         config = self.flaky(monkeypatch, calls, hold=threading.Event())
-        with pytest.raises(TrialFailureError, match="more than 10%"):
+        with pytest.raises(TrialFailureError, match="cell 0: a walk reached its cap"):
             run_sweep(config, threads=1)
         assert calls in ([0] * PIPELINE_CHUNKS, [0] * PIPELINE_CHUNKS + [1])
 
@@ -908,8 +841,6 @@ class TestCsvOutput:
     def test_row_validation(self):
         with pytest.raises(ConfigurationError, match="negative"):
             self.make_row(variance=-1e-9)
-        with pytest.raises(ConfigurationError, match="failure count"):
-            self.make_row(failures=2000)
 
 
 class TestCli:
@@ -1103,6 +1034,25 @@ class TestCli:
         assert main(["theory", "pareto", "--k", "30", "--rho", "0.6", "--alpha", "4"]) == 0
         assert capsys.readouterr().out == default
 
+    def test_run_capped_walk_exits_two(self, tmp_path, monkeypatch, capsys):
+        # Each chunk walks Laplace block averages with a 2-row cap, which a
+        # walk at this budget passes in most trials.
+        block = BlockAveraged(AdditiveNoise(0.2, UnitLaplace(), StdNormal()), 4)
+        plan = dataclasses.replace(clt_plan(block, 6.0), walk_cap=2)
+        spec = harness._SCHEMES["clt"]
+
+        def build(config, point):
+            _, meta, theory = spec.build(config, point)
+            return (lambda rng, size: crossing_trials(plan, rng, size)), meta, theory
+
+        monkeypatch.setitem(harness._SCHEMES, "clt", spec._replace(build=build))
+        path = self.write_config(tmp_path, "scheme = clt\ngrid.k = 6\nmodel.m = 4\n"
+                                           "grid.rho = 0.5\ntrials = 500\nseed = 1\n")
+        assert main(["run", path, "--threads", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "runtime failure" in captured.err and "cap of 2 rows" in captured.err
+        assert captured.out == ""
+
     def test_run_unwritable_out_exits_three(self, tmp_path, capsys):
         out_path = tmp_path / "missing" / "rows.csv"
         assert main(["run", self.write_config(tmp_path), "--out", str(out_path)]) == 3
@@ -1136,3 +1086,18 @@ class TestCli:
         assert code == 2
         assert "selftest FAIL index code lengths" in err
         assert "1 of 5 checks failed" in err
+
+    def test_selftest_checks_survive_python_dash_o(self):
+        # -O strips assert statements; the selftest's checks must still fail.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        script = ("import sys, numpy as np, corrlink.protocol as p\n"
+                  "p.golomb_length_array = lambda j, m: np.ones(np.shape(j))\n"
+                  "from corrlink.cli import main\n"
+                  "sys.exit(main(['selftest']))\n")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "selftest FAIL index code lengths" in proc.stderr
