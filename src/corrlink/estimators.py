@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigurationError, TrialFailureError
-from .linalg import _row_sums
+from .linalg import _off_diagonal, _row_sums
 from .protocol import (
     LedgerMode,
     ParetoAllocation,
@@ -282,6 +282,11 @@ def pareto_plan(model: AdditiveNoise, k: float, mode: LedgerMode = LedgerMode.EX
 # Vector schemes.
 
 
+# Trials per draw block. A block's C-order uniforms fill a small buffer that
+# is transposed into the entry-major stack while it is still in cache.
+_DRAW_BLOCK = 512
+
+
 def stopping_matrix_batch(
     d: int, a: float, b: float, rng: np.random.Generator, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -291,7 +296,8 @@ def stopping_matrix_batch(
     l two-sided tail-conditioned beyond ``a``, the others truncated inside
     (-b, b). Gaps between consecutive selections are geometric with the
     stopping-set crossing probability. Returns (W with shape (size, d, d),
-    gaps with shape (size, d)).
+    gaps with shape (size, d)). W is a view of an entry-major (d, d, size)
+    array: entry (i, j) of every trial is one contiguous run.
     """
     p = _stopping_crossing_prob(a, b, d)
     q_a = float(qfunc(a))
@@ -301,14 +307,18 @@ def stopping_matrix_batch(
     mags = _open_uniform(rng, (size, d))
     mags *= q_a
     _qinv_unchecked(mags, out=mags)
-    # Weak off-diagonals: normal truncated to (-b, b) via its probability
-    # band, drawn straight into the stack and transformed in place.
-    w = np.empty((size, d, d))
+    w = np.empty((d, d, size)).transpose(2, 0, 1)
     if d > 1:
-        _open_uniform(rng, out=w)
-        w *= 1.0 - 2.0 * q_b
-        w += q_b
-        _qinv_unchecked(w, out=w)
+        # Each trial's d x d uniforms come in C order, the diagonal's unused.
+        block = np.empty((min(size, _DRAW_BLOCK), d, d))
+        for start in range(0, size, _DRAW_BLOCK):
+            stop = min(start + _DRAW_BLOCK, size)
+            w[start:stop] = _open_uniform(rng, out=block[: stop - start])
+        # Weak off-diagonals: normal truncated to (-b, b) via its probability band.
+        for part in _off_diagonal(w):
+            part *= 1.0 - 2.0 * q_b
+            part += q_b
+            _qinv_unchecked(part, out=part)
     # Sign from u < 0.5, as u - 0.5 is negative exactly when u < 0.5.
     signs -= 0.5
     np.copysign(mags, signs, out=np.einsum("nii->ni", w))
@@ -316,49 +326,52 @@ def stopping_matrix_batch(
     return w, _geometric_index(p, rng, (size, d))
 
 
-# Trials per elimination block. Each step of the solve is one numpy op over
-# this many contiguous values, and a block's buffers stay cache-sized.
+# Trials per elimination block, so that a block's rows stay in cache.
 _SOLVE_BLOCK = 4096
 
 
 def _left_solve(w: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Rows x with x W = y for a (n, d, d) stack.
+    """Rows x with x W = y for a (n, d, d) stack, in place: returns ``y`` holding x.
 
     Gaussian elimination without pivoting on W^T x = y, over blocks of
-    ``_SOLVE_BLOCK`` trials copied to a trials-last (d, d + 1, block) buffer
-    whose last column is y. No pivot is needed: every :class:`StoppingSetParams`
-    has a > d(b + 1), so each selection matrix (|W_ii| > a, |W_ij| < b) and its
-    midpoint quantization (diagonal magnitudes in (a, sqrt(3) a), off-diagonals
-    in (-b, b)) is strictly diagonally dominant by rows and by columns. There
-    every leading minor is nonsingular, elimination without pivoting is
-    stable with growth factor <= 2, and partial pivoting would never swap rows.
+    ``_SOLVE_BLOCK`` trials; ``w`` is overwritten by the factors. Each step
+    is one numpy operation over a block, which on an entry-major stack and
+    an (n, d) view of trials-last ``y`` runs over contiguous trials. No pivot
+    is needed: every :class:`StoppingSetParams` has a > d(b + 1), so each
+    selection matrix (|W_ii| > a, |W_ij| < b) and its midpoint quantization
+    (diagonal magnitudes in (a, sqrt(3) a), off-diagonals in (-b, b)) is
+    strictly diagonally dominant by rows and by columns. There every leading
+    minor is nonsingular, elimination without pivoting is stable with growth
+    factor <= 2, and partial pivoting would never swap rows.
     """
     n, d = y.shape
-    x = np.empty((n, d))
-    buf = np.empty((d, d + 1, min(n, _SOLVE_BLOCK)))
-    tmp = np.empty((d, buf.shape[-1]))
+    # Entry-major scratch for the products of one step.
+    prod = np.empty((d - 1, d - 1, min(n, _SOLVE_BLOCK))).transpose(2, 0, 1)
     for start in range(0, n, _SOLVE_BLOCK):
-        stop = min(start + _SOLVE_BLOCK, n)
-        a = buf[..., : stop - start]
-        np.copyto(a[:, :d], w[start:stop].transpose(2, 1, 0))
-        np.copyto(a[:, d], y[start:stop].T)
-        # Forward elimination; column k below the pivot keeps the multipliers.
+        a = w[start:start + _SOLVE_BLOCK]
+        x = y[start:start + _SOLVE_BLOCK]
+        m = x.shape[0]
+        # Forward elimination: row k right of the pivot turns into the
+        # multipliers W_ki / W_kk, which clear W_ck and x_k from every later
+        # column c and right-hand side entry.
         for k in range(d - 1):
-            np.divide(a[k + 1:, k], a[k, k], out=a[k + 1:, k])
-            t = tmp[: d - k, : stop - start]
-            for i in range(k + 1, d):
-                np.multiply(a[i, k], a[k, k + 1:], out=t)
-                a[i, k + 1:] -= t
-        # Back substitution, column by column, in the y column.
-        xb = a[:, d]
+            r = d - 1 - k
+            mult = a[:, k, k + 1:]
+            np.divide(mult, a[:, k, k, None], out=mult)
+            t = prod[:m, :r, :r]
+            np.multiply(a[:, k + 1:, k, None], mult[:, None, :], out=t)
+            a[:, k + 1:, k + 1:] -= t
+            t = prod[:m, 0, :r]
+            np.multiply(mult, x[:, k, None], out=t)
+            x[:, k + 1:] -= t
+        # Back substitution.
         for k in range(d - 1, -1, -1):
-            xb[k] /= a[k, k]
+            x[:, k] /= a[:, k, k]
             if k:
-                t = tmp[:k, : stop - start]
-                np.multiply(a[:k, k], xb[k], out=t)
-                xb[:k] -= t
-        x[start:stop] = xb.T
-    return x
+                t = prod[:m, 0, :k]
+                np.multiply(a[:, k, :k], x[:, k, None], out=t)
+                x[:, :k] -= t
+    return y
 
 
 def xvec_core_batch(
@@ -372,15 +385,12 @@ def xvec_core_batch(
 
     :func:`allocate_bits_xvec` gives k_q > 0; :func:`stopping_params_from_body_budget`
     gives k_q = 0, which sends the matrix exactly and books only the index bits.
+    The estimates are an F-ordered (size, d) array.
     """
     d = model.dim
     if params.d != d:
         raise ConfigurationError(f"params dimension {params.d} does not match model {d}")
     w, gaps = stopping_matrix_batch(d, params.a, params.b, rng, size)
-    # Bob's Y values read at the selected indices.
-    y = normal_from_uniform(rng, (size, d))
-    y *= math.sqrt(model.noise_var)
-    y += np.einsum("j,njl->nl", model.whitened_rho, w)
     bits_expected = d * geometric_entropy(params.crossing_prob)
     realized = None
     if mode is LedgerMode.REALIZED:
@@ -388,14 +398,29 @@ def xvec_core_batch(
         realized = _row_sums(golomb_length_array(gaps.reshape(-1), m_code).reshape(size, d))
     samples = _row_sums(gaps)
     del gaps
+    # Bob's Y values read at the selected indices, one trials-last run per
+    # coordinate: y = sigma z + rho~^T W, the products summed from j = 0 up.
+    runs = w.transpose(1, 2, 0)
+    rho = model.whitened_rho
+    y = np.multiply(runs[0], rho[0])
+    term = np.empty_like(y)
+    for j in range(1, d):
+        np.multiply(runs[j], rho[j], out=term)
+        y += term
+    del term
+    z = normal_from_uniform(rng, (size, d))
+    z *= math.sqrt(model.noise_var)
+    y += z.T
+    del z
     if params.k_q > 0.0:
         # y is formed, so the exact selection matrices are no longer needed.
         q = quantize_W_matrix(w, params, out=w)
         bits_expected += q.bits_expected
         if realized is not None:
             realized = realized + q.bits_realized
+    _left_solve(w, y.T)
     return TrialBatch(
-        estimates=_left_solve(w, y) @ model.sqrt_sigma_x,
+        estimates=(model.sqrt_sigma_x.T @ y).T,
         truth=model.true_correlations(),
         bits_expected=bits_expected,
         bits_realized=realized,

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import analysis
-from .errors import ConfigurationError, CorrlinkError
+from .errors import ConfigurationError, CorrlinkError, TrialFailureError
 from .estimators import (
     TrialBatch,
     clt_plan,
@@ -686,7 +686,8 @@ def run_sweep(config: ExperimentConfig, threads: Optional[int] = None) -> list[S
     while earlier ones are reduced, and the chunks in flight do not grow with
     the grid. Partials are collected and reduced in the same order. The first
     failing cell in grid order raises once the chunks still queued are
-    cancelled; what later chunks already computed is dropped.
+    cancelled, a failed trial's ``TrialFailureError`` naming its grid point;
+    what later chunks already computed is dropped.
     """
     if threads is None:
         threads = _default_threads()
@@ -707,12 +708,15 @@ def run_sweep(config: ExperimentConfig, threads: Optional[int] = None) -> list[S
     rows: list[SweepRow] = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
         try:
-            for _, meta, theory in config._cells:
+            for point, (_, meta, theory) in zip(config.points(), config._cells):
                 partials = []
                 for _ in sizes:
                     for job in islice(jobs, lookahead - len(pending)):
                         pending.append(pool.submit(run_chunk, *job))
-                    partials.append(pending.popleft().result())
+                    try:
+                        partials.append(pending.popleft().result())
+                    except TrialFailureError as exc:
+                        raise TrialFailureError(f"grid point {point}: {exc}") from exc
                 columns = (theory.theory_exact, theory.theory_asymptotic, theory.theory_bound)
                 rows.append(_reduce_cell(partials, meta, columns, config.scheme))
         except BaseException:

@@ -142,3 +142,20 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
         total += a[..., j]
     return total
 
+
+def _off_diagonal(a: np.ndarray) -> list[np.ndarray]:
+    """Views of every off-diagonal entry of a (..., d, d) stack.
+
+    Row i gives the view of its entries left of the diagonal and the view of
+    those right of it, leaving out empty ones. In an entry-major stack, where
+    entry (i, j) of every trial is one contiguous run, each view is one
+    contiguous stretch of memory.
+    """
+    d = a.shape[-1]
+    parts = []
+    for i in range(d):
+        if i:
+            parts.append(a[..., i, :i])
+        if i < d - 1:
+            parts.append(a[..., i, i + 1:])
+    return parts

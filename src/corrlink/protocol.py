@@ -18,6 +18,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
+from .linalg import _off_diagonal
 from .statmath import geometric_entropy, geometric_entropy_inv, qfunc, qfunc_inv
 
 __all__ = [
@@ -200,18 +201,19 @@ def quantize_W_matrix(
     cells = max(cells - cells % 2, 2)
     half = cells // 2
     a = params.a
-    # The diagonal is read into (..., d) arrays before ``out`` overwrites it.
-    diag = np.diagonal(w, axis1=-2, axis2=-1)
-    mag = np.abs(diag)
+    # Diagonal magnitudes on [a, sqrt(3) a], signs kept; the sign is read
+    # before ``out`` (which may be ``w``) takes the magnitude.
+    diag = np.einsum("...ii->...i", w)
+    sign = np.sign(diag)
+    mag = np.einsum("...ii->...i", out)
+    np.abs(diag, out=mag)
     _midpoint(mag, a, (_SQRT3 * a - a) / half, half, out=mag)
-    mag *= np.sign(diag)
-    # Every entry goes through the off-diagonal map; the diagonal is then
-    # overwritten with its own values.
-    if params.b > 0.0:
-        _midpoint(w, -params.b, 2.0 * params.b / cells, cells, out=out)
-    else:
-        out.fill(0.0)
-    np.einsum("...ii->...i", out)[...] = mag
+    mag *= sign
+    for entries, dest in zip(_off_diagonal(w), _off_diagonal(out)):
+        if params.b > 0.0:
+            _midpoint(entries, -params.b, 2.0 * params.b / cells, cells, out=dest)
+        else:
+            dest.fill(0.0)
     return QuantizedPayload(out, expected, math.ceil(d * d * math.log2(cells)))
 
 

@@ -666,7 +666,7 @@ class TestXVecTrials:
         rng = substream(SEED, 95 + d)
         y = rng.standard_normal((w.shape[0], d))
         recon = sym_sqrt(CorrelationMatrix.equicorrelated(d, 0.4).values)
-        est = _left_solve(w, y) @ recon
+        est = _left_solve(w.copy(), y.copy()) @ recon
         inv = np.linalg.inv(w)
         inv = inv + inv @ (np.eye(d) - w @ inv)
         expected = np.einsum("nl,nlk,km->nm", y, inv, recon)
@@ -724,7 +724,10 @@ class TestXVecTrials:
 
 
 class TestLeftSolve:
-    """The blocked elimination behind every xvec reconstruction, against LAPACK."""
+    """The blocked elimination behind every xvec reconstruction, against LAPACK.
+
+    The solve works in place, so each call gets copies of the shared draws.
+    """
 
     @staticmethod
     def lapack(w, y):
@@ -748,7 +751,7 @@ class TestLeftSolve:
             w = quantize_W_matrix(w, params).values
         y = substream(SEED, 120 + d).standard_normal((w.shape[0], d))
         for n in (1, _SOLVE_BLOCK - 1, _SOLVE_BLOCK, _SOLVE_BLOCK + 1, 16_384):
-            x = _left_solve(w[:n], y[:n])
+            x = _left_solve(w[:n].copy(), y[:n].copy())
             assert x.shape == (n, d)
             self.assert_within_8_ulps(x, self.lapack(w[:n], y[:n]))
 
@@ -760,10 +763,10 @@ class TestLeftSolve:
         params = StoppingSetParams(a=5.0, b=0.3, d=d, k_l=20.0, k_q=3.0)
         w, _ = stopping_matrix_batch(d, params.a, params.b, substream(SEED, 130), n)
         y = substream(SEED, 131).standard_normal((n, d))
-        full = _left_solve(w, y)
+        full = _left_solve(w.copy(), y.copy())
         self.assert_within_8_ulps(full, self.lapack(w, y))
         for m in (1, block - 1, block, block + 1, 2 * block + 1):
-            np.testing.assert_array_equal(_left_solve(w[:m], y[:m]), full[:m])
+            np.testing.assert_array_equal(_left_solve(w[:m].copy(), y[:m].copy()), full[:m])
 
     def test_averaged_bound_stack_without_row_dominance(self):
         # Row 0 and column 1 outweigh their diagonal entries, so no matrix is
@@ -784,9 +787,27 @@ class TestLeftSolve:
         for k in range(1, d + 1):
             assert np.all(np.abs(np.linalg.det(w[:, :k, :k])) >= 1.0)
         y = rng.standard_normal((n, d))
-        est = _left_solve(w, y)
+        est = _left_solve(w.copy(), y.copy())
         assert np.isfinite(est).all()
         self.assert_within_8_ulps(est, self.lapack(w, y))
+
+    @pytest.mark.parametrize("layout", ["entry-major", "C"])
+    def test_solves_in_place(self, layout):
+        # The solution overwrites y, whatever the layout of the stack and of y.
+        from corrlink.estimators import _left_solve
+
+        d, n = 4, 700
+        params = StoppingSetParams(a=7.0, b=0.3, d=d, k_l=20.0, k_q=3.0)
+        w, _ = stopping_matrix_batch(d, params.a, params.b, substream(SEED, 133), n)
+        y = substream(SEED, 134).standard_normal((n, d))
+        expected = _left_solve(np.ascontiguousarray(w), y.copy())
+        if layout == "entry-major":
+            y = np.asfortranarray(y)
+        else:
+            w = np.ascontiguousarray(w)
+        x = _left_solve(w, y)
+        assert x is y
+        np.testing.assert_array_equal(x, expected)
 
 
 class TestLinearBaseline:

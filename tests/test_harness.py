@@ -202,10 +202,15 @@ class TestReducerOracle:
 
     # The "False-" in each id is where a failed-trials axis used to be: the ids,
     # seeds and data of the cases without failed trials stay as they were.
-    @pytest.mark.parametrize("realized", [False, True], ids=["False-False", "False-True"])
+    # C-ordered estimates keep those ids; F-ordered ones, the layout xvec
+    # chunks return, add "-F".
+    @pytest.mark.parametrize(
+        "realized,order", [(False, "C"), (True, "C"), (False, "F"), (True, "F")],
+        ids=["False-False", "False-True", "False-False-F", "False-True-F"],
+    )
     @pytest.mark.parametrize("n_chunks", [1, 2, 6])
     @pytest.mark.parametrize("d", [1, 2, 4, 8, 9])
-    def test_rows_match_the_numpy_reducer(self, d, n_chunks, realized):
+    def test_rows_match_the_numpy_reducer(self, d, n_chunks, realized, order):
         rng = np.random.default_rng(1000 * d + 10 * n_chunks + realized)
         truth = rng.uniform(-0.9, 0.9, d)
         meta = {"d": d, "k": 12.5, "rho_spec": tuple(truth), "alpha": None, "m": None,
@@ -222,7 +227,8 @@ class TestReducerOracle:
                 est = truth + scale * rng.standard_t(3 + c, (size, d))
             bits = rng.integers(1, 40, size) if realized else None
             batches.append(TrialBatch(
-                estimates=est, truth=truth, bits_expected=12.5, bits_realized=bits,
+                estimates=np.asarray(est, order=order), truth=truth, bits_expected=12.5,
+                bits_realized=bits,
                 samples=np.ceil(rng.exponential(100.0, size)),
             ))
         theory = (0.25, 0.125, None)
@@ -1052,6 +1058,27 @@ class TestCli:
         captured = capsys.readouterr()
         assert "runtime failure" in captured.err and "cap of 2 rows" in captured.err
         assert captured.out == ""
+
+    def test_run_capped_walk_names_its_grid_point(self, tmp_path, monkeypatch, capsys):
+        # The threshold depends on k alone, so only the grid point tells which
+        # block size failed: here only the m = 16 cell walks with a 2-row cap.
+        block = BlockAveraged(AdditiveNoise(0.2, UnitLaplace(), StdNormal()), 16)
+        plan = dataclasses.replace(clt_plan(block, 6.0), walk_cap=2)
+        spec = harness._SCHEMES["clt"]
+
+        def build(config, point):
+            batch_fn, meta, theory = spec.build(config, point)
+            if point["m"] == 16:
+                batch_fn = lambda rng, size: crossing_trials(plan, rng, size)  # noqa: E731
+            return batch_fn, meta, theory
+
+        monkeypatch.setitem(harness._SCHEMES, "clt", spec._replace(build=build))
+        path = self.write_config(tmp_path, "scheme = clt\ngrid.k = 6\ngrid.m = 4, 16\n"
+                                           "grid.rho = 0.5\ntrials = 500\nseed = 1\n")
+        assert main(["run", path, "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "cap of 2 rows" in err
+        assert "grid point {" in err and "'m': 16" in err and "'m': 4" not in err
 
     def test_run_unwritable_out_exits_three(self, tmp_path, capsys):
         out_path = tmp_path / "missing" / "rows.csv"
