@@ -161,7 +161,7 @@ class ExperimentConfig:
         cells = []
         for point in self.points():
             try:
-                cells.append(spec.build(self, point))
+                cells.append(spec.build(self, {**self.model, **point}))
             except (CorrlinkError, ValueError) as exc:
                 raise ConfigurationError(f"grid point {point}: {exc}") from exc
         object.__setattr__(self, "_cells", tuple(cells))
@@ -237,9 +237,12 @@ class ExperimentConfig:
 # axes it honours, and a builder returning (batch_fn(rng, size) -> TrialBatch,
 # metadata dict with d/k/rho_spec/alpha/m/b0, analysis.TheoryReport). The
 # config rejects any other key or axis, because an ignored key would silently
-# do nothing and an ignored axis would repeat identical cells. A first-crossing
-# builder derives its cell's plan here, once; its chunks only draw. Batch
-# functions look their trial function up by name when called.
+# do nothing and an ignored axis would repeat identical cells. A builder reads
+# one mapping per grid point, the model keys merged with the point's values
+# (the config keeps the two key sets disjoint). A first-crossing builder
+# derives its cell's plan here, once; its chunks only draw. Batch functions
+# look their trial function up by name when called, so a wrapper installed
+# after validation, such as a tracing span, still sees every chunk.
 
 
 class _Scheme(NamedTuple):
@@ -252,77 +255,71 @@ def _meta(d: int, k: float, rho_spec, alpha=None, m=None, b0=None) -> dict:
     return {"d": d, "k": k, "rho_spec": tuple(rho_spec), "alpha": alpha, "m": m, "b0": b0}
 
 
-def _model_rho_vector(config: ExperimentConfig, point: dict) -> np.ndarray:
-    rho = config.model.get("rho")
+def _rho(cell: dict, vector: bool):
+    """The cell's correlations as an array, or as one float for a scalar scheme."""
+    rho = cell.get("rho")
     if rho is None:
-        if "rho" in point:
-            return np.array([point["rho"]])
-        raise ConfigurationError("model.rho: required for vector schemes")
-    return np.asarray(rho, dtype=float).reshape(-1)
-
-
-def _scalar_rho(config: ExperimentConfig, point: dict) -> float:
-    if "rho" in point:
-        return float(point["rho"])
-    rho = config.model.get("rho")
-    if rho is None:
-        raise ConfigurationError("rho: provide grid.rho or model.rho")
+        raise ConfigurationError("model.rho: required for vector schemes" if vector
+                                 else "rho: provide grid.rho or model.rho")
     arr = np.asarray(rho, dtype=float).reshape(-1)
+    if vector:
+        return arr
     if arr.size != 1:
         raise ConfigurationError("rho: scalar schemes need a single correlation value")
     return float(arr[0])
 
 
-def _scalar_report(config: ExperimentConfig, k: float, exact: float, fisher: float,
-                   asymptotic: float, bounds: tuple) -> analysis.TheoryReport:
+def _crossing(plan) -> Callable:
+    def batch_fn(rng, size):
+        return crossing_trials(plan, rng, size)
+    return batch_fn
+
+
+def _scalar_report(scheme: str, rho: float, k: float, exact: float, x_second: float,
+                   bound: Optional[tuple] = None) -> analysis.TheoryReport:
+    """A scalar cell's report: the zero-rate benchmark is its asymptote and, by
+    default, its labelled bound."""
+    benchmark = analysis.zhang_berger_optimal(rho, k)
+    fisher = analysis.fisher_scalar(rho, x_second)
     return analysis.TheoryReport(
-        config.scheme, k, theory_exact=exact, theory_asymptotic=asymptotic,
-        crlb_trace=1.0 / fisher, fisher=np.array([[fisher]]), bounds=bounds,
+        scheme, k, theory_exact=exact, theory_asymptotic=benchmark,
+        crlb_trace=1.0 / fisher, fisher=np.array([[fisher]]),
+        bounds=(bound or ("benchmark-zero-rate", benchmark),),
     )
 
 
-def _build_threshold(config: ExperimentConfig, point: dict):
-    rho = _scalar_rho(config, point)
-    k = float(point["k"])
+def _build_threshold(config: ExperimentConfig, cell: dict):
+    rho = _rho(cell, False)
+    k = cell["k"]
     plan = threshold_plan(GaussianScalar(rho=rho), k, config.mode)
-
-    def batch_fn(rng, size):
-        return crossing_trials(plan, rng, size)
-
-    benchmark = analysis.zhang_berger_optimal(rho, k)
-    x_second = truncated_normal_moments(plan.t).second_moment
-    theory = _scalar_report(config, k, analysis._plan_variance(plan),
-                            analysis.fisher_scalar(rho, x_second), benchmark,
-                            (("benchmark-zero-rate", benchmark),))
-    return batch_fn, _meta(1, k, (rho,)), theory
+    theory = _scalar_report(config.scheme, rho, k, analysis._plan_variance(plan),
+                            truncated_normal_moments(plan.t).second_moment)
+    return _crossing(plan), _meta(1, k, (rho,)), theory
 
 
-def _build_max(config: ExperimentConfig, point: dict):
-    rho = _scalar_rho(config, point)
-    k = float(point["k"])
+def _build_max(config: ExperimentConfig, cell: dict):
+    rho = _rho(cell, False)
+    k = cell["k"]
     model = GaussianScalar(rho=rho)
 
     def batch_fn(rng, size):
         return max_trials(model, k, rng, size, mode=config.mode)
 
-    benchmark = analysis.zhang_berger_optimal(rho, k)
-    # The block refuses a fractional budget or one past 924 bits.
+    # The benchmark refuses a budget that is not positive; the block then
+    # refuses a fractional budget or one past 924 bits.
+    analysis.zhang_berger_optimal(rho, k)
     mm = max_normal_moments(_max_block(k))
-    theory = _scalar_report(config, k, analysis.crossing_variance(rho, mm.variance, mm.mean),
-                            analysis.fisher_scalar(rho, mm.second_moment), benchmark,
-                            (("benchmark-zero-rate", benchmark),))
+    theory = _scalar_report(config.scheme, rho, k,
+                            analysis.crossing_variance(rho, mm.variance, mm.mean),
+                            mm.second_moment)
     return batch_fn, _meta(1, k, (rho,)), theory
 
 
-def _build_yvec(config: ExperimentConfig, point: dict):
-    rho = _model_rho_vector(config, point)
-    k = float(point["k"])
+def _build_yvec(config: ExperimentConfig, cell: dict):
+    rho = _rho(cell, True)
+    k = cell["k"]
     sigma_y = CorrelationMatrix(np.outer(rho, rho) + np.diag(1.0 - rho * rho))
     plan = threshold_plan(GaussianYVec(rho=rho, sigma_y=sigma_y), k, config.mode)
-
-    def batch_fn(rng, size):
-        return crossing_trials(plan, rng, size)
-
     asym = float(np.sum(1.0 - rho * rho)) / (2.0 * k * math.log(2.0))
     exj2 = truncated_normal_moments(plan.t).second_moment
     theory = analysis.TheoryReport(
@@ -331,23 +328,23 @@ def _build_yvec(config: ExperimentConfig, point: dict):
         fisher=analysis.fisher_yvec(rho, sigma_y.values, exj2),
         bounds=(("per-coordinate-benchmark-sum", asym),),
     )
-    return batch_fn, _meta(rho.size, k, rho), theory
+    return _crossing(plan), _meta(rho.size, k, rho), theory
 
 
-def _xvec_model(config: ExperimentConfig, rho: np.ndarray) -> GaussianXVec:
+def _xvec_model(cell: dict, rho: np.ndarray) -> GaussianXVec:
     d = rho.size
-    off = float(config.model.get("sigma_offdiag", 0.0))
+    off = float(cell.get("sigma_offdiag", 0.0))
     sigma_x = CorrelationMatrix.equicorrelated(d, off) if off != 0.0 else CorrelationMatrix.identity(d)
     return GaussianXVec(rho=rho, sigma_x=sigma_x)
 
 
-def _build_xvec(config: ExperimentConfig, point: dict, quantize: bool):
+def _build_xvec(config: ExperimentConfig, cell: dict, quantize: bool):
     """``xvec`` splits k between indices and the quantized matrix; ``xvec_exact``
     spends k on each index and sends the matrix exactly."""
-    rho = _model_rho_vector(config, point)
-    k = float(point["k"])
-    b0 = float(point.get("b0", config.model.get("b0", 0.3)))
-    model = _xvec_model(config, rho)
+    rho = _rho(cell, True)
+    k = cell["k"]
+    b0 = float(cell.get("b0", 0.3))
+    model = _xvec_model(cell, rho)
     d = model.dim
     if quantize:
         params = allocate_bits_xvec(k, d, b0)
@@ -378,81 +375,68 @@ def _build_xvec(config: ExperimentConfig, point: dict, quantize: bool):
     return batch_fn, _meta(d, k, rho, b0=b0), theory
 
 
-def _clt_inner(config: ExperimentConfig, point: dict):
-    kind = str(config.model.get("kind", "gaussian")).lower()
+def _clt_inner(cell: dict):
+    kind = str(cell.get("kind", "gaussian")).lower()
     if kind == "binary":
-        if "rho" in point or "rho" in config.model:
+        if "rho" in cell:
             raise ConfigurationError("rho: binary blocks take their correlation from model.p")
-        p_flip = float(config.model.get("p", 0.25))
+        p_flip = float(cell.get("p", 0.25))
         return DoublySymmetricBinary(flip_prob=p_flip)
     if kind != "gaussian":
         raise ConfigurationError(f"model.kind: unknown block kind {kind!r} (known: binary, gaussian)")
-    if "p" in config.model:
+    if "p" in cell:
         raise ConfigurationError("model.p: only binary blocks read the flip probability")
-    return GaussianScalar(rho=_scalar_rho(config, point))
+    return GaussianScalar(rho=_rho(cell, False))
 
 
-def _build_clt(config: ExperimentConfig, point: dict):
-    k = float(point["k"])
-    inner = _clt_inner(config, point)
-    model = BlockAveraged(inner=inner, m=point.get("m", config.model.get("m", 1)))
+def _build_clt(config: ExperimentConfig, cell: dict):
+    k = cell["k"]
+    inner = _clt_inner(cell)
+    model = BlockAveraged(inner=inner, m=cell.get("m", 1))
     plan = clt_plan(model, k, config.mode)
     rho = float(inner.rho)
     t = plan.t
-
-    def batch_fn(rng, size):
-        return crossing_trials(plan, rng, size)
-
     # Exact at every block size; the Gaussian limit is a labelled bound.
     limit = analysis.exact_threshold_variance(rho, t)
-    theory = _scalar_report(config, k, analysis._plan_variance(plan),
-                            analysis.fisher_scalar(rho, truncated_normal_moments(t).second_moment),
-                            analysis.zhang_berger_optimal(rho, k),
-                            (("gaussian-limit-variance", limit),))
-    return batch_fn, _meta(1, k, (rho,), m=model.m), theory
-
-
-def _build_pareto(config: ExperimentConfig, point: dict):
-    rho = _scalar_rho(config, point)
-    k = float(point["k"])
-    alpha = float(point.get("alpha", config.model.get("alpha", 4.0)))
-    model = AdditiveNoise(rho=rho, x_law=ParetoTwoSided(alpha=alpha), z_law=StdNormal())
-    plan = pareto_plan(model, k, config.mode)
-
-    def batch_fn(rng, size):
-        return crossing_trials(plan, rng, size)
-
-    bound, exponent = analysis.pareto_theory(alpha, rho, k)
-    theory = analysis.TheoryReport(
-        config.scheme, k, theory_asymptotic=bound, theory_bound=bound,
-        bounds=(("budget-exponent", exponent),
-                ("unquantized-floor", analysis.pareto_unquantized_floor(alpha, rho))),
-    )
-    return batch_fn, _meta(1, k, (rho,), alpha=alpha), theory
+    theory = _scalar_report(config.scheme, rho, k, analysis._plan_variance(plan),
+                            truncated_normal_moments(t).second_moment,
+                            ("gaussian-limit-variance", limit))
+    return _crossing(plan), _meta(1, k, (rho,), m=model.m), theory
 
 
 _LAW_FACTORIES = {
-    "laplace": lambda config: UnitLaplace(),
-    "gaussian": lambda config: StdNormal(),
-    "pareto": lambda config: ParetoTwoSided(alpha=float(config.model.get("alpha", 4.0))),
+    "laplace": lambda cell: UnitLaplace(),
+    "gaussian": lambda cell: StdNormal(),
+    "pareto": lambda cell: ParetoTwoSided(alpha=float(cell.get("alpha", 4.0))),
 }
 
 
-def _build_additive(config: ExperimentConfig, point: dict):
-    rho = _scalar_rho(config, point)
-    k = float(point["k"])
-    law_name = str(config.model.get("x_law", "laplace")).lower()
+def _build_pareto(config: ExperimentConfig, cell: dict):
+    rho = _rho(cell, False)
+    k = cell["k"]
+    x_law = _LAW_FACTORIES["pareto"](cell)
+    model = AdditiveNoise(rho=rho, x_law=x_law, z_law=StdNormal())
+    plan = pareto_plan(model, k, config.mode)
+    bound, exponent = analysis.pareto_theory(x_law.alpha, rho, k)
+    theory = analysis.TheoryReport(
+        config.scheme, k, theory_asymptotic=bound, theory_bound=bound,
+        bounds=(("budget-exponent", exponent),
+                ("unquantized-floor", analysis.pareto_unquantized_floor(x_law.alpha, rho))),
+    )
+    return _crossing(plan), _meta(1, k, (rho,), alpha=x_law.alpha), theory
+
+
+def _build_additive(config: ExperimentConfig, cell: dict):
+    rho = _rho(cell, False)
+    k = cell["k"]
+    law_name = str(cell.get("x_law", "laplace")).lower()
     if law_name not in _LAW_FACTORIES:
         known = ", ".join(sorted(_LAW_FACTORIES))
         raise ConfigurationError(f"model.x_law: unknown law {law_name!r} (known: {known})")
-    if law_name != "pareto" and "alpha" in config.model:
+    if law_name != "pareto" and "alpha" in cell:
         raise ConfigurationError("model.alpha: only the pareto x_law reads a tail index")
-    x_law = _LAW_FACTORIES[law_name](config)
+    x_law = _LAW_FACTORIES[law_name](cell)
     plan = threshold_plan(AdditiveNoise(rho=rho, x_law=x_law, z_law=StdNormal()), k, config.mode)
-
-    def batch_fn(rng, size):
-        return crossing_trials(plan, rng, size)
-
     bounds = ()
     if law_name == "laplace":
         asym = analysis.laplace_theory(rho, k)
@@ -465,16 +449,16 @@ def _build_additive(config: ExperimentConfig, point: dict):
         config.scheme, k, theory_exact=analysis._plan_variance(plan),
         theory_asymptotic=asym, bounds=bounds,
     )
-    return batch_fn, _meta(1, k, (rho,), alpha=getattr(x_law, "alpha", None)), theory
+    return _crossing(plan), _meta(1, k, (rho,), alpha=getattr(x_law, "alpha", None)), theory
 
 
-def _build_linear(config: ExperimentConfig, point: dict):
-    rho = _model_rho_vector(config, point)
+def _build_linear(config: ExperimentConfig, cell: dict):
+    rho = _rho(cell, True)
+    k = cell["k"]
     if rho.size != 2:
         raise ConfigurationError("model.rho: the transform baseline needs exactly two correlations")
-    k = float(point["k"])
-    model = _xvec_model(config, rho)
-    transform = str(config.model.get("transform", "whiten")).lower()
+    model = _xvec_model(cell, rho)
+    transform = str(cell.get("transform", "whiten")).lower()
     if transform == "whiten":
         m_transform = model.inv_sqrt_sigma_x
     elif transform == "identity":
@@ -638,12 +622,7 @@ def _reduce_cell(partials: list[dict], meta: dict, theory: tuple, scheme: str) -
         bits_realized = math.fsum(p["bits_realized"] for p in partials) / n
     return SweepRow(
         scheme=scheme,
-        d=d,
-        k=meta["k"],
-        rho_spec=tuple(meta["rho_spec"]),
-        alpha=meta["alpha"],
-        m=meta["m"],
-        b0=meta["b0"],
+        **meta,
         trials=n,
         failures=0,
         bias=bias,

@@ -42,6 +42,8 @@ class CorrelationMatrix:
         arr = np.array(self.values, dtype=float, copy=True)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ConfigurationError(f"correlation matrix must be square, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ConfigurationError("correlation matrix entries must be finite")
         if not np.allclose(arr, arr.T, atol=1e-12):
             raise ConfigurationError("correlation matrix must be symmetric")
         if not np.allclose(np.diag(arr), 1.0, atol=1e-12):

@@ -210,10 +210,7 @@ def quantize_W_matrix(
     _midpoint(mag, a, (_SQRT3 * a - a) / half, half, out=mag)
     mag *= sign
     for entries, dest in zip(_off_diagonal(w), _off_diagonal(out)):
-        if params.b > 0.0:
-            _midpoint(entries, -params.b, 2.0 * params.b / cells, cells, out=dest)
-        else:
-            dest.fill(0.0)
+        _midpoint(entries, -params.b, 2.0 * params.b / cells, cells, out=dest)
     return QuantizedPayload(out, expected, math.ceil(d * d * math.log2(cells)))
 
 

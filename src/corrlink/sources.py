@@ -159,7 +159,7 @@ class ParetoTwoSided(_TailLaw):
     """Symmetric power-law tails Pr(|X| > x) = (x0/x)^alpha, no mass inside (-x0, x0).
 
     Unit variance forces x0 = sqrt((alpha - 2)/alpha); alpha must exceed 2 for
-    the variance to exist at all.
+    the variance to exist at all, and be finite, where x0 evaluates to NaN.
     """
 
     alpha: float
@@ -167,7 +167,7 @@ class ParetoTwoSided(_TailLaw):
     support_upper = math.inf
 
     def __post_init__(self):
-        if not self.alpha > 2.0:
+        if not 2.0 < self.alpha < math.inf:
             raise ConfigurationError(
                 f"two-sided power law needs tail exponent > 2 for unit variance, got {self.alpha!r}"
             )
@@ -393,7 +393,7 @@ class GaussianYVec(_ScalarX):
 
     def __post_init__(self):
         rho = np.array(self.rho, dtype=float).reshape(-1)
-        if np.any(np.abs(rho) > 1.0):
+        if not np.all(np.abs(rho) <= 1.0):
             raise ConfigurationError("every correlation entry must lie in [-1, 1]")
         if rho.size != self.sigma_y.dim:
             raise ConfigurationError(
@@ -434,7 +434,7 @@ class GaussianXVec(JointModel):
 
     def __post_init__(self):
         rho = np.array(self.rho, dtype=float).reshape(-1)
-        if np.any(np.abs(rho) > 1.0):
+        if not np.all(np.abs(rho) <= 1.0):
             raise ConfigurationError("every correlation entry must lie in [-1, 1]")
         if rho.size != self.sigma_x.dim:
             raise ConfigurationError(

@@ -508,10 +508,43 @@ class TestExperimentConfig:
         ("scheme = pareto\ngrid.k = 3, 40\ngrid.rho = 0.5\nmodel.alpha = 4\n"
          "trials = 200\nseed = 1",
          r"grid point \{'k': 3.0, 'rho': 0.5\}: index budget 2.000 bits is too small"),
+        ("scheme = pareto\ngrid.k = 40\ngrid.rho = 0.5\ngrid.alpha = inf\n"
+         "trials = 200\nseed = 1", "tail exponent > 2 for unit variance, got inf"),
+        ("scheme = additive\nmodel.x_law = pareto\nmodel.alpha = inf\ngrid.k = 10\n"
+         "grid.rho = 0.5\ntrials = 200\nseed = 1", "tail exponent > 2 for unit variance, got inf"),
     ])
     def test_pareto_points_the_trials_cannot_run_are_rejected(self, text, match):
         with pytest.raises(ConfigurationError, match=match):
             ExperimentConfig.from_text(text)
+
+    @pytest.mark.parametrize("text,match", [
+        ("scheme = xvec\nmodel.rho = nan, 0.2\ngrid.k = 60\n",
+         "every correlation entry must lie in"),
+        ("scheme = linear\nmodel.rho = 0.5, 0.3\nmodel.sigma_offdiag = nan\ngrid.k = 20\n",
+         "correlation matrix entries must be finite"),
+    ])
+    def test_nan_correlations_are_refused_by_name(self, text, match):
+        with pytest.raises(ConfigurationError, match=match) as info:
+            ExperimentConfig.from_text(text + "trials = 200\nseed = 1\n")
+        assert "noise variance" not in str(info.value)
+        assert "symmetric" not in str(info.value)
+
+    @pytest.mark.parametrize("scheme,k,key,value,rest", [
+        ("threshold", 10, "rho", "0.5", ""),
+        ("yvec", 10, "rho", "0.5", ""),
+        ("xvec", 20, "rho", "0.5", ""),
+        ("clt", 10, "m", "4", "grid.rho = 0.5\n"),
+        ("pareto", 40, "alpha", "3.5", "grid.rho = 0.5\n"),
+        ("xvec", 60, "b0", "0.4", "model.rho = 0.3, 0.2\n"),
+    ])
+    def test_a_one_value_axis_runs_like_the_model_key(self, scheme, k, key, value, rest):
+        # A builder reads one mapping per grid point, model keys and grid
+        # values merged, so where a setting comes from cannot change a byte.
+        text = f"scheme = {scheme}\ngrid.k = {k}\n{rest}trials = 300\nseed = 5\n"
+        on_grid = ExperimentConfig.from_text(text + f"grid.{key} = {value}\n")
+        in_model = ExperimentConfig.from_text(text + f"model.{key} = {value}\n")
+        assert (format_csv(run_sweep(on_grid, threads=1))
+                == format_csv(run_sweep(in_model, threads=1)))
 
     @pytest.mark.parametrize("scheme,axis,b0,reason", [
         ("xvec", "model", "0", "weak bound b0 = 0.0 leaves the weak band"),
@@ -1019,6 +1052,7 @@ class TestCli:
     @pytest.mark.parametrize("flags,match", [
         (["--alpha", "2.5", "--k", "40"], "tail exponent > 3"),
         (["--k", "3"], "index budget 2.000 bits is too small"),
+        (["--alpha", "inf", "--k", "40"], "tail exponent > 2"),
     ])
     def test_theory_pareto_rejects_points_the_trials_cannot_run(self, flags, match, capsys):
         assert main(["theory", "pareto", "--rho", "0.5", *flags]) == 1

@@ -60,6 +60,11 @@ class TestCorrelationMatrix:
         with pytest.raises(ConfigurationError):
             CorrelationMatrix(bad)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_rejects_non_finite_entries_by_name(self, entry):
+        with pytest.raises(ConfigurationError, match="entries must be finite"):
+            CorrelationMatrix.equicorrelated(3, entry)
+
     def test_equicorrelated_negative_limit(self):
         # Off-diagonal below -1/(d-1) is not positive definite.
         with pytest.raises(ConfigurationError):

@@ -656,26 +656,19 @@ class TestQuantizeWMatrix:
         diag = w[..., eye]
         idx = np.clip(np.floor((np.abs(diag) - a) / step_diag), 0, half - 1)
         out[..., eye] = np.sign(diag) * (a + (idx + 0.5) * step_diag)
-        if params.b > 0.0:
-            step_off = 2.0 * params.b / cells
-            vals = np.clip(w[..., ~eye], -params.b, params.b)
-            oidx = np.clip(np.floor((vals + params.b) / step_off), 0, cells - 1)
-            out[..., ~eye] = -params.b + (oidx + 0.5) * step_off
-        else:
-            out[..., ~eye] = 0.0
+        step_off = 2.0 * params.b / cells
+        vals = np.clip(w[..., ~eye], -params.b, params.b)
+        oidx = np.clip(np.floor((vals + params.b) / step_off), 0, cells - 1)
+        out[..., ~eye] = -params.b + (oidx + 0.5) * step_off
         return out
 
     @pytest.mark.parametrize("d", [2, 3, 4])
-    @pytest.mark.parametrize("b,k_q", [(0.3, 1.5), (0.3, 5.0), (0.0, 3.0), (0.3, 60.0)])
+    @pytest.mark.parametrize("b,k_q", [(0.3, 1.5), (0.3, 5.0), (0.3, 60.0)])
     def test_in_place_matches_out_of_place(self, d, b, k_q):
-        from types import SimpleNamespace
-
         from corrlink.estimators import stopping_matrix_batch
 
         a = d * 1.3 + 1.0
-        # b = 0 has no valid crossing probability at d > 1, so the quantizer,
-        # which reads only a, b, d and k_q, gets those four directly.
-        params = SimpleNamespace(a=a, b=b, d=d, k_l=20.0, k_q=k_q)
+        params = StoppingSetParams(a=a, b=b, d=d, k_l=20.0, k_q=k_q)
         w, _ = stopping_matrix_batch(d, a, 0.3, substream(11, d), 3_000)
         # Entries past both clamps, a zero diagonal and a negative zero.
         w[:50] = 3.0 * a * substream(12, d).standard_normal((50, d, d))
@@ -782,12 +775,17 @@ class TestSharedMidpointMap:
     @pytest.mark.parametrize("b", [0.0, 0.4])
     @pytest.mark.parametrize("k_q", K_Q)
     def test_matrix_matches_the_written_out_maps(self, d, b, k_q):
-        from types import SimpleNamespace
-
         a = d * 1.3 + 1.0
         cells = matrix_cells(k_q)
         assert cells == {1.0: 2, 2.0: 4, 2.6: 6, 7.65: 200}[k_q]
-        params = SimpleNamespace(a=a, b=b, d=d, k_l=20.0, k_q=k_q)
+        if b == 0.0 and d > 1:
+            # No stopping set has b = 0 at d > 1: its crossing probability
+            # is 0. So the quantizer never maps off-diagonal entries onto an
+            # empty segment.
+            with pytest.raises(ConfigurationError, match="crossing probability"):
+                StoppingSetParams(a=a, b=b, d=d, k_l=20.0, k_q=k_q)
+            return
+        params = StoppingSetParams(a=a, b=b, d=d, k_l=20.0, k_q=k_q)
         step_diag = (math.sqrt(3.0) * a - a) / (cells // 2)
         edges = [a + i * step_diag for i in range(cells // 2 + 1)]
         edges += [-b + i * 2.0 * b / cells for i in range(cells + 1)]

@@ -97,6 +97,11 @@ class TestMarginalLaws:
             assert law.tail_mean(t) - t == pytest.approx(1.0 / math.sqrt(2))
             assert law.tail_variance(t) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("alpha", [2.0, math.inf, math.nan])
+    def test_pareto_needs_a_finite_exponent_above_two(self, alpha):
+        with pytest.raises(ConfigurationError, match="tail exponent > 2"):
+            ParetoTwoSided(alpha)
+
     def test_pareto_closed_forms(self):
         law = ParetoTwoSided(4.0)
         x0 = math.sqrt(0.5)
@@ -259,6 +264,11 @@ class TestJointModels:
     def test_xvec_rejects_incompatible(self):
         with pytest.raises(ConfigurationError):
             GaussianXVec(rho=np.array([0.99, -0.99]), sigma_x=CorrelationMatrix.equicorrelated(2, 0.9))
+
+    @pytest.mark.parametrize("model", [GaussianXVec, GaussianYVec])
+    def test_vector_models_reject_a_nan_correlation(self, model):
+        with pytest.raises(ConfigurationError, match="every correlation entry must lie in"):
+            model(np.array([np.nan, 0.2]), CorrelationMatrix.identity(2))
 
     def test_additive_correlation(self):
         model = AdditiveNoise(rho=0.5, x_law=UnitLaplace(), z_law=StdNormal())
