@@ -37,7 +37,6 @@ __all__ = [
     "laplace_theory",
     "pareto_theory",
     "pareto_unquantized_floor",
-    "linear_baseline_trace",
 ]
 
 _LN2 = math.log(2.0)
@@ -121,11 +120,6 @@ def crossing_variance(rho, x_var: float, norm: float) -> float:
         r = _check_rho(r)
         total += (r * r * x_var + 1.0 - r * r) / (norm * norm)
     return total
-
-
-def _plan_variance(plan) -> float:
-    """:func:`crossing_variance` of a fixed-normaliser ``estimators.CrossingPlan``."""
-    return crossing_variance(plan.truth, plan.model.tail_variance(plan.t), plan.norm)
 
 
 def exact_threshold_variance(rho: float, t: float) -> float:
@@ -291,19 +285,3 @@ def pareto_unquantized_floor(alpha: float, rho: float) -> float:
         raise DomainError(f"tail exponent must exceed 2, got {alpha!r}")
     return rho * rho / (alpha * (alpha - 2.0))
 
-
-# ---------------------------------------------------------------------------
-# Linear-transform baseline.
-
-
-def linear_baseline_trace(plan) -> float:
-    """Exact covariance trace of the transform baseline of an ``estimators.LinearPlan``.
-
-    The channels run on independent samples, so the trace is each channel's
-    crossing variance weighted by the squared norm of its inverse-transform
-    column.
-    """
-    trace = 0.0
-    for i, channel in enumerate(plan.channels):
-        trace += _plan_variance(channel) * float(plan.inv_mt[:, i] @ plan.inv_mt[:, i])
-    return trace

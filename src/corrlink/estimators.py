@@ -8,6 +8,11 @@ against the literal walk ``sources.walk_first_hit``, which is also the
 sampler for block averages without a closed-form crossing law. Every trial
 yields an estimate, its sample consumption and its bit cost; a walk that
 reaches its cap raises ``TrialFailureError`` rather than dropping the trial.
+
+Each cell is a plan, derived once, whose ``run(rng, size)`` draws one chunk:
+``CrossingPlan``, ``MaxPlan``, ``XVecPlan`` or ``LinearPlan``. ``run`` looks
+its runner up when called, so a wrapper installed after the plan was built,
+such as a tracing span, still sees every chunk.
 """
 
 from __future__ import annotations
@@ -19,12 +24,14 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .analysis import crossing_variance
 from .errors import ConfigurationError, TrialFailureError
 from .linalg import _off_diagonal, _row_sums
 from .protocol import (
     LedgerMode,
     ParetoAllocation,
     StoppingSetParams,
+    _check_index_range,
     _stopping_crossing_prob,
     allocate_bits_pareto,
     golomb_length_array,
@@ -61,8 +68,10 @@ __all__ = [
     "CrossingPlan",
     "crossing_trials",
     "threshold_plan",
+    "MaxPlan",
     "max_trials",
     "stopping_matrix_batch",
+    "XVecPlan",
     "xvec_core_batch",
     "xvec_paired_batch",
     "clt_plan",
@@ -110,6 +119,18 @@ class CrossingPlan:
     truth: np.ndarray
     walk_cap: Optional[int] = None
     alloc: Optional[ParetoAllocation] = None
+
+    def run(self, rng: np.random.Generator, size: int) -> TrialBatch:
+        return crossing_trials(self, rng, size)
+
+    def check_index_range(self, trials: int) -> None:
+        """Refuse ``trials`` realized trials whose Golomb-coded indices would pass 2^53."""
+        if self.golomb_m is not None:
+            _check_index_range(self.p_cross, trials)
+
+    def variance(self) -> float:
+        """Exact variance of Y_J / ``norm``, summed over coordinates; needs a fixed ``norm``."""
+        return crossing_variance(self.truth, self.model.tail_variance(self.t), self.norm)
 
 
 def _crossing_plan(model: JointModel, t: float, p_cross: float, p: Optional[float],
@@ -186,6 +207,20 @@ def threshold_plan(model: JointModel, k: float, mode: LedgerMode = LedgerMode.EX
             "continuous X law"
         )
     return _crossing_plan(model, t, p_t, p, x_law.tail_mean(t), mode)
+
+
+class MaxPlan(NamedTuple):
+    """The largest-of-2^k cell: its model, integer budget and ledger mode."""
+
+    model: GaussianScalar
+    k: int
+    mode: LedgerMode = LedgerMode.EXPECTED
+
+    def run(self, rng: np.random.Generator, size: int) -> TrialBatch:
+        return max_trials(self.model, self.k, rng, size, mode=self.mode)
+
+    def check_index_range(self, trials: int) -> None:
+        """Nothing to refuse: the index has a fixed-length code."""
 
 
 def max_trials(
@@ -374,6 +409,22 @@ def _left_solve(w: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y
 
 
+class XVecPlan(NamedTuple):
+    """A vector-X cell: its model, stopping-set parameters and ledger mode."""
+
+    model: GaussianXVec
+    params: StoppingSetParams
+    mode: LedgerMode = LedgerMode.EXPECTED
+
+    def run(self, rng: np.random.Generator, size: int) -> TrialBatch:
+        return xvec_core_batch(self.model, self.params, rng, size, mode=self.mode)
+
+    def check_index_range(self, trials: int) -> None:
+        """Refuse ``trials`` realized trials whose d Golomb-coded gaps each could pass 2^53."""
+        if self.mode is LedgerMode.REALIZED:
+            _check_index_range(self.params.crossing_prob, trials * self.params.d)
+
+
 def xvec_core_batch(
     model: GaussianXVec,
     params: StoppingSetParams,
@@ -452,6 +503,22 @@ class LinearPlan(NamedTuple):
     channels: tuple
     inv_mt: np.ndarray
     truth: np.ndarray
+
+    def run(self, rng: np.random.Generator, size: int) -> TrialBatch:
+        return linear_plan_trials(self, rng, size)
+
+    def check_index_range(self, trials: int) -> None:
+        for channel in self.channels:
+            channel.check_index_range(trials)
+
+    def variance(self) -> float:
+        """Exact covariance trace: the channels run on independent samples, so it is
+        each channel's variance weighted by the squared norm of its inverse-transform column.
+        """
+        trace = 0.0
+        for i, channel in enumerate(self.channels):
+            trace += channel.variance() * float(self.inv_mt[:, i] @ self.inv_mt[:, i])
+        return trace
 
 
 def _transform_channels(transform, sigma_x: np.ndarray, rho: np.ndarray):

@@ -24,15 +24,13 @@ import numpy as np
 from . import analysis
 from .errors import ConfigurationError, CorrlinkError, TrialFailureError
 from .estimators import (
+    MaxPlan,
     TrialBatch,
+    XVecPlan,
     clt_plan,
-    crossing_trials,
     linear_baseline_plan,
-    linear_plan_trials,
-    max_trials,
     pareto_plan,
     threshold_plan,
-    xvec_core_batch,
 )
 from .linalg import CorrelationMatrix, _row_sums
 from .protocol import LedgerMode, allocate_bits_xvec, stopping_params_from_body_budget
@@ -119,8 +117,8 @@ class ExperimentConfig:
     out: Optional[str] = None
     grid: dict = field(default_factory=dict)
     model: dict = field(default_factory=dict)
-    # One (batch_fn, meta, theory) triple per grid point, built while
-    # validating and reused by every run_sweep of this config.
+    # One (plan, meta, theory) triple per grid point, built while validating
+    # and reused by every run_sweep of this config.
     _cells: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -157,11 +155,13 @@ class ExperimentConfig:
                     f"(it reads: {', '.join(spec.model_keys)})"
                 )
         # Every grid point must pass its scheme's preconditions before any
-        # trials run; building the runner exercises them.
+        # trials run; building its plan exercises them, and the plan then
+        # checks that realized mode can code the indices of every trial.
         cells = []
         for point in self.points():
             try:
                 cells.append(spec.build(self, {**self.model, **point}))
+                cells[-1][0].check_index_range(self.trials)
             except (CorrlinkError, ValueError) as exc:
                 raise ConfigurationError(f"grid point {point}: {exc}") from exc
         object.__setattr__(self, "_cells", tuple(cells))
@@ -234,15 +234,13 @@ class ExperimentConfig:
 
 # ---------------------------------------------------------------------------
 # Scheme registry. One record per scheme: the model.* keys it reads, the grid
-# axes it honours, and a builder returning (batch_fn(rng, size) -> TrialBatch,
-# metadata dict with d/k/rho_spec/alpha/m/b0, analysis.TheoryReport). The
-# config rejects any other key or axis, because an ignored key would silently
-# do nothing and an ignored axis would repeat identical cells. A builder reads
-# one mapping per grid point, the model keys merged with the point's values
-# (the config keeps the two key sets disjoint). A first-crossing builder
-# derives its cell's plan here, once; its chunks only draw. Batch functions
-# look their trial function up by name when called, so a wrapper installed
-# after validation, such as a tracing span, still sees every chunk.
+# axes it honours, and a builder returning (plan, metadata dict with
+# d/k/rho_spec/alpha/m/b0, analysis.TheoryReport), where ``plan.run(rng,
+# size)`` gives a TrialBatch. The config rejects any other key or axis,
+# because an ignored key would silently do nothing and an ignored axis would
+# repeat identical cells. A builder reads one mapping per grid point, the
+# model keys merged with the point's values (the config keeps the two key
+# sets disjoint). It derives its cell's plan here, once; its chunks only draw.
 
 
 class _Scheme(NamedTuple):
@@ -269,12 +267,6 @@ def _rho(cell: dict, vector: bool):
     return float(arr[0])
 
 
-def _crossing(plan) -> Callable:
-    def batch_fn(rng, size):
-        return crossing_trials(plan, rng, size)
-    return batch_fn
-
-
 def _scalar_report(scheme: str, rho: float, k: float, exact: float, x_second: float,
                    bound: Optional[tuple] = None) -> analysis.TheoryReport:
     """A scalar cell's report: the zero-rate benchmark is its asymptote and, by
@@ -292,19 +284,15 @@ def _build_threshold(config: ExperimentConfig, cell: dict):
     rho = _rho(cell, False)
     k = cell["k"]
     plan = threshold_plan(GaussianScalar(rho=rho), k, config.mode)
-    theory = _scalar_report(config.scheme, rho, k, analysis._plan_variance(plan),
+    theory = _scalar_report(config.scheme, rho, k, plan.variance(),
                             truncated_normal_moments(plan.t).second_moment)
-    return _crossing(plan), _meta(1, k, (rho,)), theory
+    return plan, _meta(1, k, (rho,)), theory
 
 
 def _build_max(config: ExperimentConfig, cell: dict):
     rho = _rho(cell, False)
     k = cell["k"]
-    model = GaussianScalar(rho=rho)
-
-    def batch_fn(rng, size):
-        return max_trials(model, k, rng, size, mode=config.mode)
-
+    plan = MaxPlan(GaussianScalar(rho=rho), k, config.mode)
     # The benchmark refuses a budget that is not positive; the block then
     # refuses a fractional budget or one past 924 bits.
     analysis.zhang_berger_optimal(rho, k)
@@ -312,7 +300,7 @@ def _build_max(config: ExperimentConfig, cell: dict):
     theory = _scalar_report(config.scheme, rho, k,
                             analysis.crossing_variance(rho, mm.variance, mm.mean),
                             mm.second_moment)
-    return batch_fn, _meta(1, k, (rho,)), theory
+    return plan, _meta(1, k, (rho,)), theory
 
 
 def _build_yvec(config: ExperimentConfig, cell: dict):
@@ -323,12 +311,12 @@ def _build_yvec(config: ExperimentConfig, cell: dict):
     asym = float(np.sum(1.0 - rho * rho)) / (2.0 * k * math.log(2.0))
     exj2 = truncated_normal_moments(plan.t).second_moment
     theory = analysis.TheoryReport(
-        config.scheme, k, theory_exact=analysis._plan_variance(plan), theory_asymptotic=asym,
+        config.scheme, k, theory_exact=plan.variance(), theory_asymptotic=asym,
         crlb_trace=float(np.trace(analysis.crlb_yvec(rho, sigma_y.values, exj2))),
         fisher=analysis.fisher_yvec(rho, sigma_y.values, exj2),
         bounds=(("per-coordinate-benchmark-sum", asym),),
     )
-    return _crossing(plan), _meta(rho.size, k, rho), theory
+    return plan, _meta(rho.size, k, rho), theory
 
 
 def _xvec_model(cell: dict, rho: np.ndarray) -> GaussianXVec:
@@ -352,10 +340,6 @@ def _build_xvec(config: ExperimentConfig, cell: dict, quantize: bool):
     else:
         params = stopping_params_from_body_budget(k, d, b0)
         bound = ("trace-budget-bound", analysis.unquantized_xvec_trace_bound(rho, d, k))
-
-    def batch_fn(rng, size):
-        return xvec_core_batch(model, params, rng, size, mode=config.mode)
-
     alpha = analysis.stopping_second_moment(params.a, params.b, d)
     sigma2 = max(model.noise_var, 1e-300)
     sigma_x = model.sigma_x.values
@@ -372,7 +356,7 @@ def _build_xvec(config: ExperimentConfig, cell: dict, quantize: bool):
         crlb_trace=crlb_trace, fisher=analysis.fisher_xvec(rho, sigma_x, alpha, sigma2, d),
         bounds=tuple(bounds),
     )
-    return batch_fn, _meta(d, k, rho, b0=b0), theory
+    return XVecPlan(model, params, config.mode), _meta(d, k, rho, b0=b0), theory
 
 
 def _clt_inner(cell: dict):
@@ -398,10 +382,10 @@ def _build_clt(config: ExperimentConfig, cell: dict):
     t = plan.t
     # Exact at every block size; the Gaussian limit is a labelled bound.
     limit = analysis.exact_threshold_variance(rho, t)
-    theory = _scalar_report(config.scheme, rho, k, analysis._plan_variance(plan),
+    theory = _scalar_report(config.scheme, rho, k, plan.variance(),
                             truncated_normal_moments(t).second_moment,
                             ("gaussian-limit-variance", limit))
-    return _crossing(plan), _meta(1, k, (rho,), m=model.m), theory
+    return plan, _meta(1, k, (rho,), m=model.m), theory
 
 
 _LAW_FACTORIES = {
@@ -423,7 +407,7 @@ def _build_pareto(config: ExperimentConfig, cell: dict):
         bounds=(("budget-exponent", exponent),
                 ("unquantized-floor", analysis.pareto_unquantized_floor(x_law.alpha, rho))),
     )
-    return _crossing(plan), _meta(1, k, (rho,), alpha=x_law.alpha), theory
+    return plan, _meta(1, k, (rho,), alpha=x_law.alpha), theory
 
 
 def _build_additive(config: ExperimentConfig, cell: dict):
@@ -446,10 +430,9 @@ def _build_additive(config: ExperimentConfig, cell: dict):
     else:
         asym = analysis.zhang_berger_optimal(rho, k)
     theory = analysis.TheoryReport(
-        config.scheme, k, theory_exact=analysis._plan_variance(plan),
-        theory_asymptotic=asym, bounds=bounds,
+        config.scheme, k, theory_exact=plan.variance(), theory_asymptotic=asym, bounds=bounds,
     )
-    return _crossing(plan), _meta(1, k, (rho,), alpha=getattr(x_law, "alpha", None)), theory
+    return plan, _meta(1, k, (rho,), alpha=getattr(x_law, "alpha", None)), theory
 
 
 def _build_linear(config: ExperimentConfig, cell: dict):
@@ -467,13 +450,8 @@ def _build_linear(config: ExperimentConfig, cell: dict):
         raise ConfigurationError(f"model.transform: unknown transform {transform!r}")
     budgets = (k / 2.0, k / 2.0)
     plan = linear_baseline_plan(model, budgets, m_transform, config.mode)
-
-    def batch_fn(rng, size):
-        return linear_plan_trials(plan, rng, size)
-
-    theory = analysis.TheoryReport(config.scheme, k,
-                                   theory_exact=analysis.linear_baseline_trace(plan))
-    return batch_fn, _meta(2, k, rho), theory
+    theory = analysis.TheoryReport(config.scheme, k, theory_exact=plan.variance())
+    return plan, _meta(2, k, rho), theory
 
 
 _SCHEMES: dict[str, _Scheme] = {
@@ -676,11 +654,11 @@ def run_sweep(config: ExperimentConfig, threads: Optional[int] = None) -> list[S
     if config.trials % CHUNK_TRIALS:
         sizes.append(config.trials % CHUNK_TRIALS)
 
-    def run_chunk(batch_fn, key: int, size: int) -> dict:
-        return _chunk_partial(batch_fn(substream(config.seed, key), size))
+    def run_chunk(plan, key: int, size: int) -> dict:
+        return _chunk_partial(plan.run(substream(config.seed, key), size))
 
-    jobs = ((batch_fn, (cell << 40) | chunk, size)
-            for cell, (batch_fn, _, _) in enumerate(config._cells)
+    jobs = ((plan, (cell << 40) | chunk, size)
+            for cell, (plan, _, _) in enumerate(config._cells)
             for chunk, size in enumerate(sizes))
     lookahead = 2 * threads + 1
     pending: deque = deque()

@@ -57,6 +57,20 @@ def golomb_parameter(p: float) -> int:
     return max(1, math.ceil(-1.0 / denom))
 
 
+def _check_index_range(p: float, indices: int) -> None:
+    """Refuse ``indices`` Golomb-coded indices at crossing probability ``p`` when more
+    than 1e-9 of them are expected to reach 2^53, where :func:`golomb_length_array`
+    refuses them: a geometric index reaches 2^53 with probability (1 - p)^(2^53 - 1).
+    """
+    expected = indices * math.exp((_MAX_EXACT_INDEX - 1.0) * math.log1p(-p))
+    if expected > 1e-9:
+        raise ConfigurationError(
+            f"mode = realized cannot code {indices} Golomb-coded indices at crossing "
+            f"probability {p:.6g}: {expected:.3g} of them are expected to reach 2^53, past the "
+            "exact float64 integer range (at most 1e-9 may); lower k or use mode = expected"
+        )
+
+
 def golomb_length_array(indices: np.ndarray, m: int) -> np.ndarray:
     """Golomb codeword lengths under divisor ``m`` for a float array of exact integer indices.
 
@@ -239,8 +253,9 @@ def _strong_bound(k_l: float, d: int, b0: float) -> tuple[float, Optional[float]
     Returns (1 - 2Q(b0))^(d-1), the chance that the d - 1 weak coordinates
     all fall inside (-b0, b0), and the strong bound a that solves
     2Q(a) (1 - 2Q(b0))^(d-1) = p with geometric entropy H(p) = ``k_l``; a is
-    None when p is too large for any a > 0. Raises DomainError when ``k_l``
-    needs a p below the float64 range.
+    None when p is too large for any a > 0, as it is for a ``k_l`` below the
+    entropy inverse's range. Raises DomainError when ``k_l`` needs a p below
+    the float64 range.
     """
     if not b0 >= 0.0:
         raise ConfigurationError(f"weak bound b0 must be >= 0, got {b0!r}")
@@ -250,7 +265,13 @@ def _strong_bound(k_l: float, d: int, b0: float) -> tuple[float, Optional[float]
             f"weak bound b0 = {b0!r} leaves the weak band (-b0, b0) no probability at "
             f"dimension {d}; it must be larger"
         )
-    q_a = geometric_entropy_inv(k_l) / (2.0 * body)
+    try:
+        q_a = geometric_entropy_inv(k_l) / (2.0 * body)
+    except DomainError:
+        # Below the inverse's range p is near 1, leaving no a > 0; past its top, raise.
+        if k_l > 1.0:
+            raise
+        return body, None
     return body, (qfunc_inv(q_a) if q_a < 0.5 else None)
 
 

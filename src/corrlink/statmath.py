@@ -262,7 +262,9 @@ def geometric_entropy_inv(k: float) -> float:
     ----------
     k : float
         Bit budget, must be positive. Budgets beyond ~998 bits (the entropy
-        at p = 1e-300) would need p below the float64 range and are rejected.
+        at p = 1e-300) would need p below the float64 range, and budgets
+        below ~4.13e-11 bits (the entropy at p = 1 - 1e-12) a p the search
+        cannot resolve from 1; both are rejected.
 
     Returns
     -------
@@ -281,8 +283,8 @@ def _geometric_entropy_inv_cached(k: float) -> float:
     lo = math.log(1e-300)
     hi = math.log1p(-1e-12)
     if k <= geometric_entropy(math.exp(hi)):
-        # Budget below ~4.1e-11 bits; the root sits against the p = 1 endpoint.
-        return math.exp(hi)
+        raise DomainError(f"bit budget {k!r} is below about {geometric_entropy(math.exp(hi)):.4g} "
+                          "bits, the smallest budget the entropy inverse can represent")
     u = _brentq(lambda v: geometric_entropy(math.exp(v)) - k, lo, hi, xtol=1e-12)
     for _ in range(2):
         # Newton in u = ln p; the slope log1p(-p)/(ln2 * p) stays order-one

@@ -36,7 +36,6 @@ from corrlink import (
     inverse_mills,
     laplace_theory,
     linear_baseline_plan,
-    linear_baseline_trace,
     max_normal_moments,
     max_trials,
     pareto_plan,
@@ -419,9 +418,8 @@ def test_transform_baseline_grid_search_finds_wins_and_losses():
         for r2 in np.linspace(-0.99, 0.99, 23):
             try:
                 model = GaussianXVec(rho=np.array([r1, r2]), sigma_x=sigma)
-                naive = linear_baseline_trace(linear_baseline_plan(model, budgets, np.eye(2)))
-                white = linear_baseline_trace(
-                    linear_baseline_plan(model, budgets, model.inv_sqrt_sigma_x))
+                naive = linear_baseline_plan(model, budgets, np.eye(2)).variance()
+                white = linear_baseline_plan(model, budgets, model.inv_sqrt_sigma_x).variance()
             except ConfigurationError:
                 skipped += 1
                 continue

@@ -19,7 +19,6 @@ from corrlink.analysis import (
     fisher_xvec,
     fisher_yvec,
     laplace_theory,
-    linear_baseline_trace,
     pareto_theory,
     pareto_unquantized_floor,
     quantization_loss_bound,
@@ -355,7 +354,7 @@ class TestAdditiveTheory:
 
 
 def linear_trace(model, budgets, m_transform):
-    return linear_baseline_trace(linear_baseline_plan(model, budgets, m_transform))
+    return linear_baseline_plan(model, budgets, m_transform).variance()
 
 
 class TestLinearBaselineTrace:

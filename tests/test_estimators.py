@@ -16,7 +16,6 @@ from corrlink.analysis import (
     crlb_xvec,
     crossing_variance,
     exact_threshold_variance,
-    linear_baseline_trace,
     quantization_loss_bound,
     stopping_moment_bracket,
     stopping_second_moment,
@@ -828,7 +827,7 @@ class TestLinearBaseline:
         sq = np.sum(err * err, axis=1)
         trace = float(np.mean(sq))
         se = np.std(sq, ddof=1) / math.sqrt(sq.size)
-        exact = linear_baseline_trace(plan)
+        exact = plan.variance()
         assert abs(trace - exact) <= 4.0 * se
 
     def test_budget_sums_both_channels(self):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -44,7 +45,7 @@ from corrlink.harness import (
     run_sweep,
 )
 from corrlink.linalg import CorrelationMatrix, _row_sums
-from corrlink.protocol import LedgerMode
+from corrlink.protocol import LedgerMode, allocate_bits_xvec
 from corrlink.sources import (
     AdditiveNoise,
     BlockAveraged,
@@ -324,13 +325,13 @@ class TestCrossingPlans:
     def test_cell_matches_its_trial_function(self, name, mode):
         text, plan_of = PLAN_CASES[name]
         config = ExperimentConfig.from_text(f"{text}mode = {mode}\ntrials = 1000\nseed = 3\n")
-        (batch_fn, _, _), = config._cells
+        (cell, _, _), = config._cells
         plan = plan_of(config.mode)
         run = linear_plan_trials if isinstance(plan, LinearPlan) else crossing_trials
         want = run(plan, substream(3, 9), 3000)
         # The plan is shared by every chunk: a second draw must not see the first.
-        batch_fn(substream(3, 8), 3000)
-        got = batch_fn(substream(3, 9), 3000)
+        cell.run(substream(3, 8), 3000)
+        got = cell.run(substream(3, 9), 3000)
         assert batch_bits(got) == batch_bits(want)
         assert (got.bits_realized is None) == (config.mode is LedgerMode.EXPECTED)
 
@@ -342,13 +343,13 @@ class TestCrossingPlans:
 
         text, _ = PLAN_CASES[name]
         config = ExperimentConfig.from_text(f"{text}mode = realized\ntrials = 1000\nseed = 3\n")
-        (batch_fn, _, _), = config._cells
-        serial = [batch_bits(batch_fn(substream(4, key), 2000)) for key in range(8)]
+        (plan, _, _), = config._cells
+        serial = [batch_bits(plan.run(substream(4, key), 2000)) for key in range(8)]
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(batch_fn, substream(4, key), 2000) for key in range(8)]
+                futures = [pool.submit(plan.run, substream(4, key), 2000) for key in range(8)]
                 threaded = [batch_bits(future.result(timeout=60)) for future in futures]
         finally:
             sys.setswitchinterval(switch)
@@ -447,6 +448,44 @@ class TestExperimentConfig:
     def test_validation_errors(self, text, match):
         with pytest.raises(ConfigurationError, match=match):
             ExperimentConfig.from_text(text)
+
+    @pytest.mark.parametrize("scheme,match", [
+        ("xvec", r"budget 1e-12 too small for dimension 2 at weak bound 0.3; minimal feasible "
+                 r"budget is about 29.6"),
+        ("xvec_exact", "per-index budget 1e-12 gives no valid strong bound"),
+    ])
+    def test_tiny_vector_budget_keeps_its_message(self, scheme, match):
+        # The entropy inverse refuses a budget below its range; the vector
+        # schemes still say the budget is too small, not past the crossing range.
+        text = f"scheme = {scheme}\ngrid.k = 1e-12\nmodel.rho = 0.3, 0.2\ntrials = 200\nseed = 1"
+        with pytest.raises(ConfigurationError, match=match) as info:
+            ExperimentConfig.from_text(text)
+        assert "representable" not in str(info.value)
+
+    @pytest.mark.parametrize("text,k", [
+        ("scheme = xvec\ngrid.k = 900\nmodel.rho = " + ", ".join(["0.1"] * 8), 900.0),
+        ("scheme = xvec\ngrid.k = 160, 240\nmodel.rho = 0.3, 0.2, 0.1, 0.4", 240.0),
+        ("scheme = threshold\ngrid.k = 10, 60\ngrid.rho = 0.5", 60.0),
+        ("scheme = linear\ngrid.k = 20, 120\nmodel.rho = 0.5, 0.3", 120.0),
+    ])
+    def test_realized_indices_past_the_exact_range_are_refused(self, text, k):
+        # The whole config is refused before any cell runs, naming the cell.
+        with pytest.raises(ConfigurationError,
+                           match=rf"grid point \{{'k': {k!r}.*mode = realized cannot code"):
+            ExperimentConfig.from_text(f"{text}\nmode = realized\ntrials = 200\nseed = 1")
+        ExperimentConfig.from_text(f"{text}\ntrials = 200\nseed = 1")
+
+    def test_realized_index_refusal_matches_the_runtime_guard(self):
+        # The refused d = 4, k = 240 cell fails in its first chunk when run
+        # anyway; the k = 160 cell is accepted and runs.
+        text = "scheme = xvec\nmodel.rho = 0.3, 0.2, 0.1, 0.4\nmode = realized\nseed = 1\n"
+        (plan, _, _), = ExperimentConfig.from_text(text + "grid.k = 160\ntrials = 200")._cells
+        assert plan.run(substream(1, 0), 200).bits_realized is not None
+        refused = plan._replace(params=allocate_bits_xvec(240.0, 4))
+        with pytest.raises(ConfigurationError, match="exact float64 integer range"):
+            refused.run(substream(1, 0), 200)
+        with pytest.raises(ConfigurationError, match="mode = realized"):
+            refused.check_index_range(200)
 
     def test_integral_float_block_size_is_accepted(self):
         for line in ("grid.m = 4.0, 16", "model.m = 4.0"):
@@ -609,11 +648,11 @@ class TestRunSweep:
             "scheme = xvec\ngrid.k = 160\nmodel.rho = 0.3, 0.2, 0.1, 0.4\n"
             f"trials = {CHUNK_TRIALS}\nseed = 1\n"
         )
-        batch_fn = config._cells[0][0]
-        harness._chunk_partial(batch_fn(substream(1, 0), CHUNK_TRIALS))  # warm caches
+        plan = config._cells[0][0]
+        harness._chunk_partial(plan.run(substream(1, 0), CHUNK_TRIALS))  # warm caches
         tracemalloc.start()
         try:
-            harness._chunk_partial(batch_fn(substream(1, 0), CHUNK_TRIALS))
+            harness._chunk_partial(plan.run(substream(1, 0), CHUNK_TRIALS))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -774,10 +813,10 @@ class TestChunkPipeline:
         spec = harness._SCHEMES["threshold"]
 
         def build(config, point):
-            batch_fn, meta, theory = spec.build(config, point)
+            plan, meta, theory = spec.build(config, point)
             cell = config.points().index(point)
 
-            def wrapped(rng, size):
+            def run(rng, size):
                 calls.append(cell)
                 if hold is not None and cell == 1:
                     hold.wait(timeout=1.0)
@@ -786,8 +825,8 @@ class TestChunkPipeline:
                 # The last chunk is the only one of 500 trials.
                 if cell == 0 and size == 500:
                     raise TrialFailureError(f"cell {cell}: a walk reached its cap")
-                return batch_fn(rng, size)
-            return wrapped, meta, theory
+                return plan.run(rng, size)
+            return SimpleNamespace(run=run, check_index_range=plan.check_index_range), meta, theory
 
         monkeypatch.setitem(harness._SCHEMES, "threshold", spec._replace(build=build))
         return ExperimentConfig.from_text(PIPELINE_TEXT)
@@ -797,9 +836,9 @@ class TestChunkPipeline:
         assert len(config.points()) >= 6
         sizes = [1000, 1000, 1000, 500]
         serial = []
-        for cell, (batch_fn, meta, theory) in enumerate(config._cells):
+        for cell, (plan, meta, theory) in enumerate(config._cells):
             partials = [
-                harness._chunk_partial(batch_fn(substream(config.seed, (cell << 40) | c), n))
+                harness._chunk_partial(plan.run(substream(config.seed, (cell << 40) | c), n))
                 for c, n in enumerate(sizes)
             ]
             columns = (theory.theory_exact, theory.theory_asymptotic, theory.theory_bound)
@@ -920,6 +959,15 @@ class TestCli:
         assert main(["run", self.write_config(tmp_path), "--seed", seed]) == 1
         captured = capsys.readouterr()
         assert "seed: must lie in [0, 2^64)" in captured.err
+        assert captured.out == ""
+
+    def test_run_budget_below_entropy_range_exits_one(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, "scheme = threshold\ngrid.k = 1e-12\n"
+                                           "grid.rho = 0.5\ntrials = 200\nseed = 1\n")
+        assert main(["run", path, "--threads", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "grid point {'k': 1e-12, 'rho': 0.5}" in captured.err
+        assert "bit budget 1e-12 is below about 4.13e-11 bits" in captured.err
         assert captured.out == ""
 
     def test_run_missing_file_exits_one(self, tmp_path, capsys):
@@ -1083,7 +1131,7 @@ class TestCli:
 
         def build(config, point):
             _, meta, theory = spec.build(config, point)
-            return (lambda rng, size: crossing_trials(plan, rng, size)), meta, theory
+            return plan, meta, theory
 
         monkeypatch.setitem(harness._SCHEMES, "clt", spec._replace(build=build))
         path = self.write_config(tmp_path, "scheme = clt\ngrid.k = 6\nmodel.m = 4\n"
@@ -1101,10 +1149,8 @@ class TestCli:
         spec = harness._SCHEMES["clt"]
 
         def build(config, point):
-            batch_fn, meta, theory = spec.build(config, point)
-            if point["m"] == 16:
-                batch_fn = lambda rng, size: crossing_trials(plan, rng, size)  # noqa: E731
-            return batch_fn, meta, theory
+            cell, meta, theory = spec.build(config, point)
+            return (plan if point["m"] == 16 else cell), meta, theory
 
         monkeypatch.setitem(harness._SCHEMES, "clt", spec._replace(build=build))
         path = self.write_config(tmp_path, "scheme = clt\ngrid.k = 6\ngrid.m = 4, 16\n"

@@ -216,6 +216,18 @@ class TestGeometricEntropy:
         with pytest.raises(DomainError):
             geometric_entropy_inv(1001.0)
 
+    def test_inverse_refuses_budgets_below_its_range(self):
+        # Below the entropy at p = 1 - 1e-12 the search cannot resolve p from
+        # 1; such a budget is refused, not run at that p's budget.
+        floor = geometric_entropy(1.0 - 1e-12)
+        assert floor == pytest.approx(4.13e-11, rel=1e-3)
+        for k in (1e-12, floor):
+            with pytest.raises(DomainError, match=rf"{k!r} is below about 4\.13e-11 bits"):
+                geometric_entropy_inv(k)
+        p = geometric_entropy_inv(2.0 * floor)
+        assert p < 1.0 - 1e-12
+        assert geometric_entropy(p) == pytest.approx(2.0 * floor, rel=1e-6)
+
 
 class TestBrentPort:
     """``_brentq`` must return scipy's ``brentq`` root bit for bit."""
