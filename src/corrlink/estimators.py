@@ -222,6 +222,11 @@ class MaxPlan(NamedTuple):
     def check_index_range(self, trials: int) -> None:
         """Nothing to refuse: the index has a fixed-length code."""
 
+    def variance(self) -> float:
+        """Exact variance of Y_J / E[max of 2^k normals]."""
+        mm = max_normal_moments(_max_block(self.k))
+        return crossing_variance(self.model.rho, mm.variance, mm.mean)
+
 
 def max_trials(
     model: GaussianScalar, k: int, rng: np.random.Generator, size: int,

@@ -296,10 +296,8 @@ def _build_max(config: ExperimentConfig, cell: dict):
     # The benchmark refuses a budget that is not positive; the block then
     # refuses a fractional budget or one past 924 bits.
     analysis.zhang_berger_optimal(rho, k)
-    mm = max_normal_moments(_max_block(k))
-    theory = _scalar_report(config.scheme, rho, k,
-                            analysis.crossing_variance(rho, mm.variance, mm.mean),
-                            mm.second_moment)
+    theory = _scalar_report(config.scheme, rho, k, plan.variance(),
+                            max_normal_moments(_max_block(k)).second_moment)
     return plan, _meta(1, k, (rho,)), theory
 
 
@@ -550,38 +548,18 @@ def _chunk_partial(batch: TrialBatch) -> dict:
     return partial
 
 
-def _clip0(x: float) -> float:
-    # np.maximum(x, 0.0) on one float: NaN passes through.
-    return 0.0 if x <= 0.0 else x
-
-
 def _reduce_cell(partials: list[dict], meta: dict, theory: tuple, scheme: str) -> SweepRow:
-    """One grid point's row from its chunk partials, reduced exactly and in chunk order.
-
-    The per-coordinate moments are worked out on Python floats, with the same
-    operations in the same order as numpy on (d,) arrays: a square is a
-    product, and a fourth power is numpy's own power function (on AVX-512
-    hosts it does not always agree with the C library's pow in the last bit).
-    The two sums over coordinates stay numpy's, whose order changes from
-    d = 8 on.
-    """
+    """One grid point's row from its chunk partials, reduced exactly and in chunk order."""
     n = sum(p["n"] for p in partials)
-    d = meta["d"]
-    m2 = []
-    var_of_var = []
-    for j in range(d):
-        s1, s2, s3, s4 = (math.fsum(p[key][j] for p in partials)
-                          for key in ("s1", "s2", "s3", "s4"))
-        delta = s1 / n
-        delta2 = delta * delta
-        m2_j = _clip0(s2 / n - delta2)
-        # Central fourth moment from power sums about the truth, recentered at
-        # the sample mean; feeds the standard error of the variance estimate.
-        m4_j = (s4 / n - 4.0 * delta * (s3 / n) + 6.0 * delta2 * (s2 / n)
-                - 3.0 * float(np.power(delta, 4)))
-        m4_j = _clip0(m4_j)
-        m2.append(m2_j)
-        var_of_var.append(_clip0(m4_j - m2_j * m2_j) / n)
+    s1, s2, s3, s4 = np.array([[math.fsum(sums) for sums in zip(*(p[key] for p in partials))]
+                               for key in ("s1", "s2", "s3", "s4")])
+    delta = s1 / n
+    m2 = np.maximum(s2 / n - delta**2, 0.0)
+    # Central fourth moment from power sums about the truth, recentered at the
+    # sample mean; feeds the standard error of the variance estimate.
+    m4 = s4 / n - 4.0 * delta * (s3 / n) + 6.0 * delta**2 * (s2 / n) - 3.0 * delta**4
+    m4 = np.maximum(m4, 0.0)
+    var_of_var = np.maximum(m4 - m2**2, 0.0) / n
     t1 = math.fsum(p["t1"] for p in partials)
     t2 = math.fsum(p["t2"] for p in partials)
     q1 = math.fsum(p["q1"] for p in partials)
@@ -590,11 +568,10 @@ def _reduce_cell(partials: list[dict], meta: dict, theory: tuple, scheme: str) -
     bias = t1 / n
     bias_var = max(t2 / n - bias * bias, 0.0)
     bias_se = math.sqrt(bias_var / n)
-    variance = float(np.sum(m2))
-    variance_se = float(math.sqrt(np.sum(var_of_var)))
+    variance = float(m2.sum())
+    variance_se = math.sqrt(var_of_var.sum())
     mse = q1 / n
     mse_se = math.sqrt(max(q2 / n - mse * mse, 0.0) / n)
-    bits_expected = partials[0]["bits_expected"]
     bits_realized = None
     if all("bits_realized" in p for p in partials):
         bits_realized = math.fsum(p["bits_realized"] for p in partials) / n
@@ -611,7 +588,7 @@ def _reduce_cell(partials: list[dict], meta: dict, theory: tuple, scheme: str) -
         theory_exact=theory[0],
         theory_asymptotic=theory[1],
         theory_bound=theory[2],
-        bits_expected_mean=bits_expected,
+        bits_expected_mean=partials[0]["bits_expected"],
         mse_se=mse_se,
         bits_realized_mean=bits_realized,
         samples_mean=samples / n,

@@ -199,7 +199,12 @@ def row_bits(row: SweepRow) -> tuple:
 
 
 class TestReducerOracle:
-    """The sweep reducer against its plain numpy form, bit for bit."""
+    """The sweep reducer against its plain numpy form, bit for bit.
+
+    ``harness._reduce_cell`` now uses this formulation itself. The test still
+    pins what differs: ``harness._chunk_partial``'s d = 1 shortcut for the
+    over-coordinate sums, and its per-coordinate sums handed on as lists.
+    """
 
     # The "False-" in each id is where a failed-trials axis used to be: the ids,
     # seeds and data of the cases without failed trials stay as they were.
