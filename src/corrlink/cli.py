@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -36,10 +37,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--threads", type=int, default=None, help="worker thread count")
     p_run.add_argument("--out", default=None, help="output CSV path (default: config, else stdout)")
 
-    p_theory = sub.add_parser("theory", help="print closed-form values for one scheme")
-    p_theory.add_argument("scheme", help=f"scheme id ({', '.join(_SCHEMES)})")
-    p_theory.add_argument("--k", type=float, required=True, help="bit budget")
-    p_theory.add_argument("--rho", required=True,
+    p_theory = sub.add_parser(
+        "theory", help="print closed-form values for one scheme, or for each grid point "
+        "of a config file")
+    p_theory.add_argument("scheme", nargs="?", help=f"scheme id ({', '.join(_SCHEMES)})")
+    p_theory.add_argument("--config", default=None, metavar="FILE",
+                          help="a config file as `run` reads it, in place of the scheme and flags")
+    p_theory.add_argument("--k", type=float, default=None, help="bit budget")
+    p_theory.add_argument("--rho", default=None,
                           help="correlation, comma-separated for vector schemes")
     p_theory.add_argument("--alpha", type=float, default=None, help="power-law tail exponent")
     p_theory.add_argument("--b0", type=float, default=None,
@@ -48,6 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="equicorrelated off-diagonal of the X covariance (default 0)")
     p_theory.add_argument("--x-law", default=None, dest="x_law",
                           help="X marginal for the additive scheme (laplace, gaussian, pareto)")
+    p_theory.set_defaults(usage_error=p_theory.error)
 
     sub.add_parser("selftest", help="run the built-in invariant checks")
     return parser
@@ -91,15 +97,34 @@ _THEORY_KEYS = {
 
 
 def _cmd_theory(args) -> int:
-    raw = {key: str(getattr(args, flag)) for flag, key in _THEORY_KEYS.items()
-           if getattr(args, flag) is not None}
+    flagged = [args.scheme, *(getattr(args, flag) for flag in _THEORY_KEYS)]
+    if args.config is not None and any(value is not None for value in flagged):
+        args.usage_error("--config replaces the scheme and its flags")
+    if args.config is None and None in (args.scheme, args.k, args.rho):
+        args.usage_error("give a scheme with --k and --rho, or --config FILE")
     try:
-        # Nothing is simulated; trials and seed only complete the config.
-        config = ExperimentConfig.from_mapping(raw, scheme=args.scheme, trials=100, seed=0)
-    except CorrlinkError as exc:
+        if args.config is not None:
+            config = ExperimentConfig.from_file(args.config)
+        else:
+            raw = {key: str(getattr(args, flag)) for flag, key in _THEORY_KEYS.items()
+                   if getattr(args, flag) is not None}
+            # Nothing is simulated; trials and seed only complete the config.
+            config = ExperimentConfig.from_mapping(raw, scheme=args.scheme, trials=100, seed=0)
+    except (CorrlinkError, OSError, ValueError) as exc:
         print(f"corrlink: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    report = config.reports()[0]
+    if args.config is None:
+        _print_report(config.reports()[0])
+        return EXIT_OK
+    for i, (point, report) in enumerate(zip(config.points(), config.reports())):
+        if i:
+            print()
+        print(f"grid point: {point}")
+        _print_report(report)
+    return EXIT_OK
+
+
+def _print_report(report) -> None:
     print(f"scheme: {report.scheme}")
     print(f"k: {report.k:.10g}")
     for name in ("theory_exact", "theory_asymptotic", "theory_bound", "crlb_trace"):
@@ -113,7 +138,6 @@ def _cmd_theory(args) -> int:
         print("bounds:")
         for label, value in report.bounds:
             print(f"  {label}: {value:.10g}")
-    return EXIT_OK
 
 
 def _expect(ok, message: str) -> None:
@@ -164,8 +188,7 @@ def _selftest_checks():
         _expect(abs(row.bias - mean) <= 1e-9 * max(1.0, abs(mean)), "reduced mean drifted")
         _expect(abs(row.variance - var) <= 1e-9 * var, "reduced variance drifted")
 
-    def check_determinism():
-        text = "scheme = threshold\ngrid.k = 10\ngrid.rho = 0.5\ntrials = 256\nseed = 11"
+    def check_determinism(text):
         config = ExperimentConfig.from_text(text)
         csv_1 = format_csv(run_sweep(config, threads=1))
         csv_2 = format_csv(run_sweep(config, threads=4))
@@ -184,7 +207,14 @@ def _selftest_checks():
         ("tail and entropy roundtrips", check_roundtrips),
         ("index code lengths", check_golomb),
         ("streaming moments", check_moments),
-        ("thread determinism", check_determinism),
+        ("thread determinism", partial(
+            check_determinism,
+            "scheme = threshold\ngrid.k = 10\ngrid.rho = 0.5\ntrials = 256\nseed = 11")),
+        # One chunk of two blocks, each draw read through its own stream
+        # cursor, then a 3,616-trial chunk of one block.
+        ("xvec thread determinism", partial(
+            check_determinism,
+            "scheme = xvec\ngrid.k = 120\nmodel.rho = 0.3, 0.2, 0.1\ntrials = 20000\nseed = 11")),
         ("monte carlo vs exact variance", check_monte_carlo),
     ]
 

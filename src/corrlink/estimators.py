@@ -48,6 +48,8 @@ from .sources import (
     ParetoTwoSided,
     _geometric_index,
     _open_uniform,
+    _philox_cursors,
+    _skip_doubles,
     draw_first_crossing,
     normal_from_uniform,
     walk_first_hit,
@@ -324,11 +326,11 @@ def pareto_plan(model: AdditiveNoise, k: float, mode: LedgerMode = LedgerMode.EX
 
 # Trials per draw block. A block's C-order uniforms fill a small buffer that
 # is transposed into the entry-major stack while it is still in cache.
-_DRAW_BLOCK = 512
+_DRAW_BLOCK = 2048
 
 
 def stopping_matrix_batch(
-    d: int, a: float, b: float, rng: np.random.Generator, size: int
+    d: int, a: float, b: float, rng, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``size`` selection matrices and their index gaps directly.
 
@@ -338,46 +340,53 @@ def stopping_matrix_batch(
     stopping-set crossing probability. Returns (W with shape (size, d, d),
     gaps with shape (size, d)). W is a view of an entry-major (d, d, size)
     array: entry (i, j) of every trial is one contiguous run.
+
+    ``rng`` is one generator, read in order: signs, magnitudes, matrix
+    uniforms, gaps. Or it is a (signs, magnitudes, matrix, gaps) tuple of
+    generators, each read in order, as ``xvec_core_batch`` passes the cursors
+    of one block of a longer draw.
     """
+    signs_rng, mags_rng, w_rng, gaps_rng = rng if isinstance(rng, tuple) else (rng,) * 4
     p = _stopping_crossing_prob(a, b, d)
     q_a = float(qfunc(a))
     q_b = float(qfunc(b))
-    # Strong diagonal: random sign, magnitude conditioned beyond a.
-    signs = _open_uniform(rng, (size, d))
-    mags = _open_uniform(rng, (size, d))
+    # The stack first: the draw's temporaries then free one hole beside it,
+    # where the later steps' temporaries fit.
+    w = np.empty((d, d, size)).transpose(2, 0, 1)
+    # Strong diagonal: random sign, magnitude conditioned beyond a. The sign
+    # is u < 0.5, as u - 0.5 is negative exactly when u < 0.5.
+    signs = _open_uniform(signs_rng, (size, d))
+    mags = _open_uniform(mags_rng, (size, d))
     mags *= q_a
     _qinv_unchecked(mags, out=mags)
-    w = np.empty((d, d, size)).transpose(2, 0, 1)
+    signs -= 0.5
+    np.copysign(mags, signs, out=mags)
+    del signs
     if d > 1:
         # Each trial's d x d uniforms come in C order, the diagonal's unused.
         block = np.empty((min(size, _DRAW_BLOCK), d, d))
         for start in range(0, size, _DRAW_BLOCK):
             stop = min(start + _DRAW_BLOCK, size)
-            w[start:stop] = _open_uniform(rng, out=block[: stop - start])
+            w[start:stop] = _open_uniform(w_rng, out=block[: stop - start])
         # Weak off-diagonals: normal truncated to (-b, b) via its probability band.
         for part in _off_diagonal(w):
             part *= 1.0 - 2.0 * q_b
             part += q_b
             _qinv_unchecked(part, out=part)
-    # Sign from u < 0.5, as u - 0.5 is negative exactly when u < 0.5.
-    signs -= 0.5
-    np.copysign(mags, signs, out=np.einsum("nii->ni", w))
-    del signs, mags
-    return w, _geometric_index(p, rng, (size, d))
-
-
-# Trials per elimination block, so that a block's rows stay in cache.
-_SOLVE_BLOCK = 4096
+    # The matrix uniforms' copy wrote the diagonal too.
+    np.copyto(np.einsum("nii->ni", w), mags)
+    del mags
+    return w, _geometric_index(p, gaps_rng, (size, d))
 
 
 def _left_solve(w: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Rows x with x W = y for a (n, d, d) stack, in place: returns ``y`` holding x.
 
-    Gaussian elimination without pivoting on W^T x = y, over blocks of
-    ``_SOLVE_BLOCK`` trials; ``w`` is overwritten by the factors. Each step
-    is one numpy operation over a block, which on an entry-major stack and
-    an (n, d) view of trials-last ``y`` runs over contiguous trials. No pivot
-    is needed: every :class:`StoppingSetParams` has a > d(b + 1), so each
+    Gaussian elimination without pivoting on W^T x = y; ``w`` is overwritten
+    by the factors. Each step is one numpy operation over all n trials, which
+    on an entry-major stack and an (n, d) view of trials-last ``y`` runs over
+    contiguous trials; :func:`xvec_core_batch` passes one block of at most
+    ``_XVEC_BLOCK`` trials, whose rows stay in cache. No pivot is needed: every :class:`StoppingSetParams` has a > d(b + 1), so each
     selection matrix (|W_ii| > a, |W_ij| < b) and its midpoint quantization
     (diagonal magnitudes in (a, sqrt(3) a), off-diagonals in (-b, b)) is
     strictly diagonally dominant by rows and by columns. There every leading
@@ -386,32 +395,32 @@ def _left_solve(w: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     n, d = y.shape
     # Entry-major scratch for the products of one step.
-    prod = np.empty((d - 1, d - 1, min(n, _SOLVE_BLOCK))).transpose(2, 0, 1)
-    for start in range(0, n, _SOLVE_BLOCK):
-        a = w[start:start + _SOLVE_BLOCK]
-        x = y[start:start + _SOLVE_BLOCK]
-        m = x.shape[0]
-        # Forward elimination: row k right of the pivot turns into the
-        # multipliers W_ki / W_kk, which clear W_ck and x_k from every later
-        # column c and right-hand side entry.
-        for k in range(d - 1):
-            r = d - 1 - k
-            mult = a[:, k, k + 1:]
-            np.divide(mult, a[:, k, k, None], out=mult)
-            t = prod[:m, :r, :r]
-            np.multiply(a[:, k + 1:, k, None], mult[:, None, :], out=t)
-            a[:, k + 1:, k + 1:] -= t
-            t = prod[:m, 0, :r]
-            np.multiply(mult, x[:, k, None], out=t)
-            x[:, k + 1:] -= t
-        # Back substitution.
-        for k in range(d - 1, -1, -1):
-            x[:, k] /= a[:, k, k]
-            if k:
-                t = prod[:m, 0, :k]
-                np.multiply(a[:, k, :k], x[:, k, None], out=t)
-                x[:, :k] -= t
+    prod = np.empty((d - 1, d - 1, n)).transpose(2, 0, 1)
+    # Forward elimination: row k right of the pivot turns into the
+    # multipliers W_ki / W_kk, which clear W_ck and y_k from every later
+    # column c and right-hand side entry.
+    for k in range(d - 1):
+        r = d - 1 - k
+        mult = w[:, k, k + 1:]
+        np.divide(mult, w[:, k, k, None], out=mult)
+        t = prod[:, :r, :r]
+        np.multiply(w[:, k + 1:, k, None], mult[:, None, :], out=t)
+        w[:, k + 1:, k + 1:] -= t
+        t = prod[:, 0, :r]
+        np.multiply(mult, y[:, k, None], out=t)
+        y[:, k + 1:] -= t
+    # Back substitution.
+    for k in range(d - 1, -1, -1):
+        y[:, k] /= w[:, k, k]
+        if k:
+            t = prod[:, 0, :k]
+            np.multiply(w[:, k, :k], y[:, k, None], out=t)
+            y[:, :k] -= t
     return y
+
+
+# Trials per block of a vector-X chunk: a full chunk of 16,384 trials runs as two.
+_XVEC_BLOCK = 8192
 
 
 class XVecPlan(NamedTuple):
@@ -442,39 +451,68 @@ def xvec_core_batch(
     :func:`allocate_bits_xvec` gives k_q > 0; :func:`stopping_params_from_body_budget`
     gives k_q = 0, which sends the matrix exactly and books only the index bits.
     The estimates are an F-ordered (size, d) array.
+
+    The chunk's draws are the in-order draw of the whole chunk: ``size`` x d
+    signs, then as many magnitudes, the matrices' uniforms (d > 1 only), the
+    gaps, and the noise z. The trials run in blocks of ``_XVEC_BLOCK``, so only
+    a block's matrices are held at once. Past one block each draw reads its
+    own Philox cursor, opened at the offset where that draw starts, so every
+    block reads exactly the doubles the in-order draw gives its trials, and
+    ``rng`` is then moved on to where the in-order draw leaves it. So a chunk
+    of more than one block needs a Philox generator, as ``substream`` gives.
     """
     d = model.dim
     if params.d != d:
         raise ConfigurationError(f"params dimension {params.d} does not match model {d}")
-    w, gaps = stopping_matrix_batch(d, params.a, params.b, rng, size)
     bits_expected = d * geometric_entropy(params.crossing_prob)
-    realized = None
-    if mode is LedgerMode.REALIZED:
-        m_code = golomb_parameter(params.crossing_prob)
-        realized = _row_sums(golomb_length_array(gaps.reshape(-1), m_code).reshape(size, d))
-    samples = _row_sums(gaps)
-    del gaps
-    # Bob's Y values read at the selected indices, one trials-last run per
-    # coordinate: y = sigma z + rho~^T W, the products summed from j = 0 up.
-    runs = w.transpose(1, 2, 0)
+    m_code = golomb_parameter(params.crossing_prob) if mode is LedgerMode.REALIZED else None
+    draws, z_rng = rng, rng
+    if size > _XVEC_BLOCK:
+        nd = size * d
+        w_len = nd * d if d > 1 else 0
+        cursors = _philox_cursors(rng, (0, nd, 2 * nd, 2 * nd + w_len, 3 * nd + w_len))
+        draws, z_rng = cursors[:4], cursors[4]
+        _skip_doubles(rng, 4 * nd + w_len)
     rho = model.whitened_rho
-    y = np.multiply(runs[0], rho[0])
-    term = np.empty_like(y)
-    for j in range(1, d):
-        np.multiply(runs[j], rho[j], out=term)
-        y += term
-    del term
-    z = normal_from_uniform(rng, (size, d))
-    z *= math.sqrt(model.noise_var)
-    y += z.T
-    del z
-    if params.k_q > 0.0:
-        # y is formed, so the exact selection matrices are no longer needed.
-        q = quantize_W_matrix(w, params, out=w)
-        bits_expected += q.bits_expected
+    noise_sd = math.sqrt(model.noise_var)
+    y = np.empty((d, size))
+    samples = np.empty(size)
+    realized = None if m_code is None else np.empty(size, dtype=np.int64)
+    payload = None
+    for start in range(0, size, _XVEC_BLOCK):
+        stop = min(start + _XVEC_BLOCK, size)
+        w, gaps = stopping_matrix_batch(d, params.a, params.b, draws, stop - start)
         if realized is not None:
-            realized = realized + q.bits_realized
-    _left_solve(w, y.T)
+            realized[start:stop] = _row_sums(
+                golomb_length_array(gaps.reshape(-1), m_code).reshape(-1, d))
+        samples[start:stop] = _row_sums(gaps)
+        del gaps
+        # Bob's Y values read at the selected indices, one trials-last run per
+        # coordinate: y = sigma z + rho~^T W, the products summed from j = 0 up.
+        runs = w.transpose(1, 2, 0)
+        y_block = y[:, start:stop]
+        np.multiply(runs[0], rho[0], out=y_block)
+        term = np.empty_like(y_block)
+        for j in range(1, d):
+            np.multiply(runs[j], rho[j], out=term)
+            y_block += term
+        del term, runs
+        z = normal_from_uniform(z_rng, (stop - start, d))
+        z *= noise_sd
+        y_block += z.T
+        del z
+        if params.k_q > 0.0:
+            # y is formed, so the exact selection matrices are no longer needed.
+            # Every block books the same payload; its values are w itself.
+            payload = quantize_W_matrix(w, params, out=w)._replace(values=None)
+        _left_solve(w, y_block.T)
+        del w
+    if payload is not None:
+        bits_expected += payload.bits_expected
+        if realized is not None:
+            realized += payload.bits_realized
+    # One product over the chunk: a one-trial block would take another BLAS
+    # path, whose last bit can differ.
     return TrialBatch(
         estimates=(model.sqrt_sigma_x.T @ y).T,
         truth=model.true_correlations(),

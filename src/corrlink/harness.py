@@ -512,24 +512,30 @@ def _chunk_partial(batch: TrialBatch) -> dict:
     e2 = err * err
     s1 = err.sum(axis=0)
     s2 = e2.sum(axis=0)
-    power = e2 * err
+    d = err.shape[1]
+    if d > 1:
+        # Each trial's summed error and squared norm, each squared in place
+        # once summed.
+        row_sum = _row_sums(err)
+        t1 = float(row_sum.sum())
+        t2 = float(np.square(row_sum, out=row_sum).sum())
+        del row_sum
+        norm2 = _row_sums(e2)
+        q1 = float(norm2.sum())
+        q2 = float(np.square(norm2, out=norm2).sum())
+        del norm2
+    # err is read, so its third and then its fourth powers go over it.
+    power = np.multiply(e2, err, out=err)
     s3 = power.sum(axis=0)
     np.multiply(e2, e2, out=power)
     s4 = power.sum(axis=0)
-    if err.shape[1] == 1:
+    if d == 1:
         # One coordinate: a trial's summed error is its error and its squared
         # norm its squared error, and an (n, 1) sum over axis 0 is numpy's
-        # pairwise sum of the column, so these are the bits of the sums
-        # below. Only the sign of an all-zero t1 could differ: the row sums
-        # below turn -0.0 into 0.0, and so does adding 0.0.
+        # pairwise sum of the column, so these are the bits of the sums of
+        # row sums. Only the sign of an all-zero t1 could differ: the row
+        # sums turn -0.0 into 0.0, and so does adding 0.0.
         t1, t2, q1, q2 = float(s1[0]) + 0.0, float(s2[0]), float(s2[0]), float(s4[0])
-    else:
-        row_sum = _row_sums(err)
-        norm2 = _row_sums(e2)
-        t1 = float(row_sum.sum())
-        t2 = float(np.square(row_sum).sum())
-        q1 = float(norm2.sum())
-        q2 = float(np.square(norm2).sum())
     partial = {
         "n": batch.n,
         "s1": s1.tolist(),

@@ -83,6 +83,43 @@ def normal_from_uniform(rng: np.random.Generator, size) -> np.ndarray:
     return _qinv_unchecked(u, out=u)
 
 
+def _philox_cursors(rng: np.random.Generator, offsets) -> tuple[np.random.Generator, ...]:
+    """Generators reading ``rng``'s stream from each offset on; ``rng`` itself does not move.
+
+    Offsets count doubles from where ``rng`` stands. Philox is counter-based
+    (Salmon et al., SC'11): counter c gives four 64-bit outputs, one double
+    each, that depend on the key and c alone. So the cursor at stream
+    position P is a Philox with the same key at counter P // 4 that has
+    discarded P mod 4 doubles, and it draws what ``rng`` would draw there.
+    """
+    bit_gen = rng.bit_generator
+    if not isinstance(bit_gen, np.random.Philox):
+        raise ConfigurationError(
+            f"reading a stream at an offset needs a Philox generator, got {type(bit_gen).__name__}"
+        )
+    state = bit_gen.state
+    key = state["state"]["key"]
+    counter = sum(int(c) << (64 * i) for i, c in enumerate(state["state"]["counter"]))
+    # Doubles drawn so far: four per counter step, less those still buffered.
+    start = 4 * counter - (4 - int(state["buffer_pos"]))
+
+    def cursor(pos: int) -> np.random.Generator:
+        philox = np.random.Philox(counter=pos // 4, key=key)
+        philox.random_raw(pos % 4)
+        return np.random.Generator(philox)
+
+    return tuple(cursor(start + offset) for offset in offsets)
+
+
+def _skip_doubles(rng: np.random.Generator, n: int) -> None:
+    """Move ``rng`` on by ``n`` doubles, to the state that drawing them would leave."""
+    state = rng.bit_generator.state
+    end = _philox_cursors(rng, (n,))[0].bit_generator.state
+    # Drawing doubles leaves a buffered 32-bit half as it was.
+    end["has_uint32"], end["uinteger"] = state["has_uint32"], state["uinteger"]
+    rng.bit_generator.state = end
+
+
 # ---------------------------------------------------------------------------
 # Marginal laws: zero mean, unit variance.
 

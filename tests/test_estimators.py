@@ -742,20 +742,20 @@ class TestLeftSolve:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 9])
     @pytest.mark.parametrize("quantized", [False, True], ids=["exact", "quantized"])
     def test_matches_lapack(self, d, quantized):
-        from corrlink.estimators import _SOLVE_BLOCK, _left_solve
+        from corrlink.estimators import _XVEC_BLOCK, _left_solve
 
         params = StoppingSetParams(a=d * 1.3 + 1.0, b=0.3, d=d, k_l=20.0, k_q=3.0)
         w, _ = stopping_matrix_batch(d, params.a, params.b, substream(SEED, 110 + d), 16_384)
         if quantized:
             w = quantize_W_matrix(w, params).values
         y = substream(SEED, 120 + d).standard_normal((w.shape[0], d))
-        for n in (1, _SOLVE_BLOCK - 1, _SOLVE_BLOCK, _SOLVE_BLOCK + 1, 16_384):
+        for n in (1, _XVEC_BLOCK - 1, _XVEC_BLOCK, _XVEC_BLOCK + 1, 16_384):
             x = _left_solve(w[:n].copy(), y[:n].copy())
             assert x.shape == (n, d)
             self.assert_within_8_ulps(x, self.lapack(w[:n], y[:n]))
 
     def test_block_boundaries_do_not_matter(self):
-        from corrlink.estimators import _SOLVE_BLOCK as block
+        from corrlink.estimators import _XVEC_BLOCK as block
         from corrlink.estimators import _left_solve
 
         d, n = 3, 2 * block + 5

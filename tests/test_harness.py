@@ -644,13 +644,14 @@ class TestExperimentConfig:
 
 
 class TestRunSweep:
-    def test_xvec_d4_chunk_working_set(self):
-        # One full d = 4 chunk holds a single 16,384 x 4 x 4 stack (2 MiB);
-        # everything else it allocates is (trials, d) or smaller.
+    @staticmethod
+    def xvec_chunk_peaks(rho: str, k: int) -> tuple[float, float]:
+        """tracemalloc peaks in MiB of one full xvec chunk with its reducer, and of
+        the reducer alone with the chunk's batch held."""
         import tracemalloc
 
         config = ExperimentConfig.from_text(
-            "scheme = xvec\ngrid.k = 160\nmodel.rho = 0.3, 0.2, 0.1, 0.4\n"
+            f"scheme = xvec\ngrid.k = {k}\nmodel.rho = {rho}\n"
             f"trials = {CHUNK_TRIALS}\nseed = 1\n"
         )
         plan = config._cells[0][0]
@@ -658,10 +659,27 @@ class TestRunSweep:
         tracemalloc.start()
         try:
             harness._chunk_partial(plan.run(substream(1, 0), CHUNK_TRIALS))
-            peak = tracemalloc.get_traced_memory()[1]
+            chunk = tracemalloc.get_traced_memory()[1]
+            batch = plan.run(substream(1, 0), CHUNK_TRIALS)
+            tracemalloc.reset_peak()
+            harness._chunk_partial(batch)
+            reducer = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 2**20
+        return chunk / 2**20, reducer / 2**20
+
+    def test_xvec_d4_chunk_working_set(self):
+        # A d = 4 chunk runs as two 8,192-trial blocks: one block's 8,192 x 4
+        # x 4 stack (1 MiB) and its draw buffers, beside the chunk's (4,
+        # 16,384) y; the reducer holds the errors and their squares.
+        chunk, reducer = self.xvec_chunk_peaks("0.3, 0.2, 0.1, 0.4", 160)
+        assert chunk <= 2.9
+        assert reducer <= 1.8
+
+    def test_xvec_d8_chunk_working_set(self):
+        # One block's 8,192 x 8 x 8 stack is 4 MiB, the solve's scratch 3 MiB.
+        chunk, _ = self.xvec_chunk_peaks("0.3, 0.2, 0.1, 0.4, 0.1, 0.1, 0.1, 0.1", 900)
+        assert chunk <= 10.0
 
     def test_each_cell_is_built_once(self, monkeypatch):
         spec = harness._SCHEMES["threshold"]
@@ -1121,6 +1139,61 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert "theory_exact" in proc.stdout
 
+    @pytest.mark.parametrize("text", [
+        "scheme = clt\nmodel.kind = binary\nmodel.p = 0.25\nmodel.m = 16\ngrid.k = 6, 10\n",
+        "scheme = linear\nmodel.rho = 0.5, 0.3\nmodel.sigma_offdiag = 0.4\n"
+        "model.transform = identity\ngrid.k = 20, 30\n",
+    ], ids=["binary-clt", "linear-identity"])
+    def test_theory_config_prints_every_grid_point(self, text, tmp_path, capsys):
+        # Keys that no theory flag sets reach theory through the config file.
+        text += "trials = 100\nseed = 1\n"
+        config = ExperimentConfig.from_text(text)
+        assert main(["theory", "--config", self.write_config(tmp_path, text)]) == 0
+        blocks = capsys.readouterr().out.split("\n\n")
+        assert len(blocks) == 2
+        for block, point, report in zip(blocks, config.points(), config.reports()):
+            lines = block.splitlines()
+            assert lines[0] == f"grid point: {point}"
+            assert lines[1:3] == [f"scheme: {report.scheme}", f"k: {report.k:.10g}"]
+            assert f"theory_exact: {report.theory_exact:.10g}" in lines
+        # The flags cannot say binary blocks, m = 16 or the identity
+        # transform: the nearest they reach reports other values.
+        flags = ["--k", "6", "--rho", "0.5"] if config.scheme == "clt" else [
+            "--k", "20", "--rho", "0.5,0.3", "--sigma-offdiag", "0.4"]
+        assert main(["theory", config.scheme, *flags]) == 0
+        nearest = capsys.readouterr().out.splitlines()
+        assert nearest[:2] == blocks[0].splitlines()[1:3]
+        assert nearest != blocks[0].splitlines()[1:]
+
+    def test_theory_config_of_one_point_prints_what_the_flags_print(self, tmp_path, capsys):
+        text = "scheme = xvec\nmodel.rho = 0.95, 0.1\ngrid.k = 400\ntrials = 100\nseed = 1\n"
+        assert main(["theory", "--config", self.write_config(tmp_path, text)]) == 0
+        from_config = capsys.readouterr().out
+        assert main(["theory", "xvec", "--k", "400", "--rho", "0.95,0.1"]) == 0
+        assert from_config == "grid point: {'k': 400.0}\n" + capsys.readouterr().out
+
+    def test_theory_config_errors_exit_one(self, tmp_path, capsys):
+        assert main(["theory", "--config", str(tmp_path / "absent.cfg")]) == 1
+        assert "config error" in capsys.readouterr().err
+        path = self.write_config(tmp_path, "scheme = clt\nmodel.kind = binary\nmodel.m = 16\n"
+                                           "grid.k = 20\ntrials = 100\nseed = 1\n")
+        assert main(["theory", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert "block size 16 cannot cross threshold" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["theory", "threshold", "--k", "20"],
+        ["theory", "--k", "20", "--rho", "0.5"],
+        ["theory", "threshold", "--config", "sweep.cfg"],
+        ["theory", "--config", "sweep.cfg", "--rho", "0.5"],
+    ])
+    def test_theory_needs_a_scheme_with_flags_or_a_config_alone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "corrlink theory: error:" in capsys.readouterr().err
+
     def test_theory_pareto_defaults_alpha_like_run(self, capsys):
         assert main(["theory", "pareto", "--k", "30", "--rho", "0.6"]) == 0
         default = capsys.readouterr().out
@@ -1174,7 +1247,7 @@ class TestCli:
         code = main(["selftest"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "all 5 checks passed" in out
+        assert "all 6 checks passed" in out
 
     @staticmethod
     def lengths_threshold_off_by_one(indices, m):
@@ -1197,7 +1270,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert "selftest FAIL index code lengths" in err
-        assert "1 of 5 checks failed" in err
+        assert "1 of 6 checks failed" in err
 
     def test_selftest_checks_survive_python_dash_o(self):
         # -O strips assert statements; the selftest's checks must still fail.

@@ -25,6 +25,8 @@ from corrlink.sources import (
     normal_from_uniform,
     _binomial_upper_tail,
     _open_uniform,
+    _philox_cursors,
+    _skip_doubles,
     substream,
     walk_first_hit,
 )
@@ -632,3 +634,60 @@ class TestOpenUniform:
         out = np.empty((40, 4, 4))
         _open_uniform(substream(6, 2), out=out)
         np.testing.assert_array_equal(out, _open_uniform(substream(6, 2), (40, 4, 4)))
+
+
+def philox_state(rng):
+    state = rng.bit_generator.state
+    return (state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
+            state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"], state["uinteger"])
+
+
+class TestPhiloxCursors:
+    """Reading a Philox stream at an offset, and skipping ahead on it."""
+
+    @pytest.mark.parametrize("drawn", [0, 1, 2, 3, 4, 5])
+    def test_cursor_reads_the_doubles_drawn_in_order(self, drawn):
+        # From a fresh generator and from one part way into its four-double
+        # buffer; opening the cursors leaves the generator untouched.
+        rng = substream(9, 4)
+        rng.random(drawn)
+        before = philox_state(rng)
+        ahead = substream(9, 4).random(drawn + 30)[drawn:]
+        cursors = _philox_cursors(rng, range(10))
+        assert philox_state(rng) == before
+        for offset, cursor in enumerate(cursors):
+            np.testing.assert_array_equal(cursor.random(20), ahead[offset:offset + 20])
+        assert philox_state(rng) == before
+
+    def test_cursor_reaches_far_offsets(self):
+        # Past 2^64 counter steps, so the carry into the counter's second word
+        # counts: advancing by 2^64 + 1 steps skips 4 (2^64 + 1) doubles.
+        offset = 4 * (2**64 + 1) + 7
+        rng = substream(9, 5)
+        rng.bit_generator.advance(2**64 + 1)
+        ahead = rng.random(11)[7:]
+        np.testing.assert_array_equal(_philox_cursors(substream(9, 5), (offset,))[0].random(4),
+                                      ahead)
+
+    @pytest.mark.parametrize("drawn", [0, 1, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 9, 16_387])
+    def test_skip_leaves_the_state_drawing_leaves(self, drawn, n):
+        rng, drawing = substream(9, 6), substream(9, 6)
+        # A buffered 32-bit half survives drawing doubles, and so skipping.
+        rng.integers(0, 10, dtype=np.int32)
+        drawing.integers(0, 10, dtype=np.int32)
+        rng.random(drawn)
+        drawing.random(drawn + n)
+        _skip_doubles(rng, n)
+        skipped, drawn_state = philox_state(rng), philox_state(drawing)
+        # An emptied buffer's stale contents are never read again.
+        if drawn_state[3] == 4:
+            skipped, drawn_state = skipped[:2] + skipped[3:], drawn_state[:2] + drawn_state[3:]
+        assert skipped == drawn_state
+        np.testing.assert_array_equal(rng.integers(0, 2**31, 4, dtype=np.int32),
+                                      drawing.integers(0, 2**31, 4, dtype=np.int32))
+        np.testing.assert_array_equal(rng.random(9), drawing.random(9))
+
+    def test_other_bit_generators_are_refused(self):
+        with pytest.raises(ConfigurationError, match="needs a Philox generator, got PCG64"):
+            _philox_cursors(np.random.default_rng(1), (0,))

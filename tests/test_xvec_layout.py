@@ -18,6 +18,7 @@ import pytest
 from corrlink.errors import ConfigurationError
 from corrlink.estimators import (
     _DRAW_BLOCK,
+    _XVEC_BLOCK,
     TrialBatch,
     stopping_matrix_batch,
     xvec_core_batch,
@@ -45,7 +46,11 @@ from corrlink.sources import (
 from corrlink.statmath import _qinv_unchecked, geometric_entropy, qfunc
 
 DIMS = [1, 2, 3, 4, 8, 9]
-SIZES = [1, 2, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, 4095, 4096, 4097, 16_384]
+# 8,193 ends in a one-trial chunk block and 16,385 in a one-trial third one,
+# read through the cursors; a one-trial block's own Sigma_x^1/2 product would
+# take another BLAS path. 4,095 to 4,097 straddle the oracle's solve block.
+SIZES = [1, 2, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, 4095, 4096, 4097,
+         _XVEC_BLOCK - 1, _XVEC_BLOCK, _XVEC_BLOCK + 1, 16_384, 2 * _XVEC_BLOCK + 1]
 # Budgets allocate_bits_xvec accepts; at d = 8 and 9 just above the least feasible ones.
 BUDGETS = {1: 40.0, 2: 80.0, 3: 120.0, 4: 160.0, 8: 840.0, 9: 1160.0}
 
@@ -157,6 +162,13 @@ def model_and_params(d, quantized):
     return GaussianXVec(rho=rho, sigma_x=sigma), params if quantized else replace(params, k_q=0.0)
 
 
+def stream_position(rng):
+    """A Philox generator's counter, buffer position and buffered 32-bit half."""
+    state = rng.bit_generator.state
+    return (state["state"]["counter"].tolist(), state["buffer_pos"], state["has_uint32"],
+            state["uinteger"])
+
+
 def assert_same_bits(batch, oracle):
     assert batch.estimates.shape == oracle.estimates.shape
     assert batch.estimates.tobytes("F") == oracle.estimates.tobytes("F")
@@ -188,7 +200,36 @@ class TestEntryMajorChunk:
         batch = xvec_core_batch(model, params, rng, size, mode)
         assert batch.estimates.flags.f_contiguous
         assert_same_bits(batch, c_order_xvec_core_batch(model, params, oracle_rng, size, mode))
+        # The generator is left where the in-order draw leaves it.
+        assert stream_position(rng) == stream_position(oracle_rng)
         np.testing.assert_array_equal(rng.random(8), oracle_rng.random(8))
+
+    @pytest.mark.parametrize("drawn", [0, 1, 3, 4])
+    def test_cursors_start_where_the_generator_stands(self, drawn):
+        # A chunk may begin part way into the generator's four-double buffer.
+        model, params = model_and_params(3, True)
+        rng, oracle_rng = substream(8, drawn), substream(8, drawn)
+        rng.random(drawn)
+        oracle_rng.random(drawn)
+        size = _XVEC_BLOCK + 5
+        batch = xvec_core_batch(model, params, rng, size)
+        assert_same_bits(batch, c_order_xvec_core_batch(model, params, oracle_rng, size,
+                                                        LedgerMode.EXPECTED))
+        np.testing.assert_array_equal(rng.random(8), oracle_rng.random(8))
+
+    def test_other_bit_generators_run_one_block_and_refuse_more(self):
+        # One block reads its generator in order; past one block the draws
+        # are read through Philox cursors, so another bit generator is refused
+        # before anything is drawn rather than misread.
+        model, params = model_and_params(4, True)
+        rng, oracle_rng = np.random.default_rng(3), np.random.default_rng(3)
+        batch = xvec_core_batch(model, params, rng, _XVEC_BLOCK)
+        assert_same_bits(batch, c_order_xvec_core_batch(model, params, oracle_rng, _XVEC_BLOCK,
+                                                        LedgerMode.EXPECTED))
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigurationError, match="needs a Philox generator, got PCG64"):
+            xvec_core_batch(model, params, rng, _XVEC_BLOCK + 1)
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("size", [1, _DRAW_BLOCK + 1, 4097])
     @pytest.mark.parametrize("d", DIMS)
